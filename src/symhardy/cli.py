@@ -169,9 +169,9 @@ def _constants_row(d, p, gamma, klass):
         hardy = hardy_odd(d, p, gamma)
         rellich = rellich_odd(d, p, gamma)
     else:
-        hardy = classical_hardy(d, p)
+        hardy = classical_hardy(d, p, gamma)
         rellich = rellich_mitidieri(d, p, gamma)
-    hardy_base = classical_hardy(d, p).value
+    hardy_base = classical_hardy(d, p, gamma).value
     rellich_base = rellich_mitidieri(d, p, gamma).value
     rows = []
     for functional, const, base in (

@@ -112,12 +112,13 @@ def _real_power(base, p):
     return float("nan")
 
 
-def classical_hardy(d, p):
-    """(|d - p| / p)**p; vanishes at p = d."""
+def classical_hardy(d, p, gamma=0.0):
+    """(|d - p - gamma| / p)**p, the unrestricted weighted Hardy constant;
+    vanishes at p + gamma = d."""
     _check_d(d)
     if p < 1.0:
         raise OutOfRangeError("the classical constant needs p >= 1")
-    value = (abs(d - p) / p) ** p
+    value = (abs(d - p - gamma) / p) ** p
     return ConstantValue(value, "classical_hardy", True)
 
 
@@ -215,11 +216,7 @@ def reference_constant(params: Params, functional: Functional) -> ConstantValue:
             return hardy_antisymmetric(d, p, gamma)
         if params.klass is FunctionClass.ODD:
             return hardy_odd(d, p, gamma)
-        if gamma != 0.0:
-            raise OutOfRangeError(
-                "the unrestricted Hardy reference is implemented for gamma = 0"
-            )
-        return classical_hardy(d, p)
+        return classical_hardy(d, p, gamma)
     if params.klass is FunctionClass.ANTISYMMETRIC:
         return rellich_antisymmetric(d, p, gamma)
     if params.klass is FunctionClass.ODD:

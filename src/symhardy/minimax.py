@@ -10,11 +10,15 @@ The scalar certificate function
 bounds the pointwise divergence expression of the certificate vector
 field, with t the Schwarz ratio of the angular factor (t >= lam^2).  For
 p > 2 the inner minimum over t has the closed form t0 and the outer
-maximum has closed-form coordinates (alpha0, beta0); this module exposes
-both and a derivative-free multistart search that must land on the same
-value.  For p = 2 the map t -> f is linear, so the inner minimum sits at
-t = lam^2 whenever the t-coefficient beta (1 - beta) is nonnegative, and
-the closed-form optimum extends by continuity (beta0 = 1).
+maximum has closed-form coordinates (alpha0, beta0).  For p = 2 the map
+t -> f is linear, so the inner minimum sits at t = lam^2 whenever the
+t-coefficient beta (1 - beta) is nonnegative, and the closed-form optimum
+extends by continuity (beta0 = 1).
+
+``numeric_minimax`` checks the closed form independently: g(alpha, beta)
+= min over t of f is concave for beta >= 0, and a damped Newton ascent
+with the analytic gradient and Hessian of g, started from the naive
+certificate (0, 1), reaches its maximum without reading the closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constants import FunctionClass, Params, hardy_antisymmetric, hardy_odd
 from .errors import DomainError, OutOfRangeError, SymHardyError
@@ -31,7 +34,6 @@ from .errors import DomainError, OutOfRangeError, SymHardyError
 __all__ = [
     "CertificateParams",
     "MinimaxResult",
-    "SearchConfig",
     "f_certificate",
     "t_minimizer",
     "min_over_t",
@@ -43,6 +45,16 @@ __all__ = [
 ]
 
 _P2_TOL = 1e-12
+
+# Newton ascent: stop when the predicted rise grad . step is below
+# _DECREMENT_TOL max(1, |g|); backtrack (Armijo slope _ARMIJO) down to steps
+# of _MIN_STEP times |(alpha, beta)|; lift Hessian eigenvalues to at most
+# -_EIG_FLOOR times the largest.
+_MAX_STEPS = 100
+_DECREMENT_TOL = 1e-15
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-15
+_EIG_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,17 +98,8 @@ class MinimaxResult:
     value_closed_form: float
     gap: float
     converged: bool
-    n_starts: int = 0
-    hessian_eigs: tuple | None = None
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    n_starts: int = 16
-    box_factor: float = 3.0
-    xatol: float = 1e-11
-    fatol: float = 1e-13
-    maxiter: int = 4000
+    steps: int
+    hessian_eigs: tuple
 
 
 def class_constant(params: Params) -> float:
@@ -173,7 +176,12 @@ def min_over_t(alpha, beta, params: Params):
             p / (p - 1.0)
         )
         return lam2, value
-    t_star = t_minimizer(alpha, beta, params, clamp=True)
+    try:
+        t_star = t_minimizer(alpha, beta, params, clamp=True)
+    except OverflowError:
+        # (p beta / 2)^(2(p-1)/(p-2)) exceeds the float range, and so does
+        # the depth of the minimum below zero.
+        return math.inf, -math.inf
     return t_star, f_certificate(t_star, alpha, beta, params)
 
 
@@ -232,131 +240,114 @@ def g_envelope(alpha, beta, params: Params):
     )
 
 
-def _fd_hessian_eigs(fun, x, h=1e-5):
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            hi = h * max(1.0, abs(x[i]))
-            hj = h * max(1.0, abs(x[j]))
-            if i == j:
-                H[i, i] = (
-                    fun(x + hi * _e(n, i)) - 2.0 * fun(x) + fun(x - hi * _e(n, i))
-                ) / hi**2
-            else:
-                pp = fun(x + hi * _e(n, i) + hj * _e(n, j))
-                pm = fun(x + hi * _e(n, i) - hj * _e(n, j))
-                mp = fun(x - hi * _e(n, i) + hj * _e(n, j))
-                mm = fun(x - hi * _e(n, i) - hj * _e(n, j))
-                H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * hi * hj)
-    return tuple(np.linalg.eigvalsh(H))
+def _gradient_hessian(alpha, beta, t, params: Params):
+    """Gradient and Hessian of g(alpha, beta) = min over t of f.
 
-
-def _e(n, i):
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
-
-
-def numeric_minimax(params: Params, config: SearchConfig | None = None):
-    """Reproduce the closed-form constant by direct optimization.
-
-    p > 2: inner minimization is analytic (convexity in t), the outer
-    maximization runs a multistart Nelder-Mead search on a box covering
-    three times the closed-form optimum.  p = 2: the linear t-branch is
-    evaluated directly at the continuity limit of the optimum.
+    ``t`` is the inner minimizer.  By the envelope theorem the gradient is
+    (f_alpha, f_beta) at t.  With R = alpha^2 - 2 alpha beta lam + beta^2 t,
+    q = p / (2 (p - 1)), h = (p/2) R^(q-1) and h' = (p/2) (q-1) R^(q-2),
+    every second derivative of f is -h' R_x R_y - h R_xy (plus 1 for
+    f_beta,t), where R_aa = 2, R_ab = -2 lam, R_bb = 2 t, R_bt = 2 beta.
+    An interior t > lam^2 moves with (alpha, beta), which subtracts
+    F_xt F_tx^T / f_tt from F_xx; a clamped t = lam^2 leaves F_xx.
     """
-    config = config or SearchConfig()
-    opt = closed_form_optimum(params)
-    target = class_constant(params)
+    p, lam = params.p, params.lam
+    R = alpha * alpha - 2.0 * alpha * beta * lam + beta * beta * t
+    if abs(p - 2.0) < _P2_TOL:
+        h, dh = 1.0, 0.0
+    else:
+        q = p / (2.0 * (p - 1.0))
+        h = 0.5 * p * R ** (q - 1.0)
+        dh = h * (q - 1.0) / R
+    r_x = np.array([2.0 * (alpha - beta * lam), 2.0 * (beta * t - alpha * lam)])
+    grad = np.array(
+        [params.d - p - params.gamma, (p - 2.0 + params.gamma) * lam + t]
+    ) - h * r_x
+    hess = -dh * np.outer(r_x, r_x) - 2.0 * h * np.array([[1.0, -lam], [-lam, t]])
+    if t > lam * lam:
+        r_t = beta * beta
+        f_xt = np.array([0.0, 1.0 - 2.0 * beta * h]) - dh * r_t * r_x
+        hess -= np.outer(f_xt, f_xt) / (-dh * r_t * r_t)
+    return grad, hess
 
-    if abs(params.p - 2.0) < _P2_TOL:
-        t_star, value = min_over_t(opt.alpha, opt.beta, params)
-        return MinimaxResult(
-            alpha_star=opt.alpha,
-            beta_star=opt.beta,
-            t_star=t_star,
-            value_numeric=value,
-            value_closed_form=target,
-            gap=abs(value - target),
-            converged=True,
-        )
 
-    alpha_box = config.box_factor * max(abs(opt.alpha), opt.lam * opt.beta, 1.0)
-    beta_box = config.box_factor * max(opt.beta, 1.0)
+def _ascent_direction(grad, hess, beta_held):
+    """Newton direction -H^-1 grad for the concave g, as two floats.
 
-    def objective(v):
-        a, b = v
-        if b <= 0.0 or b > beta_box or abs(a) > alpha_box:
-            return 1e300
-        value = min_over_t(a, b, params)[1]
-        if not math.isfinite(value):
-            return 1e300
-        return -value
+    Where t is clamped to lam^2, g is linear along (lam, 1) and H is
+    singular, so its eigenvalues are lifted to at most -_EIG_FLOOR times
+    the largest (modified Newton); the line search caps that step.  A held
+    beta leaves a one-variable Newton step in alpha.
+    """
+    if beta_held:
+        return -float(grad[0] / hess[0, 0]), 0.0
+    eigs, vecs = np.linalg.eigh(hess)
+    eigs = np.minimum(eigs, -_EIG_FLOOR * np.max(np.abs(eigs)))
+    da, db = -vecs @ ((vecs.T @ grad) / eigs)
+    return float(da), float(db)
 
-    n_beta = max(config.n_starts // 2, 1)
-    betas = opt.beta * np.logspace(math.log10(0.25), math.log10(4.0), n_beta)
-    spread = 0.5 * max(abs(opt.alpha), opt.beta * opt.lam, 1.0)
-    starts = []
-    for b in betas:
-        starts.append((opt.alpha - spread, b))
-        starts.append((opt.alpha + spread, b))
-    starts = starts[: config.n_starts]
 
-    best = None
-    any_success = False
-    for x0 in starts:
-        res = minimize(
-            objective,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options={
-                "xatol": config.xatol,
-                "fatol": config.fatol,
-                "maxiter": config.maxiter,
-                "maxfev": config.maxiter,
-            },
-        )
-        any_success = any_success or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    # Polish from the winner; ties between starts break toward smaller gap.
-    res = minimize(
-        objective,
-        best.x,
-        method="Nelder-Mead",
-        options={
-            "xatol": config.xatol,
-            "fatol": config.fatol,
-            "maxiter": config.maxiter,
-            "maxfev": config.maxiter,
-        },
-    )
-    if res.fun <= best.fun:
-        best = res
-        any_success = any_success or bool(res.success)
+def _backtrack(alpha, beta, value, grad, direction, beta_max, params):
+    """The first point along ``direction`` passing the Armijo test, or None.
 
-    alpha_star, beta_star = map(float, best.x)
-    t_star, value = min_over_t(alpha_star, beta_star, params)
-    gap = abs(value - target)
-    eigs = None
-    if beta_star > 0.0:
-        try:
-            eigs = _fd_hessian_eigs(
-                lambda v: min_over_t(v[0], v[1], params)[1],
-                (alpha_star, beta_star),
-            )
-        except (DomainError, FloatingPointError):
-            eigs = None
+    The step starts no longer than |(alpha, beta)| (at least 1) and halves
+    until g rises enough; beta is projected onto (0, beta_max].
+    """
+    scale = max(1.0, math.hypot(alpha, beta))
+    length = math.hypot(*direction)
+    s = min(1.0, scale / length)
+    while s * length > _MIN_STEP * scale:
+        a_new = alpha + s * direction[0]
+        b_new = min(beta + s * direction[1], beta_max)
+        if b_new > 0.0:
+            t_new, v_new = min_over_t(a_new, b_new, params)
+            rise = grad[0] * (a_new - alpha) + grad[1] * (b_new - beta)
+            if v_new >= value + _ARMIJO * rise:
+                return a_new, b_new, t_new, v_new
+        s *= 0.5
+    return None
+
+
+def numeric_minimax(params: Params):
+    """Reproduce the class constant by maximizing g = min over t of f.
+
+    g is concave for beta >= 0 (f is concave in (alpha, beta) for each t,
+    and a minimum over t keeps that), so one damped Newton ascent from the
+    naive certificate (alpha, beta) = (0, 1) reaches the maximum, using
+    only (d, p, gamma, lam) and never the closed-form optimum.  For p = 2,
+    f is linear in t with slope beta (1 - beta), so g = -inf above
+    beta = 1: the iterate is projected onto beta <= 1, and beta is held at
+    1 while the gradient pushes against that bound.  The closed-form
+    constant is read only for the final gap.
+    """
+    target = class_constant(params)  # also rejects p < 2 and the general class
+    beta_max = 1.0 if abs(params.p - 2.0) < _P2_TOL else math.inf
+    alpha, beta = 0.0, 1.0
+    t_star, value = min_over_t(alpha, beta, params)
+    converged = False
+    steps = 0
+    while True:
+        grad, hess = _gradient_hessian(alpha, beta, t_star, params)
+        direction = _ascent_direction(grad, hess, beta >= beta_max and grad[1] >= 0.0)
+        decrement = grad[0] * direction[0] + grad[1] * direction[1]
+        if decrement <= _DECREMENT_TOL * max(1.0, abs(value)):
+            converged = True
+            break
+        if steps == _MAX_STEPS:
+            break
+        point = _backtrack(alpha, beta, value, grad, direction, beta_max, params)
+        if point is None:
+            break
+        alpha, beta, t_star, value = point
+        steps += 1
     return MinimaxResult(
-        alpha_star=alpha_star,
-        beta_star=beta_star,
+        alpha_star=alpha,
+        beta_star=beta,
         t_star=t_star,
         value_numeric=value,
         value_closed_form=target,
-        gap=gap,
-        converged=any_success,
-        n_starts=len(starts),
-        hessian_eigs=eigs,
+        gap=abs(value - target),
+        converged=converged,
+        steps=steps,
+        hessian_eigs=tuple(float(e) for e in np.linalg.eigvalsh(hess)),
     )

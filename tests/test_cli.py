@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,23 @@ class TestConstantsCommand:
             for row in doc["rows"]
         )
 
+    def test_weighted_general_rows(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run(["constants", "--d", "3", "--p", "2", "--gamma", "1",
+                    "--out", str(out)]) == 0
+        rows = {(r["class"], r["functional"]): r for r in read_csv(out)}
+        general = rows[("general", "hardy")]
+        # (|d - p - gamma| / p)^p = 0 at d = 3, p = 2, gamma = 1
+        assert float(general["value"]) == 0.0
+        assert general["admissible"] == "true"
+        for klass, value in (("antisym", 12.0), ("odd", 2.0)):
+            row = rows[(klass, "hardy")]
+            assert float(row["value"]) == value
+            assert float(row["classical_baseline"]) == 0.0
+            assert float(row["improvement_ratio"]) == math.inf
+        # the Rellich baseline was already weighted
+        assert float(rows[("antisym", "rellich")]["improvement_ratio"]) == 25.0
+
     def test_empty_grid_usage_error(self, tmp_path):
         assert run(["constants", "--d", "", "--p", "2", "--gamma", "0"]) == 2
 
@@ -94,6 +112,18 @@ class TestVerifyCommand:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_weighted_general_reference(self, tmp_path):
+        out = tmp_path / "g.csv"
+        code = run(
+            ["verify", "--d", "4", "--p", "2", "--gamma", "1", "--class",
+             "general", "--samples", "2e4", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        (row,) = read_csv(out)
+        # (|d - p - gamma| / p)^p = (1/2)^2
+        assert float(row["reference"]) == 0.25
+        assert float(row["quotient"]) >= 0.25
 
     def test_inadmissible_params_refused(self, tmp_path):
         code = run(

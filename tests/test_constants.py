@@ -13,6 +13,10 @@ class TestClassical:
     def test_spot_values(self):
         assert cn.classical_hardy(3, 2).value == 0.25
         assert cn.classical_hardy(1, 4).value == 0.31640625
+        # weighted: (|d - p - gamma| / p)^p
+        assert cn.classical_hardy(3, 2, 1.0).value == 0.0
+        assert cn.classical_hardy(3, 2, -1.0).value == 1.0
+        assert cn.classical_hardy(5, 2, 1.0).value == 1.0
 
     def test_vanishes_at_p_equal_d(self):
         c = cn.classical_hardy(3, 3)
@@ -86,12 +90,21 @@ class TestCoincidenceAndMonotonicity:
                 base = cn.classical_hardy(d, p).value
                 assert cn.hardy_antisymmetric(d, p).value > base
                 assert cn.hardy_odd(d, p).value > base
+                for gamma in GAMMA_GRID:
+                    base = cn.classical_hardy(d, p, gamma).value
+                    assert cn.hardy_antisymmetric(d, p, gamma).value > base
+                    assert cn.hardy_odd(d, p, gamma).value > base
 
     def test_odd_d1_equality_exception(self):
         for p in P_GRID:
             assert cn.hardy_odd(1, p).value == pytest.approx(
                 cn.classical_hardy(1, p).value, rel=1e-13
             )
+            # The odd base at d = 1 is ((p + gamma - 1) / p)^2 for every gamma.
+            for gamma in GAMMA_GRID:
+                assert cn.hardy_odd(1, p, gamma).value == pytest.approx(
+                    cn.classical_hardy(1, p, gamma).value, rel=1e-13, abs=1e-15
+                )
 
     def test_no_vanishing_at_p_equal_d(self):
         for n in (2, 3, 4):
@@ -216,7 +229,12 @@ class TestParams:
         assert cn.reference_constant(po, cn.Functional.HARDY).value == 2.25
         pg = cn.Params(3, 2, 0.0, cn.FunctionClass.GENERAL)
         assert cn.reference_constant(pg, cn.Functional.HARDY).value == 0.25
-        with pytest.raises(OutOfRangeError):
-            cn.reference_constant(
-                cn.Params(3, 2, 1.0, cn.FunctionClass.GENERAL), cn.Functional.HARDY
-            )
+        # The weighted unrestricted constant (|d - p - gamma| / p)^p.
+        weighted = cn.reference_constant(
+            cn.Params(3, 2, 1.0, cn.FunctionClass.GENERAL), cn.Functional.HARDY
+        )
+        assert weighted.value == 0.0
+        assert weighted.formula_id == "classical_hardy"
+        assert cn.reference_constant(
+            cn.Params(5, 2, 1.0, cn.FunctionClass.GENERAL), cn.Functional.HARDY
+        ).value == 1.0

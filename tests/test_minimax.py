@@ -15,6 +15,49 @@ def params(d, p, gamma=0.0, klass=ANTI):
     return Params(d, p, gamma, klass)
 
 
+# The grid of acceptance criterion 2, and its p = 2 counterpart.
+CRITERION_2 = [
+    params(d, p, gamma, klass)
+    for klass in (ANTI, ODD)
+    for d in (2, 3, 4)
+    for p in (2.5, 3.0, 4.0)
+    for gamma in (-1.0, 0.0, 1.0)
+]
+P2_CASES = [
+    params(d, 2.0, gamma, klass)
+    for klass in (ANTI, ODD)
+    for d in (2, 3, 4)
+    for gamma in (-1.0, 0.0, 1.0)
+] + [params(1, 2.0, 0.0, ODD)]
+
+
+def _case_id(pr):
+    return f"{pr.klass.value}-d{pr.d}-p{pr.p:g}-g{pr.gamma:g}"
+
+
+def fd_hessian_eigs(fun, x, h=1e-5):
+    """Eigenvalues of the central finite-difference Hessian of fun at x."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    e = np.eye(n)
+    H = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            hi = h * max(1.0, abs(x[i]))
+            hj = h * max(1.0, abs(x[j]))
+            if i == j:
+                H[i, i] = (
+                    fun(x + hi * e[i]) - 2.0 * fun(x) + fun(x - hi * e[i])
+                ) / hi**2
+            else:
+                pp = fun(x + hi * e[i] + hj * e[j])
+                pm = fun(x + hi * e[i] - hj * e[j])
+                mp = fun(x - hi * e[i] + hj * e[j])
+                mm_ = fun(x - hi * e[i] - hj * e[j])
+                H[i, j] = H[j, i] = (pp - pm - mp + mm_) / (4.0 * hi * hj)
+    return np.linalg.eigvalsh(H)
+
+
 class TestCertificateFunction:
     def test_beta_zero_is_one_parameter_certificate(self):
         pr = params(3, 3)
@@ -170,6 +213,12 @@ class TestInnerProblem:
         t_star, value = mm.min_over_t(1.0, 1.5, pr)
         assert value == -math.inf
 
+    def test_overflowing_minimizer_is_unbounded_below(self):
+        # (p beta / 2)^(2(p-1)/(p-2)) = 40.2^202 exceeds the float range.
+        t_star, value = mm.min_over_t(0.0, 40.0, params(3, 2.01))
+        assert t_star == math.inf
+        assert value == -math.inf
+
 
 class TestNumericMinimax:
     def test_d2_p4(self):
@@ -210,3 +259,39 @@ class TestNumericMinimax:
     def test_general_class_rejected(self):
         with pytest.raises(OutOfRangeError):
             mm.numeric_minimax(Params(3, 3, 0.0, FunctionClass.GENERAL))
+
+
+class TestNewtonAscent:
+    @pytest.fixture
+    def no_closed_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numeric_minimax read the closed-form optimum")
+
+        monkeypatch.setattr(mm, "closed_form_optimum", refuse)
+        monkeypatch.setattr(mm, "closed_form_value", refuse)
+
+    @pytest.mark.parametrize("pr", CRITERION_2 + P2_CASES, ids=_case_id)
+    def test_reaches_constant_without_closed_form(self, no_closed_form, pr):
+        res = mm.numeric_minimax(pr)
+        assert res.converged
+        assert res.gap <= 1e-9 * max(1.0, res.value_closed_form)
+        assert res.steps <= 30
+
+    def test_p2_holds_beta_at_bound(self):
+        for pr in P2_CASES[:-1]:
+            res = mm.numeric_minimax(pr)
+            assert res.beta_star == 1.0
+            assert res.t_star == pr.lam**2
+
+    @pytest.mark.parametrize(
+        "pr", CRITERION_2 + [params(3, 2.01), params(6, 8.0)], ids=_case_id
+    )
+    def test_analytic_hessian_matches_finite_differences(self, pr):
+        res = mm.numeric_minimax(pr)
+        assert res.t_star > pr.lam**2  # g is smooth around an interior t*
+        fd = fd_hessian_eigs(
+            lambda v: mm.min_over_t(v[0], v[1], pr)[1],
+            (res.alpha_star, res.beta_star),
+        )
+        scale = max(abs(e) for e in res.hessian_eigs)
+        np.testing.assert_allclose(res.hessian_eigs, fd, rtol=1e-3, atol=1e-4 * scale)
