@@ -7,11 +7,19 @@ verify      run Rayleigh-quotient checks for a trial family
 minimax     compare the numeric max-min certificate value to closed form
 sharpness   sweep the near-extremal family against the bracket
 
+Every subcommand runs through ``main``'s one sweep: parse the grids, build
+the manifest, compute the rows of each grid point, then emit them.
+
 All data output is CSV (RFC 4180, header row, floats with 17 significant
 digits) or JSON (a manifest header plus one object per row).  Reruns with
 the same arguments and seed are byte-identical; the wall clock and the
 per-check pass/fail summary therefore go to stderr, and to a sidecar
 ``<out>.run.json`` when ``--out`` is given, never into the data stream.
+That report is written on every run, including one that ends in an
+error, and then names the error's class and message.
+
+Exit codes: 0 when every check held, 1 when a check failed, 2 on a named
+error (one ``error:`` line on stderr, no data written) or a usage error.
 """
 
 from __future__ import annotations
@@ -19,10 +27,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -37,7 +47,7 @@ from .constants import (
     rellich_mitidieri,
     rellich_odd,
 )
-from .errors import SymHardyError
+from .errors import SymHardyError, UsageError
 from .minimax import numeric_minimax
 from .polynomials import constant_factor, odd_linear, vandermonde
 from .quadrature import (
@@ -54,6 +64,13 @@ _CLASSES = {
     "antisym": FunctionClass.ANTISYMMETRIC,
     "odd": FunctionClass.ODD,
     "general": FunctionClass.GENERAL,
+}
+
+# The angular factor that carries each class in trial functions.
+_FACTORS = {
+    FunctionClass.ANTISYMMETRIC: vandermonde,
+    FunctionClass.ODD: odd_linear,
+    FunctionClass.GENERAL: constant_factor,
 }
 
 
@@ -77,6 +94,32 @@ class RunManifest:
         }
 
 
+@dataclass
+class Sweep:
+    """What a subcommand contributes to the one sweep in ``main``.
+
+    ``row(*point)`` returns the point's data rows and its check as a
+    ``(name, passed)`` pair; a name that several points share passes only
+    if it passes at each of them.
+    """
+
+    params: dict
+    points: list
+    row: Callable
+    quadrature: dict | None = None
+    seed: int | None = None
+
+
+def _number(text, kind):
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise UsageError(f"not a finite number: {text!r}")
+
+
 def _parse_int_grid(text):
     out = []
     for part in text.split(","):
@@ -84,15 +127,28 @@ def _parse_int_grid(text):
         if not part:
             continue
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = part.split("..", 1)
+            out.extend(range(_number(lo, int), _number(hi, int) + 1))
         else:
-            out.append(int(part))
+            out.append(_number(part, int))
     return out
 
 
 def _parse_float_grid(text):
-    return [float(part) for part in text.split(",") if part.strip()]
+    return [_number(part, float) for part in text.split(",") if part.strip()]
+
+
+def _dpg_grid(args, **params):
+    """Parse the --d, --p and --gamma grids of ``args``.
+
+    Returns the manifest params (the grids, the class, then ``params``)
+    and the grid points in (d, p, gamma) order.
+    """
+    ds = _parse_int_grid(args.d)
+    ps = _parse_float_grid(args.p)
+    gammas = _parse_float_grid(args.gamma)
+    params = {"d": ds, "p": ps, "gamma": gammas, "class": args.klass, **params}
+    return params, list(itertools.product(ds, ps, gammas))
 
 
 def _fmt(value):
@@ -113,21 +169,21 @@ def _json_safe(value):
     return value
 
 
-def _emit(rows, columns, manifest, fmt, out_path):
+def _emit(rows, manifest, fmt, out_path):
     if fmt == "json":
         doc = {
             "manifest": manifest.as_dict(),
             "rows": [
-                {c: _json_safe(row[c]) for c in columns} for row in rows
+                {c: _json_safe(v) for c, v in row.items()} for row in rows
             ],
         }
         payload = json.dumps(doc, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([_fmt(v) for v in row.values()])
         payload = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -142,20 +198,21 @@ def _emit(rows, columns, manifest, fmt, out_path):
             print(json.dumps({"manifest": manifest.as_dict()}), file=sys.stderr)
 
 
-def _write_run_report(out_path, manifest, checks, wall_clock, exit_code):
+def _write_run_report(args, manifest, checks, wall_clock, exit_code, error):
     report = {
-        "manifest": manifest.as_dict(),
+        "manifest": manifest.as_dict() if manifest else None,
         "wall_clock_s": wall_clock,
-        "checks": checks,
+        "checks": [{"name": name, "pass": ok} for name, ok in checks.items()],
         "exit_code": exit_code,
+        "error": error,
     }
-    if out_path:
-        with open(out_path + ".run.json", "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out + ".run.json", "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
     print(
-        f"run: {manifest.command} wall_clock_s={wall_clock:.3f} "
-        f"checks_failed={sum(1 for c in checks if not c['pass'])}"
+        f"run: {args.command} wall_clock_s={wall_clock:.3f} "
+        f"checks_failed={sum(not ok for ok in checks.values())}"
         f"/{len(checks)}",
         file=sys.stderr,
     )
@@ -193,64 +250,23 @@ def _constants_row(d, p, gamma, klass):
                 "improvement_ratio": ratio,
             }
         )
-    return rows
+    return rows, ("constants", True)
 
 
 def cmd_constants(args):
-    ds = _parse_int_grid(args.d)
-    ps = _parse_float_grid(args.p)
-    gammas = _parse_float_grid(args.gamma)
+    params, grid = _dpg_grid(args)
     classes = (
         list(_CLASSES.values())
         if args.klass == "all"
         else [_CLASSES[args.klass]]
     )
-    if not ds or not ps or not gammas:
-        print("error: empty parameter grid", file=sys.stderr)
-        return 2, None, []
-    rows = []
-    for d in ds:
-        for p in ps:
-            for gamma in gammas:
-                for klass in classes:
-                    if klass is FunctionClass.ANTISYMMETRIC and d < 2:
-                        continue
-                    if p < 2.0 and klass is not FunctionClass.GENERAL:
-                        continue
-                    rows.extend(_constants_row(d, p, gamma, klass))
-    manifest = RunManifest(
-        "constants",
-        {"d": ds, "p": ps, "gamma": gammas, "class": args.klass},
-        None,
-        None,
-        __version__,
-    )
-    columns = [
-        "d",
-        "p",
-        "gamma",
-        "class",
-        "functional",
-        "formula_id",
-        "value",
-        "admissible",
-        "classical_baseline",
-        "improvement_ratio",
+    points = [
+        (d, p, gamma, klass)
+        for (d, p, gamma), klass in itertools.product(grid, classes)
+        if not (klass is FunctionClass.ANTISYMMETRIC and d < 2)
+        and not (p < 2.0 and klass is not FunctionClass.GENERAL)
     ]
-    _emit(rows, columns, manifest, args.format, args.out)
-    return 0, manifest, [{"name": "constants", "pass": True}]
-
-
-def _make_trial(args, klass, d):
-    if args.trial == "gaussian":
-        if klass is FunctionClass.ANTISYMMETRIC:
-            factor = vandermonde(d)
-        elif klass is FunctionClass.ODD:
-            factor = odd_linear(d)
-        else:
-            factor = constant_factor(d)
-        return gaussian_trial(factor, args.sigma, class_tag=klass)
-    raise SystemExit(f"error: unknown trial family {args.trial!r}")
+    return Sweep(params, points, _constants_row)
 
 
 def cmd_verify(args):
@@ -258,126 +274,72 @@ def cmd_verify(args):
     functional = Functional(args.functional)
     config = QuadratureConfig(
         method=args.method,
-        samples=int(float(args.samples)),
+        samples=_number(args.samples, lambda text: int(float(text))),
         seed=args.seed,
         r_min=args.r_min,
         r_max=args.r_max,
     )
-    rows = []
-    checks = []
-    exit_code = 0
-    for d in _parse_int_grid(args.d):
-        for p in _parse_float_grid(args.p):
-            for gamma in _parse_float_grid(args.gamma):
-                params = Params(d, p, gamma, klass)
-                u = _make_trial(args, klass, d)
-                try:
-                    report = rayleigh_quotient(u, functional, params, config)
-                except SymHardyError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2, None, []
-                ok = not report.violation
-                exit_code = exit_code or (0 if ok else 1)
-                checks.append(
-                    {
-                        "name": f"{functional.value} d={d} p={p} gamma={gamma}",
-                        "pass": ok,
-                    }
-                )
-                rows.append(
-                    {
-                        "d": d,
-                        "p": p,
-                        "gamma": gamma,
-                        "class": klass.value,
-                        "functional": functional.value,
-                        "trial": args.trial,
-                        "method": config.method,
-                        "samples": config.samples,
-                        "seed": config.seed,
-                        "numerator": report.numerator.value,
-                        "numerator_err": report.numerator.error,
-                        "denominator": report.denominator.value,
-                        "denominator_err": report.denominator.error,
-                        "quotient": report.quotient,
-                        "quotient_err": report.quotient_error,
-                        "reference": report.reference_constant,
-                        "margin_sigma": report.margin,
-                        "conclusive": report.conclusive,
-                    }
-                )
-    manifest = RunManifest(
-        "verify",
-        {
-            "d": _parse_int_grid(args.d),
-            "p": _parse_float_grid(args.p),
-            "gamma": _parse_float_grid(args.gamma),
-            "class": args.klass,
-            "functional": args.functional,
-            "trial": args.trial,
-            "sigma": args.sigma,
-        },
-        asdict(config),
-        args.seed,
-        __version__,
+    params, points = _dpg_grid(
+        args, functional=args.functional, trial=args.trial, sigma=args.sigma
     )
-    columns = list(rows[0].keys()) if rows else []
-    _emit(rows, columns, manifest, args.format, args.out)
-    return exit_code, manifest, checks
+
+    def row(d, p, gamma):
+        problem = Params(d, p, gamma, klass)
+        u = gaussian_trial(_FACTORS[klass](d), args.sigma, class_tag=klass)
+        report = rayleigh_quotient(u, functional, problem, config)
+        check = (f"{functional.value} d={d} p={p} gamma={gamma}",
+                 not report.violation)
+        return [
+            {
+                "d": d,
+                "p": p,
+                "gamma": gamma,
+                "class": klass.value,
+                "functional": functional.value,
+                "trial": args.trial,
+                "method": config.method,
+                "samples": config.samples,
+                "seed": config.seed,
+                "numerator": report.numerator.value,
+                "numerator_err": report.numerator.error,
+                "denominator": report.denominator.value,
+                "denominator_err": report.denominator.error,
+                "quotient": report.quotient,
+                "quotient_err": report.quotient_error,
+                "reference": report.reference_constant,
+                "margin_sigma": report.margin,
+                "conclusive": report.conclusive,
+            }
+        ], check
+
+    return Sweep(params, points, row, asdict(config), args.seed)
 
 
 def cmd_minimax(args):
     klass = _CLASSES[args.klass]
-    if klass is FunctionClass.GENERAL:
-        raise SystemExit("error: minimax needs --class antisym or odd")
-    rows = []
-    checks = []
-    exit_code = 0
-    for d in _parse_int_grid(args.d):
-        for p in _parse_float_grid(args.p):
-            for gamma in _parse_float_grid(args.gamma):
-                try:
-                    params = Params(d, p, gamma, klass)
-                    result = numeric_minimax(params)
-                except SymHardyError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2, None, []
-                ok = result.gap <= args.gap_tol
-                exit_code = exit_code or (0 if ok else 1)
-                checks.append(
-                    {"name": f"minimax d={d} p={p} gamma={gamma}", "pass": ok}
-                )
-                rows.append(
-                    {
-                        "d": d,
-                        "p": p,
-                        "gamma": gamma,
-                        "class": klass.value,
-                        "alpha_star": result.alpha_star,
-                        "beta_star": result.beta_star,
-                        "t_star": result.t_star,
-                        "value_numeric": result.value_numeric,
-                        "value_closed_form": result.value_closed_form,
-                        "gap": result.gap,
-                        "converged": result.converged,
-                    }
-                )
-    manifest = RunManifest(
-        "minimax",
-        {
-            "d": _parse_int_grid(args.d),
-            "p": _parse_float_grid(args.p),
-            "gamma": _parse_float_grid(args.gamma),
-            "class": args.klass,
-            "gap_tol": args.gap_tol,
-        },
-        None,
-        None,
-        __version__,
-    )
-    columns = list(rows[0].keys()) if rows else []
-    _emit(rows, columns, manifest, args.format, args.out)
-    return exit_code, manifest, checks
+    params, points = _dpg_grid(args, gap_tol=args.gap_tol)
+
+    def row(d, p, gamma):
+        result = numeric_minimax(Params(d, p, gamma, klass))
+        check = (f"minimax d={d} p={p} gamma={gamma}",
+                 result.gap <= args.gap_tol)
+        return [
+            {
+                "d": d,
+                "p": p,
+                "gamma": gamma,
+                "class": klass.value,
+                "alpha_star": result.alpha_star,
+                "beta_star": result.beta_star,
+                "t_star": result.t_star,
+                "value_numeric": result.value_numeric,
+                "value_closed_form": result.value_closed_form,
+                "gap": result.gap,
+                "converged": result.converged,
+            }
+        ], check
+
+    return Sweep(params, points, row)
 
 
 def _sharpness_bracket(d, lam, epsilon):
@@ -396,83 +358,64 @@ def _sharpness_bracket(d, lam, epsilon):
 
 def cmd_sharpness(args):
     klass = _CLASSES[args.klass]
-    if klass is FunctionClass.GENERAL:
-        raise SystemExit("error: sharpness needs --class antisym or odd")
     d = args.d
-    factor = vandermonde(d) if klass is FunctionClass.ANTISYMMETRIC else odd_linear(d)
-    lam = factor.homogeneity
-    params = Params(d, 2.0, 0.0, klass)
-    rows = []
-    checks = []
-    exit_code = 0
-    for eps in _parse_float_grid(args.epsilon):
-        if args.functional == "rellich":
-            lo, hi, limit, pure = _sharpness_bracket(d, lam, eps)
-            heuristic = False
+    rellich = args.functional == "rellich"
+    factor = _FACTORS[klass](d)
+    problem = Params(d, 2.0, 0.0, klass)
+    if not rellich:
+        # One-sided Hardy check: the exponent family here is a heuristic
+        # construction, so only quotient >= constant and the eps trend
+        # (pure two-sided value is constant + eps^2) are claimed.
+        hardy = (
+            hardy_antisymmetric(d, 2.0).value
+            if klass is FunctionClass.ANTISYMMETRIC
+            else hardy_odd(d, 2.0).value
+        )
+    epsilons = _parse_float_grid(args.epsilon)
+    deltas = _parse_float_grid(args.delta)
+
+    def row(eps, delta):
+        if rellich:
+            lo, hi, limit, pure = _sharpness_bracket(d, factor.homogeneity, eps)
         else:
-            # One-sided Hardy check: the exponent family here is a heuristic
-            # construction, so only quotient >= constant and the eps trend
-            # (pure two-sided value is constant + eps^2) are claimed.
-            limit = (
-                hardy_antisymmetric(d, 2.0).value
-                if klass is FunctionClass.ANTISYMMETRIC
-                else hardy_odd(d, 2.0).value
-            )
-            lo, hi = limit, math.inf
-            pure = limit + eps * eps
-            heuristic = True
-        for delta in _parse_float_grid(args.delta):
-            try:
-                u = sharpness_family(factor, eps, delta,
-                                     functional=args.functional)
-                report = (
-                    separable_rellich_quotient(u, params)
-                    if args.functional == "rellich"
-                    else separable_hardy_quotient(u, params)
-                )
-            except SymHardyError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2, None, []
-            corr = abs(report.quotient - pure)
-            width = hi - lo if math.isfinite(hi) else limit
-            allowance = delta * width
-            in_bracket = lo - allowance <= report.quotient <= hi + allowance
-            exit_code = exit_code or (0 if in_bracket else 1)
-            checks.append(
-                {"name": f"sharpness eps={eps} delta={delta}", "pass": in_bracket}
-            )
-            rows.append(
-                {
-                    "d": d,
-                    "class": klass.value,
-                    "functional": args.functional,
-                    "heuristic": heuristic,
-                    "epsilon": eps,
-                    "delta": delta,
-                    "quotient": report.quotient,
-                    "bracket_low": lo,
-                    "bracket_high": hi,
-                    "limit_constant": limit,
-                    "collar_correction": corr,
-                    "in_bracket": in_bracket,
-                }
-            )
-    manifest = RunManifest(
-        "sharpness",
+            lo, hi, limit, pure = hardy, math.inf, hardy, hardy + eps * eps
+        u = sharpness_family(factor, eps, delta, functional=args.functional)
+        report = (
+            separable_rellich_quotient(u, problem)
+            if rellich
+            else separable_hardy_quotient(u, problem)
+        )
+        width = hi - lo if math.isfinite(hi) else limit
+        allowance = delta * width
+        in_bracket = lo - allowance <= report.quotient <= hi + allowance
+        return [
+            {
+                "d": d,
+                "class": klass.value,
+                "functional": args.functional,
+                "heuristic": not rellich,
+                "epsilon": eps,
+                "delta": delta,
+                "quotient": report.quotient,
+                "bracket_low": lo,
+                "bracket_high": hi,
+                "limit_constant": limit,
+                "collar_correction": abs(report.quotient - pure),
+                "in_bracket": in_bracket,
+            }
+        ], (f"sharpness eps={eps} delta={delta}", in_bracket)
+
+    return Sweep(
         {
             "d": d,
             "class": args.klass,
             "functional": args.functional,
-            "epsilon": _parse_float_grid(args.epsilon),
-            "delta": _parse_float_grid(args.delta),
+            "epsilon": epsilons,
+            "delta": deltas,
         },
-        None,
-        None,
-        __version__,
+        list(itertools.product(epsilons, deltas)),
+        row,
     )
-    columns = list(rows[0].keys()) if rows else []
-    _emit(rows, columns, manifest, args.format, args.out)
-    return exit_code, manifest, checks
 
 
 def build_parser():
@@ -503,7 +446,7 @@ def build_parser():
     pv.add_argument("--class", dest="klass",
                     choices=["antisym", "odd", "general"], default="antisym")
     pv.add_argument("--functional", choices=["hardy", "rellich"], default="hardy")
-    pv.add_argument("--trial", default="gaussian")
+    pv.add_argument("--trial", choices=["gaussian"], default="gaussian")
     pv.add_argument("--sigma", type=float, default=1.0)
     pv.add_argument("--samples", default="200000", help="e.g. 1e6")
     pv.add_argument("--seed", type=int, default=0)
@@ -520,10 +463,8 @@ def build_parser():
     pm.add_argument("--class", dest="klass",
                     choices=["antisym", "odd"], default="antisym")
     pm.add_argument("--gap-tol", type=float, default=1e-5)
-    pm.set_defaults(format="json")
-    pm.add_argument("--format", choices=["csv", "json"], default="json")
-    pm.add_argument("--out", default=None)
-    pm.set_defaults(func=cmd_minimax)
+    common(pm)
+    pm.set_defaults(func=cmd_minimax, format="json")
 
     ps = sub.add_parser("sharpness", help="near-extremal family sweep")
     ps.add_argument("--d", type=int, default=3)
@@ -539,14 +480,28 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    result = args.func(args)
-    exit_code, manifest, checks = result
-    if manifest is not None:
-        _write_run_report(args.out, manifest, checks,
-                          time.perf_counter() - start, exit_code)
+    manifest, rows, checks, error = None, [], {}, None
+    try:
+        sweep = args.func(args)
+        if not sweep.points:
+            raise UsageError("empty parameter grid")
+        manifest = RunManifest(args.command, sweep.params, sweep.quadrature,
+                               sweep.seed, __version__)
+        for point in sweep.points:
+            point_rows, (name, ok) = sweep.row(*point)
+            rows.extend(point_rows)
+            checks[name] = checks.get(name, True) and ok
+    except SymHardyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        error = {"class": type(exc).__name__, "message": str(exc)}
+        exit_code = 2
+    else:
+        _emit(rows, manifest, args.format, args.out)
+        exit_code = 0 if all(checks.values()) else 1
+    _write_run_report(args, manifest, checks, time.perf_counter() - start,
+                      exit_code, error)
     return exit_code
 
 

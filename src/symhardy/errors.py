@@ -39,3 +39,7 @@ class DegenerateSampleError(SymHardyError, RuntimeError):
 
 class SymmetryClassError(SymHardyError, ValueError):
     """A function does not belong to its declared symmetry class."""
+
+
+class UsageError(SymHardyError, ValueError):
+    """A command-line argument is malformed or selects no grid point."""

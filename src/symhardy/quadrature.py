@@ -83,6 +83,10 @@ class QuadratureConfig:
     radial_nodes: int = 200
     angular_nodes: int = 48
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise DomainError(f"samples must be >= 1, got {self.samples}")
+
 
 @dataclass(frozen=True)
 class Estimate:

@@ -233,6 +233,50 @@ class TestSharpnessCommand:
                     "--delta", "0"]) == 2
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, error_class",
+        [
+            (["constants", "--p", "1"], "OutOfRangeError"),
+            (["constants", "--d", "2..x"], "UsageError"),
+            (["constants", "--p", "abc"], "UsageError"),
+            (["constants", "--p", "inf"], "UsageError"),
+            (["verify", "--p", "nan"], "UsageError"),
+            (["constants", "--class", "antisym", "--d", "1"], "UsageError"),
+            (["verify", "--samples", "abc"], "UsageError"),
+            (["verify", "--samples", "0"], "DomainError"),
+            (["verify", "--samples=-3"], "DomainError"),
+            (["verify", "--sigma", "0"], "DomainError"),
+            (["verify", "--d", ""], "UsageError"),
+            (["minimax", "--p", ""], "UsageError"),
+            (["sharpness", "--d", "1"], "InvalidDimensionError"),
+            (["sharpness", "--epsilon", ""], "UsageError"),
+        ],
+    )
+    def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
+                                                argv, error_class):
+        out = tmp_path / "bad.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1
+        assert not out.exists()
+        report = json.loads((tmp_path / "bad.csv.run.json").read_text())
+        assert report["exit_code"] == 2
+        assert report["error"]["class"] == error_class
+
+    def test_unknown_trial_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--trial", "foo"])
+        assert exc.value.code == 2
+
+    def test_successful_run_report_has_no_error(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run(["constants", "--d", "3", "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "t.csv.run.json").read_text())
+        assert report["error"] is None
+        assert report["checks"] == [{"name": "constants", "pass": True}]
+
+
 class TestParsing:
     def test_int_grid(self):
         assert cli._parse_int_grid("2..5") == [2, 3, 4, 5]

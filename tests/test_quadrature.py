@@ -350,6 +350,12 @@ class TestEngineGuards:
             qd.mc_integral(lambda X: np.ones(len(X)), 2,
                            qd.QuadratureConfig(samples=100), -1.0, 1.0)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_sample_count_rejected(self, samples):
+        # mc_integral would otherwise reduce an empty list of streams.
+        with pytest.raises(DomainError, match="samples"):
+            qd.QuadratureConfig(samples=samples)
+
     def test_product_dimension_cap(self):
         u = gaussian_trial(vandermonde(5), 1.0)
         pr = Params(5, 2.0, 0.0, ANTI)
