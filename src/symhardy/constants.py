@@ -12,7 +12,8 @@ constant in closed form.
 Inadmissible parameter combinations do not raise: the algebraic value is
 still computed (NaN when it is not real) and flagged ``admissible=False``,
 so sweep tools can plot the admissibility boundary.  Hard preconditions
-such as ``p >= 2`` for the class-restricted Hardy formulas do raise.
+such as ``p >= 2`` for the class-restricted Hardy formulas, and finite
+``p`` and ``gamma`` everywhere, do raise.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ def _check_d(d, minimum=1):
         raise InvalidDimensionError(f"d must be an integer >= {minimum}")
 
 
+def _check_args(d, p, gamma):
+    _check_d(d)
+    if not (math.isfinite(p) and math.isfinite(gamma)):
+        raise OutOfRangeError(
+            f"p and gamma must be finite, got p={p}, gamma={gamma}"
+        )
+
+
 def _real_power(base, p):
     """base**p on the reals: NaN when base < 0 and p is fractional."""
     if base >= 0.0:
@@ -115,7 +124,7 @@ def _real_power(base, p):
 def classical_hardy(d, p, gamma=0.0):
     """(|d - p - gamma| / p)**p, the unrestricted weighted Hardy constant;
     vanishes at p + gamma = d."""
-    _check_d(d)
+    _check_args(d, p, gamma)
     if p < 1.0:
         raise OutOfRangeError("the classical constant needs p >= 1")
     value = (abs(d - p - gamma) / p) ** p
@@ -131,7 +140,7 @@ def hardy_antisymmetric(d, p, gamma=0.0):
     Defined by the certificate method for p >= 2 and d >= 2; the value is
     still computed for d = 1 with admissible=False.
     """
-    _check_d(d)
+    _check_args(d, p, gamma)
     if p < 2.0:
         raise OutOfRangeError("the certificate method needs p >= 2")
     base = 2.0 * (p - 2.0 + gamma) * d * (d - 1.0) / p**2 + (
@@ -148,7 +157,7 @@ def hardy_odd(d, p, gamma=0.0):
     D(d, p, gamma) = (4 (p-2+gamma) / p^2
                       + ((d - p - gamma + 2) / p)^2)^(p/2).
     """
-    _check_d(d)
+    _check_args(d, p, gamma)
     if p < 2.0:
         raise OutOfRangeError("the certificate method needs p >= 2")
     base = 4.0 * (p - 2.0 + gamma) / p**2 + ((d - p - gamma + 2.0) / p) ** 2
@@ -164,7 +173,7 @@ def rellich_mitidieri(d, p, gamma=0.0):
     returned with admissible=False; the residual is the distance to the
     nearer interval endpoint.
     """
-    _check_d(d)
+    _check_args(d, p, gamma)
     if p <= 1.0:
         raise OutOfRangeError("the Rellich constants need p > 1")
     f1 = d - gamma - 2.0 * p
@@ -182,7 +191,7 @@ def rellich_antisymmetric(d, p, gamma=0.0):
 
     admissible while N >= 0 (and d >= 2).
     """
-    _check_d(d)
+    _check_args(d, p, gamma)
     if p <= 1.0:
         raise OutOfRangeError("the Rellich constants need p > 1")
     N = (gamma + 2.0 * p - 2.0) * (
@@ -198,7 +207,7 @@ def rellich_odd(d, p, gamma=0.0):
     N = (gamma + 2p - 2) (4 (p-1) + p (d - gamma - 2p))
         + (p-1) (d - gamma - 2p + 2)^2.
     """
-    _check_d(d)
+    _check_args(d, p, gamma)
     if p <= 1.0:
         raise OutOfRangeError("the Rellich constants need p > 1")
     N = (gamma + 2.0 * p - 2.0) * (

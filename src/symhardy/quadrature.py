@@ -14,11 +14,14 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
   halving both node counts.
 
 For separable trials u = F psi(|x|) there is additionally an exact
-radial-reduction path: the angular moment factors out (and cancels in
-quotients), pure-power profile segments integrate in closed form, and
-only collar/cutoff segments need one-dimensional quadrature.  This is
-the route the sharpness sweeps use, since power-law tails defeat the
-gamma importance density.
+radial-reduction path: the sphere moment of |F|^p is a common factor of
+numerator and denominator, so the separable quotients cancel it without
+computing it and report the radial factors alone.  Pure-power profile
+segments integrate in closed form, and only collar/cutoff segments need
+one-dimensional quadrature.  This is the route the sharpness sweeps use,
+since power-law tails defeat the gamma importance density.
+``separable_mass`` multiplies the moment back in where the absolute
+weighted mass is wanted.
 """
 
 from __future__ import annotations
@@ -68,6 +71,10 @@ __all__ = [
 
 MAX_PRODUCT_DIM = 4
 DEGENERATE_FRACTION = 1e-3
+_NON_INTEGRABLE = (
+    "non-positive radial shape: the integrand is not integrable near the "
+    "origin for these parameters"
+)
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,11 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
+        if not 0.0 <= self.r_min < self.r_max:
+            raise DomainError(
+                f"radial cutoffs must satisfy 0 <= r_min < r_max, got "
+                f"r_min={self.r_min}, r_max={self.r_max}"
+            )
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,10 @@ class QuotientReport:
     ``margin`` is (quotient - constant) in units of the propagated
     combined error; the report only treats the comparison as conclusive
     when |margin| >= 2.
+
+    The separable quotients report the radial factors of numerator and
+    denominator (``method="separable"``, ``n=0``): the sphere moment of
+    the angular factor cancels from the quotient and is never computed.
     """
 
     numerator: Estimate
@@ -200,10 +216,7 @@ def mc_integral(fn, d, config: QuadratureConfig, radial_shape, radial_scale):
     samples are zeroed and counted; more than 0.1 percent of them aborts.
     """
     if radial_shape <= 0.0:
-        raise DomainError(
-            "non-positive radial shape: the integrand is not integrable "
-            "near the origin for these parameters"
-        )
+        raise DomainError(_NON_INTEGRABLE)
     k, s = float(radial_shape), float(radial_scale)
     area = sphere_area(d)
     log_norm = (k / 2.0 - 1.0) * math.log(2.0) + gammaln(k / 2.0) + k * math.log(s)
@@ -302,6 +315,25 @@ def _radial_scale(u: TrialFunction, p):
     return sigma / math.sqrt(p)
 
 
+def _radial_shape(u: TrialFunction, params: Params, weight_p, gradient=False):
+    """Shape k of the radial density r^(k-1) exp(-r^2 / (2 s^2)) for
+    |D u|^p |x|^(-weight_p p - gamma), with D the gradient when
+    ``gradient`` is set and the value or the Laplacian otherwise.
+
+    k matches the integrand's power at the origin for Gaussian-profile
+    trials.  k <= 0 means the integrand is not integrable there, and every
+    engine refuses it.
+    """
+    p = params.p
+    lam = u.angular.homogeneity + _origin_shift(u)
+    if gradient:
+        lam = lam - 1.0 if lam > 0.0 else 1.0
+    k = p * lam + params.d - weight_p * p - params.gamma
+    if k <= 0.0:
+        raise DomainError(_NON_INTEGRABLE)
+    return k
+
+
 def _weight(X, exponent):
     if exponent == 0.0:
         return 1.0
@@ -316,11 +348,9 @@ def hardy_numerator(u: TrialFunction, params: Params, config: QuadratureConfig):
     def fn(X):
         return u.grad_norm_sq(X) ** (p / 2.0) * _weight(X, gamma)
 
+    k = _radial_shape(u, params, weight_p=0, gradient=True)
     if config.method == "product":
         return product_integral(fn, params.d, config)
-    lam = u.angular.homogeneity + _origin_shift(u)
-    grad_exp = lam - 1.0 if lam > 0.0 else 1.0
-    k = p * grad_exp + params.d - gamma
     return mc_integral(fn, params.d, config, k, _radial_scale(u, p))
 
 
@@ -331,10 +361,9 @@ def hardy_denominator(u: TrialFunction, params: Params, config: QuadratureConfig
     def fn(X):
         return np.abs(u.value(X)) ** p * _weight(X, p + gamma)
 
+    k = _radial_shape(u, params, weight_p=1)
     if config.method == "product":
         return product_integral(fn, params.d, config)
-    lam = u.angular.homogeneity + _origin_shift(u)
-    k = p * lam + params.d - p - gamma
     return mc_integral(fn, params.d, config, k, _radial_scale(u, p))
 
 
@@ -345,10 +374,9 @@ def rellich_numerator(u: TrialFunction, params: Params, config: QuadratureConfig
     def fn(X):
         return np.abs(u.laplacian(X)) ** p * _weight(X, gamma)
 
+    k = _radial_shape(u, params, weight_p=0)
     if config.method == "product":
         return product_integral(fn, params.d, config)
-    lam = u.angular.homogeneity + _origin_shift(u)
-    k = p * lam + params.d - gamma
     return mc_integral(fn, params.d, config, k, _radial_scale(u, p))
 
 
@@ -359,10 +387,9 @@ def rellich_denominator(u: TrialFunction, params: Params, config: QuadratureConf
     def fn(X):
         return np.abs(u.value(X)) ** p * _weight(X, 2.0 * p + gamma)
 
+    k = _radial_shape(u, params, weight_p=2)
     if config.method == "product":
         return product_integral(fn, params.d, config)
-    lam = u.angular.homogeneity + _origin_shift(u)
-    k = p * lam + params.d - 2.0 * p - gamma
     return mc_integral(fn, params.d, config, k, _radial_scale(u, p))
 
 
@@ -494,8 +521,12 @@ def _power_primitive(lo, hi, q):
 
 
 def _quad(fn, lo, hi):
-    val, err = quad(fn, lo, hi, limit=200)
-    return val, err
+    try:
+        return quad(fn, lo, hi, limit=200)
+    except OverflowError as exc:
+        raise DomainError(
+            f"radial integral overflows on [{lo:g}, {hi:g}]"
+        ) from exc
 
 
 def radial_mass(profile, m, p):
@@ -606,7 +637,9 @@ def separable_hardy_quotient(u: TrialFunction, params: Params):
 
     For u = F psi with F a degree-lam spherical harmonic, the sphere
     moment of |grad F|^2 equals lam (2 lam + d - 2) times that of F^2, so
-    the quotient reduces to one-dimensional integrals of the profile.
+    the quotient reduces to one-dimensional integrals of the profile; the
+    report carries them, without the moment, as its numerator and
+    denominator.
     """
     p, d, gamma = params.p, params.d, params.gamma
     if abs(p - 2.0) > 1e-12:
@@ -620,12 +653,9 @@ def separable_hardy_quotient(u: TrialFunction, params: Params):
         raise DomainError("degenerate radial mass")
     g2_over_m2 = lam * (2.0 * lam + d - 2.0)
     quotient = g2_over_m2 + (2.0 * lam * i2 + i3) / i1
-    mom = angular_moment(u.angular, 2.0)
-    num_rad = g2_over_m2 * i1 + 2.0 * lam * i2 + i3
-    num = Estimate(mom.value * num_rad, mom.error * abs(num_rad) + err, mom.n,
-                   0, "separable")
-    den = Estimate(mom.value * i1, mom.error * abs(i1) + err, mom.n, 0,
+    num = Estimate(g2_over_m2 * i1 + 2.0 * lam * i2 + i3, err, 0, 0,
                    "separable")
+    den = Estimate(i1, err, 0, 0, "separable")
     ref = reference_constant(params, Functional.HARDY)
     rel_err = err * (1.0 + abs(quotient)) / i1
     q_err = max(rel_err, 1e-14 * abs(quotient))
@@ -647,7 +677,8 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
 
     Delta(F psi) = F (psi'' + (d - 1 + 2 lam) psi'/r) for harmonic
     homogeneous F, so numerator and denominator share the angular moment
-    and the quotient is a ratio of radial integrals.
+    and the quotient is a ratio of radial integrals; the report carries
+    those radial integrals as its numerator and denominator.
     """
     p, d, gamma = params.p, params.d, params.gamma
     if u.angular.kind not in (AngularKind.VANDERMONDE, AngularKind.ODD_LINEAR):
@@ -661,11 +692,8 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
     if den_rad <= 0.0:
         raise DomainError("degenerate radial mass")
     quotient = num_rad / den_rad
-    mom = angular_moment(u.angular, p)
-    num = Estimate(mom.value * num_rad, mom.error * abs(num_rad)
-                   + mom.value * num_err, mom.n, 0, "separable")
-    den = Estimate(mom.value * den_rad, mom.error * abs(den_rad)
-                   + mom.value * den_err, mom.n, 0, "separable")
+    num = Estimate(num_rad, num_err, 0, 0, "separable")
+    den = Estimate(den_rad, den_err, 0, 0, "separable")
     ref = reference_constant(params, Functional.RELLICH)
     rel = num_err / num_rad + den_err / den_rad
     q_err = max(abs(quotient) * rel, 1e-14 * abs(quotient))

@@ -228,6 +228,19 @@ class TestSharpnessCommand:
             assert row["bracket_high"] == "inf"
             assert float(row["quotient"]) >= float(row["bracket_low"])
 
+    def test_odd_hardy_d4_quotients_pinned(self, tmp_path):
+        # Exact 17-digit quotients: cancelling the angular moment instead of
+        # computing it must not move a single bit.
+        out = tmp_path / "s.csv"
+        assert run(["sharpness", "--d", "4", "--class", "odd",
+                    "--functional", "hardy", "--epsilon", "0.1",
+                    "--out", str(out)]) == 0
+        assert [(r["delta"], r["quotient"]) for r in read_csv(out)] == [
+            ("0.050000000000000003", "4.0104268361343411"),
+            ("0.02", "4.0104191772861926"),
+            ("0.01", "4.0104165975135553"),
+        ]
+
     def test_degenerate_smoothing_is_usage_error(self):
         assert run(["sharpness", "--d", "3", "--epsilon", "0.1",
                     "--delta", "0"]) == 2
@@ -251,6 +264,14 @@ class TestBadInput:
             (["minimax", "--p", ""], "UsageError"),
             (["sharpness", "--d", "1"], "InvalidDimensionError"),
             (["sharpness", "--epsilon", ""], "UsageError"),
+            (["verify", "--r-max=-1"], "DomainError"),
+            # |u|^2 |x|^-4 is not integrable at the origin (radial shape 0).
+            (["verify", "--method", "product", "--class", "antisym",
+              "--functional", "rellich", "--d", "2"], "DomainError"),
+            (["verify", "--method", "product", "--class", "odd",
+              "--functional", "rellich", "--d", "2"], "DomainError"),
+            # r**m overflows on the cutoff segment of the eps = 0.05 trial.
+            (["sharpness", "--d", "4", "--epsilon", "0.05"], "DomainError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
@@ -263,6 +284,11 @@ class TestBadInput:
         report = json.loads((tmp_path / "bad.csv.run.json").read_text())
         assert report["exit_code"] == 2
         assert report["error"]["class"] == error_class
+
+    def test_bad_cutoff_is_named(self, capsys):
+        # Not the symptom "denominator estimate is not positive".
+        assert run(["verify", "--r-max=-1"]) == 2
+        assert "0 <= r_min < r_max" in capsys.readouterr().err
 
     def test_unknown_trial_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

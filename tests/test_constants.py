@@ -180,6 +180,31 @@ class TestValueNonnegativity:
                             assert c.value >= 0.0
 
 
+ALL_CONSTANTS = (
+    cn.classical_hardy,
+    cn.hardy_antisymmetric,
+    cn.hardy_odd,
+    cn.rellich_mitidieri,
+    cn.rellich_antisymmetric,
+    cn.rellich_odd,
+)
+INF, NAN = float("inf"), float("nan")
+
+
+class TestNonFiniteArguments:
+    # round(p) in _real_power used to raise a bare OverflowError (inf) or
+    # ValueError (nan) instead of a named error.
+    @pytest.mark.parametrize("fn", ALL_CONSTANTS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "p, gamma",
+        [(INF, 0.0), (-INF, 0.0), (NAN, 0.0), (2.5, INF), (2.5, -INF),
+         (2.5, NAN)],
+    )
+    def test_refused(self, fn, p, gamma):
+        with pytest.raises(OutOfRangeError, match="finite"):
+            fn(3, p, gamma)
+
+
 class TestAsymptotics:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_large_p_limit(self, d):

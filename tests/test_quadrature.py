@@ -292,6 +292,44 @@ class TestQuotients:
             )
 
 
+class TestSeparableReports:
+    @pytest.fixture
+    def no_moment(self, monkeypatch):
+        # The sphere moment cancels from every separable quotient, so it
+        # must never be computed there.
+        def refuse(*args, **kwargs):
+            raise AssertionError("angular_moment called")
+
+        monkeypatch.setattr(qd, "angular_moment", refuse)
+
+    @pytest.mark.parametrize("factor", [vandermonde, odd_linear])
+    @pytest.mark.parametrize(
+        "functional, d",
+        [("hardy", 2), ("hardy", 3), ("hardy", 4), ("hardy", 5),
+         ("rellich", 3), ("rellich", 4), ("rellich", 5)],
+    )
+    def test_quotients_skip_the_moment(self, no_moment, factor, functional, d):
+        klass = ANTI if factor is vandermonde else ODD
+        pr = Params(d, 2.0, 0.0, klass)
+        quotient = (
+            qd.separable_hardy_quotient
+            if functional == "hardy"
+            else qd.separable_rellich_quotient
+        )
+        for u in (
+            gaussian_trial(factor(d), 1.0),
+            sharpness_family(factor(d), 0.2, 0.05, functional=functional),
+        ):
+            rep = quotient(u, pr)
+            for est in (rep.numerator, rep.denominator):
+                assert est.method == "separable"
+                assert est.n == 0
+            assert rep.numerator.value / rep.denominator.value == pytest.approx(
+                rep.quotient, rel=1e-12
+            )
+            assert rep.quotient >= rep.reference_constant
+
+
 class TestSharpnessQuotients:
     def test_rellich_family_inside_bracket(self):
         d = 3
@@ -355,6 +393,30 @@ class TestEngineGuards:
         # mc_integral would otherwise reduce an empty list of streams.
         with pytest.raises(DomainError, match="samples"):
             qd.QuadratureConfig(samples=samples)
+
+    @pytest.mark.parametrize(
+        "r_min, r_max",
+        [(1e-6, -1.0), (-1e-6, 40.0), (2.0, 2.0), (1e-6, math.nan)],
+    )
+    def test_bad_radial_cutoffs_rejected(self, r_min, r_max):
+        with pytest.raises(DomainError, match="r_min < r_max"):
+            qd.QuadratureConfig(r_min=r_min, r_max=r_max)
+
+    @pytest.mark.parametrize("method", ["mc", "product"])
+    @pytest.mark.parametrize("factor", [vandermonde, odd_linear])
+    def test_divergent_rellich_mass_refused_by_both_engines(self, method, factor):
+        # d = p = 2: |u|^2 |x|^-4 ~ r^(2 lam - 4) is not integrable at the
+        # origin for lam = 1.
+        pr = Params(2, 2.0, 0.0, ANTI if factor is vandermonde else ODD)
+        cfg = qd.QuadratureConfig(method=method, samples=1000,
+                                  radial_nodes=16, angular_nodes=8)
+        with pytest.raises(DomainError, match="non-positive radial shape"):
+            qd.rellich_denominator(gaussian_trial(factor(2), 1.0), pr, cfg)
+
+    def test_radial_overflow_is_named(self):
+        u = sharpness_family(vandermonde(4), 0.05, 0.05)
+        with pytest.raises(DomainError, match="overflows"):
+            qd.separable_rellich_quotient(u, Params(4, 2.0, 0.0, ANTI))
 
     def test_product_dimension_cap(self):
         u = gaussian_trial(vandermonde(5), 1.0)
