@@ -62,8 +62,7 @@ class Params:
     klass: FunctionClass = FunctionClass.GENERAL
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise InvalidDimensionError("d must be an integer >= 1")
+        _check_args(self.d, self.p, self.gamma)
         object.__setattr__(self, "d", int(self.d))
         if self.p < 1.0:
             raise OutOfRangeError("p must be >= 1")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import FunctionClass, Params
 from .errors import InvalidDimensionError, OutOfRangeError, SingularPointError
-from .polynomials import AngularFactor, odd_linear, vandermonde
+from .polynomials import AngularFactor, odd_linear, row_dot, row_sum, vandermonde
 
 __all__ = [
     "SectorKind",
@@ -79,7 +79,7 @@ class SectorDomain:
             d = np.diff(np.atleast_2d(x), axis=-1)
             out = np.all(d > 0.0, axis=-1)
         else:
-            out = np.atleast_2d(x).sum(axis=-1) > 0.0
+            out = row_sum(np.atleast_2d(x).T) > 0.0
         return bool(out[0]) if x.ndim == 1 else out
 
     def boundary_distance(self, x):
@@ -92,7 +92,7 @@ class SectorDomain:
             gaps = np.abs(D[:, iu[0], iu[1]])
             dist = gaps.min(axis=1) / np.sqrt(2.0)
         else:
-            dist = np.abs(X.sum(axis=1)) / np.sqrt(self.dimension)
+            dist = np.abs(row_sum(X.T)) / np.sqrt(self.dimension)
         return float(dist[0]) if np.asarray(x).ndim == 1 else dist
 
     def sample_interior(
@@ -116,11 +116,11 @@ class SectorDomain:
             if self.kind is SectorKind.ORDERED_SECTOR:
                 X = np.sort(X, axis=1)
             else:
-                s = np.sign(X.sum(axis=1))
+                s = np.sign(row_sum(X.T))
                 s[s == 0.0] = 1.0
                 X = X * s[:, None]
             keep = (self.boundary_distance(X) > tube) & (
-                np.linalg.norm(X, axis=1) > origin_ball
+                np.sqrt(row_dot(X, X)) > origin_ball
             )
             out = np.vstack([out, X[keep]])
         return out[:n]
@@ -130,7 +130,7 @@ def _prepare(x, params, factor):
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.shape[1] != factor.dimension or factor.dimension != params.d:
         raise InvalidDimensionError("dimension mismatch between point, factor, params")
-    r2 = (X * X).sum(axis=1)
+    r2 = row_dot(X, X)
     F = factor.value(X)
     if np.any(r2 == 0.0) or np.any(F <= 0.0):
         raise SingularPointError(
@@ -154,7 +154,7 @@ def divergence_T(x, alpha, beta, params: Params, factor: AngularFactor):
     p, d, lam = params.p, params.d, factor.homogeneity
     r = np.sqrt(r2)
     div = (alpha * (d - p) + beta * (p - 2.0) * lam) / r**p + beta * (
-        (G * G).sum(axis=1) / (F * F)
+        row_dot(G, G) / (F * F)
     ) / r ** (p - 2.0)
     return float(div[0]) if np.asarray(x).ndim == 1 else div
 
@@ -181,11 +181,11 @@ def certificate_many(X, alpha, beta, params: Params, factor: AngularFactor):
     r = np.sqrt(r2)
     rp = r**p
     div = (alpha * (d - p) + beta * (p - 2.0) * lam) / rp + beta * (
-        (G * G).sum(axis=1) / (F * F)
+        row_dot(G, G) / (F * F)
     ) / r ** (p - 2.0)
     T = alpha * X / rp[:, None] - beta * G / (F * r ** (p - 2.0))[:, None]
-    T_sq = (T * T).sum(axis=1)
-    x_dot_T = (X * T).sum(axis=1)
+    T_sq = row_dot(T, T)
+    x_dot_T = row_dot(X, T)
     return rp * (
         div - (p - 1.0) * T_sq ** (p / (2.0 * (p - 1.0))) - gamma * x_dot_T / r2
     )

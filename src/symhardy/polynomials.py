@@ -75,6 +75,37 @@ def _as_batch(x):
     raise ValueError("expected a point of shape (d,) or a batch of shape (n, d)")
 
 
+def row_sum(columns):
+    """Row sums of a batch given by its columns (a sequence of (n,) arrays,
+    or ``X.T``), rounded exactly as ``X.sum(axis=1)``.
+
+    numpy adds fewer than eight terms per row left to right, which whole
+    columns reproduce in a fraction of the time; from eight terms on it
+    uses eight pairwise accumulators, so longer rows go through numpy.
+    """
+    if len(columns) >= 8:
+        return np.stack(columns, axis=1).sum(axis=1)
+    out = np.array(columns[0], dtype=float)
+    for column in columns[1:]:
+        out += column
+    return out
+
+
+def row_dot(A, B):
+    """Row-wise inner products of (n, d) batches, as ``(A * B).sum(axis=1)``."""
+    return row_sum((A * B).T)
+
+
+def row_prod(columns):
+    """Row products of a batch given by an iterable of its columns, as
+    ``.prod(axis=1)``, which multiplies left to right at every length."""
+    columns = iter(columns)
+    out = np.array(next(columns), dtype=float)
+    for column in columns:
+        out *= column
+    return out
+
+
 class AngularFactor:
     """Shared interface of angular factors.
 
@@ -120,7 +151,7 @@ class AngularFactor:
                 "is defined on the interior of the sector only"
             )
         g = self._gradient(X)
-        t = (X * X).sum(axis=1) * (g * g).sum(axis=1) / (v * v)
+        t = row_dot(X, X) * row_dot(g, g) / (v * v)
         lam2 = self.homogeneity**2
         if np.any(t < lam2 * (1.0 - 1e-9) - 1e-9):
             raise SymHardyError(
@@ -162,23 +193,24 @@ class Vandermonde(AngularFactor):
         ]
         self._pair_index = {pair: q for q, pair in enumerate(self._pairs)}
 
-    def _diffs(self, X):
-        return np.stack([X[:, j] - X[:, i] for i, j in self._pairs], axis=1)
-
     def _value(self, X):
-        return self._diffs(X).prod(axis=1)
+        return row_prod(X[:, j] - X[:, i] for i, j in self._pairs)
 
     def _gradient(self, X):
         d = self.dimension
         v = self._value(X)
-        D = X[:, :, None] - X[:, None, :]  # D[:, k, j] = x_k - x_j
+        zero = np.zeros(len(X))
+        grad = np.empty_like(X)
+        finite = np.ones(len(X), dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / D
-            idx = np.arange(d)
-            inv[:, idx, idx] = 0.0
-            grad = v[:, None] * inv.sum(axis=2)
-        bad = ~np.isfinite(grad).all(axis=1)
-        for i in np.nonzero(bad)[0]:
+            for k in range(d):
+                # dF/dx_k = F * sum_{j != k} 1/(x_k - x_j); the j = k term
+                # is a 0 so that the sum rounds as a row of d terms.
+                terms = [zero if j == k else 1.0 / (X[:, k] - X[:, j])
+                         for j in range(d)]
+                grad[:, k] = v * row_sum(terms)
+                finite &= np.isfinite(grad[:, k])
+        for i in np.nonzero(~finite)[0]:
             grad[i] = self._gradient_products(X[i])
         return grad
 
@@ -226,7 +258,7 @@ class Vandermonde(AngularFactor):
         pairs = self._pairs
         pidx = self._pair_index
         P = len(pairs)
-        Dp = self._diffs(X)
+        diffs = [X[:, j] - X[:, i] for i, j in pairs]
         res = np.zeros(len(X))
         for k in range(d):
             for j in range(d):
@@ -239,8 +271,8 @@ class Vandermonde(AngularFactor):
                         continue
                     sl = 1.0 if k > l else -1.0
                     pl = pidx[(min(l, k), max(l, k))]
-                    keep = [q for q in range(P) if q != pj and q != pl]
-                    res += sj * sl * Dp[:, keep].prod(axis=1)
+                    keep = (diffs[q] for q in range(P) if q != pj and q != pl)
+                    res += sj * sl * row_prod(keep)
         return res
 
     def _laplacian_fd(self, X):
@@ -273,7 +305,7 @@ class OddLinear(AngularFactor):
         self.homogeneity = 1.0
 
     def _value(self, X):
-        return X.sum(axis=1)
+        return row_sum(X.T)
 
     def _gradient(self, X):
         return np.ones_like(X)
@@ -341,8 +373,8 @@ class CustomFactor(AngularFactor):
         X = rng.standard_normal((n, self.dimension))
         v = self._value(X)
         g = self._gradient(X)
-        res = np.abs((X * g).sum(axis=1) - self.homogeneity * v)
-        scale = 1.0 + np.abs(v) + np.abs(X * g).sum(axis=1)
+        res = np.abs(row_dot(X, g) - self.homogeneity * v)
+        scale = 1.0 + np.abs(v) + row_sum(np.abs(X * g).T)
         worst = float(np.max(res / scale))
         if worst > tol:
             raise DomainError(
@@ -393,7 +425,7 @@ def euler_residual(x, factor=None):
     X, single = _as_batch(x)
     v = factor.value(X)
     g = factor.gradient(X)
-    res = (X * g).sum(axis=1) - factor.homogeneity * v
+    res = row_dot(X, g) - factor.homogeneity * v
     return float(res[0]) if single else res
 
 

@@ -46,7 +46,7 @@ from .errors import (
     SymmetryClassError,
     UnsupportedDimensionError,
 )
-from .polynomials import AngularKind
+from .polynomials import AngularKind, row_dot
 from .trials import TrialFunction
 
 __all__ = [
@@ -226,7 +226,7 @@ def mc_integral(fn, d, config: QuadratureConfig, radial_shape, radial_scale):
     for child, m in zip(children, sizes):
         rng = np.random.default_rng(child)
         z = rng.standard_normal((m, d))
-        norms = np.linalg.norm(z, axis=1)
+        norms = np.sqrt(row_dot(z, z))
         norms[norms == 0.0] = 1.0
         r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
         X = z * (r / norms)[:, None]
@@ -337,8 +337,7 @@ def _radial_shape(u: TrialFunction, params: Params, weight_p, gradient=False):
 def _weight(X, exponent):
     if exponent == 0.0:
         return 1.0
-    r2 = (X * X).sum(axis=1)
-    return r2 ** (-exponent / 2.0)
+    return row_dot(X, X) ** (-exponent / 2.0)
 
 
 def hardy_numerator(u: TrialFunction, params: Params, config: QuadratureConfig):
@@ -495,7 +494,7 @@ def angular_moment(factor, p, nodes=96, seed=0, mc_samples=200_000):
                         len(w), 0, "product")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((mc_samples, d))
-    z /= np.linalg.norm(z, axis=1)[:, None]
+    z /= np.sqrt(row_dot(z, z))[:, None]
     vals = np.abs(factor.value(z)) ** p * sphere_area(d)
     return Estimate(
         float(vals.mean()),

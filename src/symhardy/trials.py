@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import FunctionClass
 from .errors import BudgetError, DomainError, InvalidDimensionError
-from .polynomials import AngularFactor, AngularKind
+from .polynomials import AngularFactor, AngularKind, row_dot
 
 __all__ = [
     "RadialProfile",
@@ -198,30 +198,31 @@ class TrialFunction:
 
     def value(self, x):
         X, single = self._batch(x)
-        r = np.linalg.norm(X, axis=1)
+        r = np.sqrt(row_dot(X, X))
         out = self.angular.value(X) * self.radial.psi(r)
         return float(out[0]) if single else out
 
     def gradient(self, x):
         X, single = self._batch(x)
-        r = np.linalg.norm(X, axis=1)
+        r = np.sqrt(row_dot(X, X))
         F = self.angular.value(X)
         G = self.angular.gradient(X)
         psi = self.radial.psi(r)
         dpsi = self.radial.dpsi(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             radial_part = np.where(r > 0.0, F * dpsi / r, 0.0)
-        out = psi[:, None] * G + radial_part[:, None] * X
+        out = psi[:, None] * G
+        out += radial_part[:, None] * X
         return out[0] if single else out
 
     def grad_norm_sq(self, x):
         g = self.gradient(np.atleast_2d(np.asarray(x, dtype=float)))
-        out = (g * g).sum(axis=1)
+        out = row_dot(g, g)
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
     def laplacian(self, x):
         X, single = self._batch(x)
-        r = np.linalg.norm(X, axis=1)
+        r = np.sqrt(row_dot(X, X))
         F = self.angular.value(X)
         psi2 = self.radial.d2psi(r)
         dpsi = self.radial.dpsi(r)
@@ -233,7 +234,7 @@ class TrialFunction:
             G = self.angular.gradient(X)
             lap_F = self.angular.laplacian(X)
             psi = self.radial.psi(r)
-            cross = 2.0 * dpsi_over_r * (G * X).sum(axis=1)
+            cross = 2.0 * dpsi_over_r * row_dot(G, X)
             out = psi * lap_F + cross + F * (psi2 + (d - 1.0) * dpsi_over_r)
         else:
             out = F * (psi2 + (d - 1.0 + 2.0 * lam) * dpsi_over_r)

@@ -113,6 +113,29 @@ class TestVerifyCommand:
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "klass, functional, pinned",
+        [
+            ("antisym", "hardy", [
+                ("3", "15.587727356076398", "0.17141388919460038"),
+                ("5", "140.59336641757702", "3.0302766551586111"),
+            ]),
+            ("odd", "rellich", [
+                ("3", "6.5918285525990612", "0.077100640404172804"),
+                ("5", "59.381198598648389", "0.76839762526309741"),
+            ]),
+        ],
+    )
+    def test_mc_quotients_pinned(self, tmp_path, klass, functional, pinned):
+        # Exact 17-digit quotients and error bars at a fixed seed: they move
+        # if any integrand kernel rounds a single sample differently.
+        out = tmp_path / "v.csv"
+        assert run(["verify", "--class", klass, "--functional", functional,
+                    "--d", "3,5", "--p", "2", "--samples", "2e4", "--seed",
+                    "1", "--out", str(out)]) == 0
+        assert [(r["d"], r["quotient"], r["quotient_err"])
+                for r in read_csv(out)] == pinned
+
     def test_weighted_general_reference(self, tmp_path):
         out = tmp_path / "g.csv"
         code = run(

@@ -244,6 +244,16 @@ class TestParams:
         with pytest.raises(InvalidDimensionError):
             cn.Params(1, 2, 0.0, cn.FunctionClass.ANTISYMMETRIC)
 
+    @pytest.mark.parametrize(
+        "p, gamma",
+        [(INF, 0.0), (-INF, 0.0), (NAN, 0.0), (2.5, INF), (2.5, -INF),
+         (2.5, NAN)],
+    )
+    def test_non_finite_refused(self, p, gamma):
+        # p < 1.0 is false for NaN, so only an explicit check refuses it.
+        with pytest.raises(OutOfRangeError, match="finite"):
+            cn.Params(3, p, gamma, cn.FunctionClass.ANTISYMMETRIC)
+
     def test_reference_constant_dispatch(self):
         p = cn.Params(3, 2, 0.0, cn.FunctionClass.ANTISYMMETRIC)
         assert cn.reference_constant(p, cn.Functional.HARDY).value == 12.25

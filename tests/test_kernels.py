@@ -1,0 +1,210 @@
+"""Column-wise batch kernels against numpy's row-wise reductions.
+
+The references below are the row-wise formulas (``.sum(axis=1)``,
+``.prod(axis=1)``, ``np.linalg.norm(axis=1)``, the (n, d, d) reciprocal
+tensor of the Vandermonde gradient).  Every comparison is exact
+(``np.array_equal``): the kernels must round each row as those reductions
+do.  d runs over 1..9, because numpy sums fewer than eight terms per row
+left to right and eight or more in eight pairwise accumulators.
+"""
+
+import numpy as np
+import pytest
+
+from symhardy import fields
+from symhardy.constants import FunctionClass, Params
+from symhardy.polynomials import (
+    AngularKind,
+    CustomFactor,
+    odd_linear,
+    row_dot,
+    row_prod,
+    row_sum,
+    vandermonde,
+)
+from symhardy.trials import gaussian_trial
+
+DIMS = range(1, 10)
+
+
+def batch(d, n=300):
+    """Random rows over several scales, plus a zero row and rows with
+    coincident coordinates."""
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((n, d)) * np.exp(rng.standard_normal((n, 1)))
+    special = [np.zeros(d), np.full(d, -0.0), np.full(d, 1.5)]
+    if d >= 2:
+        row = rng.standard_normal(d)
+        row[1] = row[0]
+        special.append(row)
+        row = rng.standard_normal(d)
+        row[-1] = row[0]
+        special.append(row)
+    return np.vstack([X, special])
+
+
+def ref_vandermonde_value(X):
+    d = X.shape[1]
+    diffs = [X[:, j] - X[:, i] for i in range(d) for j in range(i + 1, d)]
+    return np.stack(diffs, axis=1).prod(axis=1)
+
+
+def ref_vandermonde_gradient(factor, X):
+    d = X.shape[1]
+    v = ref_vandermonde_value(X)
+    D = X[:, :, None] - X[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / D
+        idx = np.arange(d)
+        inv[:, idx, idx] = 0.0
+        grad = v[:, None] * inv.sum(axis=2)
+    bad = ~np.isfinite(grad).all(axis=1)
+    for i in np.nonzero(bad)[0]:
+        grad[i] = factor._gradient_products(X[i])
+    return grad
+
+
+def ref_angular_value(factor, X):
+    if factor.kind is AngularKind.VANDERMONDE:
+        return ref_vandermonde_value(X)
+    if factor.kind is AngularKind.ODD_LINEAR:
+        return X.sum(axis=1)
+    return factor.value(X)
+
+
+def ref_angular_gradient(factor, X):
+    if factor.kind is AngularKind.VANDERMONDE:
+        return ref_vandermonde_gradient(factor, X)
+    if factor.kind is AngularKind.ODD_LINEAR:
+        return np.ones_like(X)
+    return factor.gradient(X)
+
+
+def ref_trial_value(u, X):
+    r = np.linalg.norm(X, axis=1)
+    return ref_angular_value(u.angular, X) * u.radial.psi(r)
+
+
+def ref_trial_gradient(u, X):
+    r = np.linalg.norm(X, axis=1)
+    F = ref_angular_value(u.angular, X)
+    G = ref_angular_gradient(u.angular, X)
+    psi = u.radial.psi(r)
+    dpsi = u.radial.dpsi(r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        radial_part = np.where(r > 0.0, F * dpsi / r, 0.0)
+    return psi[:, None] * G + radial_part[:, None] * X
+
+
+def ref_trial_laplacian(u, X):
+    r = np.linalg.norm(X, axis=1)
+    F = ref_angular_value(u.angular, X)
+    psi2 = u.radial.d2psi(r)
+    dpsi = u.radial.dpsi(r)
+    d, lam = u.dimension, u.angular.homogeneity
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dpsi_over_r = np.where(r > 0.0, dpsi / r, 0.0)
+    if u.angular.kind is AngularKind.CUSTOM:
+        G = u.angular.gradient(X)
+        lap_F = u.angular.laplacian(X)
+        psi = u.radial.psi(r)
+        cross = 2.0 * dpsi_over_r * (G * X).sum(axis=1)
+        return psi * lap_F + cross + F * (psi2 + (d - 1.0) * dpsi_over_r)
+    return F * (psi2 + (d - 1.0 + 2.0 * lam) * dpsi_over_r)
+
+
+def ref_certificate(X, alpha, beta, params, factor):
+    r2 = (X * X).sum(axis=1)
+    F, G = factor.value(X), factor.gradient(X)
+    p, d, gamma, lam = params.p, params.d, params.gamma, factor.homogeneity
+    r = np.sqrt(r2)
+    rp = r**p
+    div = (alpha * (d - p) + beta * (p - 2.0) * lam) / rp + beta * (
+        (G * G).sum(axis=1) / (F * F)
+    ) / r ** (p - 2.0)
+    T = alpha * X / rp[:, None] - beta * G / (F * r ** (p - 2.0))[:, None]
+    T_sq = (T * T).sum(axis=1)
+    x_dot_T = (X * T).sum(axis=1)
+    return rp * (
+        div - (p - 1.0) * T_sq ** (p / (2.0 * (p - 1.0))) - gamma * x_dot_T / r2
+    )
+
+
+def squared_norm_factor(d):
+    """|x|^2: a non-harmonic custom factor, so the Laplacian takes its
+    product-rule branch."""
+    return CustomFactor(
+        d, 2.0,
+        lambda X: (np.atleast_2d(X) ** 2).sum(axis=-1),
+        lambda X: 2.0 * np.asarray(X, dtype=float),
+        laplacian_fn=lambda X: np.full(len(np.atleast_2d(X)), 2.0 * d),
+    )
+
+
+def trial(kind, d):
+    if kind == "vandermonde":
+        return gaussian_trial(vandermonde(d), 1.3)
+    if kind == "odd":
+        return gaussian_trial(odd_linear(d), 0.7)
+    return gaussian_trial(squared_norm_factor(d), 1.0)
+
+
+TRIALS = [(kind, d) for kind in ("vandermonde", "odd", "custom") for d in DIMS
+          if not (kind == "vandermonde" and d < 2)]
+
+
+@pytest.mark.parametrize("d", DIMS)
+class TestRowKernels:
+    def test_row_dot(self, d):
+        X = batch(d)
+        Y = batch(d)[::-1].copy()
+        assert np.array_equal(row_dot(X, Y), (X * Y).sum(axis=1))
+        assert np.array_equal(np.sqrt(row_dot(X, X)), np.linalg.norm(X, axis=1))
+
+    def test_row_sum_and_prod(self, d):
+        X = batch(d)
+        assert np.array_equal(row_sum(X.T), X.sum(axis=1))
+        assert np.array_equal(row_prod(X.T), X.prod(axis=1))
+
+    def test_odd_linear_value(self, d):
+        X = batch(d)
+        assert np.array_equal(odd_linear(d).value(X), X.sum(axis=1))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+class TestVandermonde:
+    def test_value(self, d):
+        X = batch(d)
+        assert np.array_equal(vandermonde(d).value(X), ref_vandermonde_value(X))
+
+    def test_gradient(self, d):
+        X = batch(d)
+        factor = vandermonde(d)
+        assert np.array_equal(factor.gradient(X), ref_vandermonde_gradient(factor, X))
+
+
+@pytest.mark.parametrize("kind, d", TRIALS)
+class TestTrialKernels:
+    def test_value(self, kind, d):
+        u, X = trial(kind, d), batch(d)
+        assert np.array_equal(u.value(X), ref_trial_value(u, X))
+
+    def test_gradient(self, kind, d):
+        u, X = trial(kind, d), batch(d)
+        ref = ref_trial_gradient(u, X)
+        assert np.array_equal(u.gradient(X), ref)
+        assert np.array_equal(u.grad_norm_sq(X), (ref * ref).sum(axis=1))
+
+    def test_laplacian(self, kind, d):
+        u, X = trial(kind, d), batch(d)
+        assert np.array_equal(u.laplacian(X), ref_trial_laplacian(u, X))
+
+
+@pytest.mark.parametrize("klass", [FunctionClass.ANTISYMMETRIC, FunctionClass.ODD])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_certificate_many(klass, d):
+    params = Params(d, 3.0, 0.5, klass)
+    domain = fields.SectorDomain.for_params(params)
+    X = domain.sample_interior(500, np.random.default_rng(d), tube=0.02)
+    out = fields.certificate_many(X, 0.3, 0.7, params, domain.factor)
+    assert np.array_equal(out, ref_certificate(X, 0.3, 0.7, params, domain.factor))
