@@ -34,6 +34,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from . import __version__
 from .constants import (
@@ -317,12 +318,14 @@ def cmd_verify(args):
 
 def cmd_minimax(args):
     klass = _CLASSES[args.klass]
-    params, points = _dpg_grid(args, gap_tol=args.gap_tol)
+    gap_tol = _number(args.gap_tol, float)
+    if gap_tol <= 0.0:
+        raise UsageError(f"--gap-tol must be positive, got {args.gap_tol!r}")
+    params, points = _dpg_grid(args, gap_tol=gap_tol)
 
     def row(d, p, gamma):
         result = numeric_minimax(Params(d, p, gamma, klass))
-        check = (f"minimax d={d} p={p} gamma={gamma}",
-                 result.gap <= args.gap_tol)
+        check = (f"minimax d={d} p={p} gamma={gamma}", result.gap <= gap_tol)
         return [
             {
                 "d": d,
@@ -418,7 +421,9 @@ def cmd_sharpness(args):
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symhardy",
         description="Hardy and Rellich constants, certificates and "
@@ -462,7 +467,7 @@ def build_parser():
     pm.add_argument("--gamma", default="0")
     pm.add_argument("--class", dest="klass",
                     choices=["antisym", "odd"], default="antisym")
-    pm.add_argument("--gap-tol", type=float, default=1e-5)
+    pm.add_argument("--gap-tol", default="1e-5")
     common(pm)
     pm.set_defaults(func=cmd_minimax, format="json")
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -71,6 +72,9 @@ __all__ = [
 
 MAX_PRODUCT_DIM = 4
 DEGENERATE_FRACTION = 1e-3
+# Integrand points per product-rule call: whole radii are grouped until a
+# block would exceed this, so one call covers many radii at d <= 3.
+_PRODUCT_BLOCK = 10_000
 _NON_INTEGRABLE = (
     "non-positive radial shape: the integrand is not integrable near the "
     "origin for these parameters"
@@ -91,8 +95,8 @@ class QuadratureConfig:
     angular_nodes: int = 48
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
+        if self.samples < 2:  # one sample has variance 0: no error bar
+            raise DomainError(f"samples must be >= 2, got {self.samples}")
         if not 0.0 <= self.r_min < self.r_max:
             raise DomainError(
                 f"radial cutoffs must satisfy 0 <= r_min < r_max, got "
@@ -146,6 +150,15 @@ def sphere_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, wts = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    wts.flags.writeable = False
+    return nodes, wts
+
+
 def sphere_grid(d, n):
     """Nodes and weights integrating over the unit sphere S^(d-1), d <= 4."""
     if d < 1:
@@ -163,7 +176,7 @@ def sphere_grid(d, n):
         )
     grids = []
     for k in range(1, d - 1):
-        nodes, wts = np.polynomial.legendre.leggauss(n)
+        nodes, wts = _leggauss(n)
         theta = 0.5 * math.pi * (nodes + 1.0)
         w = 0.5 * math.pi * wts * np.sin(theta) ** (d - 1 - k)
         grids.append((theta, w))
@@ -254,21 +267,27 @@ def _product_pass(fn, d, config, nr, na, r_min=None):
     r_hi = config.r_max
     if not (0.0 < r_lo < r_hi < math.inf):
         raise DomainError("the product rule needs finite radial cutoffs")
-    nodes, wts = np.polynomial.legendre.leggauss(nr)
+    nodes, wts = _leggauss(nr)
     s_lo, s_hi = math.log(r_lo), math.log(r_hi)
     svals = 0.5 * (s_hi + s_lo) + 0.5 * (s_hi - s_lo) * nodes
     swts = 0.5 * (s_hi - s_lo) * wts
     r = np.exp(svals)
     pts, aw = sphere_grid(d, na)
+    step = max(1, _PRODUCT_BLOCK // len(aw))
     total = 0.0
     degen = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for ri, wi in zip(r, swts):
-            vals = np.asarray(fn(ri * pts), dtype=float)
+        for lo in range(0, len(r), step):
+            rb, wb = r[lo:lo + step], swts[lo:lo + step]
+            X = (rb[:, None, None] * pts).reshape(-1, d)
+            vals = np.asarray(fn(X), dtype=float).reshape(len(rb), len(aw))
             bad = ~np.isfinite(vals)
             degen += int(bad.sum())
             vals = np.where(bad, 0.0, vals)
-            total += wi * ri**d * float(aw @ vals)
+            # Radius by radius in node order: a vectorized sum rounds
+            # differently and would change the output bytes.
+            for ri, wi, row in zip(rb, wb, vals):
+                total += wi * ri**d * float(aw @ row)
     return total, degen, len(r) * len(aw)
 
 
@@ -409,6 +428,16 @@ def _verify_class(u: TrialFunction, params: Params, seed):
         )
 
 
+def _margin(quotient, constant, q_err):
+    """(quotient - constant) in units of q_err.  Without an error bar the
+    comparison is exact: infinitely many sigmas on the side where the
+    quotient lies, or 0 when it equals the constant."""
+    diff = quotient - constant
+    if q_err > 0.0:
+        return diff / q_err
+    return math.copysign(math.inf, diff) if diff else 0.0
+
+
 def _build_report(num: Estimate, den: Estimate, ref: ConstantValue, functional):
     if den.value <= 0.0:
         raise DomainError("denominator estimate is not positive")
@@ -418,7 +447,7 @@ def _build_report(num: Estimate, den: Estimate, ref: ConstantValue, functional):
         den.error / den.value,
     )
     q_err = abs(quotient) * rel
-    margin = (quotient - ref.value) / q_err if q_err > 0.0 else math.inf
+    margin = _margin(quotient, ref.value, q_err)
     return QuotientReport(
         numerator=num,
         denominator=den,
@@ -658,7 +687,7 @@ def separable_hardy_quotient(u: TrialFunction, params: Params):
     ref = reference_constant(params, Functional.HARDY)
     rel_err = err * (1.0 + abs(quotient)) / i1
     q_err = max(rel_err, 1e-14 * abs(quotient))
-    margin = (quotient - ref.value) / q_err if q_err > 0.0 else math.inf
+    margin = _margin(quotient, ref.value, q_err)
     return QuotientReport(
         numerator=num,
         denominator=den,
@@ -696,7 +725,7 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
     ref = reference_constant(params, Functional.RELLICH)
     rel = num_err / num_rad + den_err / den_rad
     q_err = max(abs(quotient) * rel, 1e-14 * abs(quotient))
-    margin = (quotient - ref.value) / q_err if q_err > 0.0 else math.inf
+    margin = _margin(quotient, ref.value, q_err)
     return QuotientReport(
         numerator=num,
         denominator=den,

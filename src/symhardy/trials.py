@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,8 +62,8 @@ class RadialProfile:
 
 
 def gaussian_profile(sigma=1.0):
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     s2 = sigma * sigma
 
     def psi(r):
@@ -133,7 +134,7 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
         d2c = np.where(inside, d2c, 0.0)
         return c, dc, d2c
 
-    def parts(r):
+    def array_parts(r):
         r = np.asarray(r, dtype=float)
         rs = np.where(r > 0.0, r, 1.0)  # placeholder; psi(0) handled below
         lnr = np.log(rs)
@@ -143,6 +144,13 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
         psi0 = np.exp(-rho * lnr)
         c, dc, d2c = cut_terms(rs)
         return r, rs, psi0, w1, w2, c, dc, d2c
+
+    # quad asks psi, dpsi and d2psi for the same scalar nodes; build each
+    # node's terms once.  Arrays bypass the memo.
+    scalar_parts = lru_cache(maxsize=4096)(array_parts)
+
+    def parts(r):
+        return scalar_parts(r) if isinstance(r, float) else array_parts(r)
 
     def psi(r):
         r, _, psi0, _, _, c, _, _ = parts(r)

@@ -295,6 +295,14 @@ class TestBadInput:
               "--functional", "rellich", "--d", "2"], "DomainError"),
             # r**m overflows on the cutoff segment of the eps = 0.05 trial.
             (["sharpness", "--d", "4", "--epsilon", "0.05"], "DomainError"),
+            # One sample has variance 0, which would read as an exact value.
+            (["verify", "--samples", "1", "--d", "3"], "DomainError"),
+            (["verify", "--sigma", "nan"], "DomainError"),
+            (["verify", "--sigma", "inf"], "DomainError"),
+            (["minimax", "--gap-tol", "nan"], "UsageError"),
+            (["minimax", "--gap-tol=-1"], "UsageError"),
+            (["minimax", "--gap-tol", "0"], "UsageError"),
+            (["minimax", "--gap-tol", "abc"], "UsageError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
@@ -324,6 +332,28 @@ class TestBadInput:
         report = json.loads((tmp_path / "t.csv.run.json").read_text())
         assert report["error"] is None
         assert report["checks"] == [{"name": "constants", "pass": True}]
+
+
+class TestRepeatedMain:
+    """``main`` reuses one parser; no option may carry over between calls."""
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["verify", "--d", "2", "--samples", "2e4"]
+        assert run(argv + ["--seed", "5", "--out", str(a)]) == 0
+        assert run(["minimax", "--d", "2", "--p", "4"]) == 0
+        assert run(argv + ["--out", str(b)]) == 0
+        capsys.readouterr()
+        seeds = [
+            json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+            ["seed"]
+            for name in ("a", "b")
+        ]
+        assert seeds == [5, 0]
+        assert [r["seed"] for r in read_csv(b)] == ["0"]
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestParsing:

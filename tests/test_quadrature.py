@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from symhardy import quadrature as qd
-from symhardy.constants import FunctionClass, Functional, Params
+from symhardy.constants import (
+    FunctionClass,
+    Functional,
+    Params,
+    reference_constant,
+)
 from symhardy.errors import (
     DegenerateSampleError,
     DomainError,
@@ -438,3 +443,140 @@ class TestEngineGuards:
         )
         assert not rep.conclusive
         assert not rep.violation
+
+
+def _per_radius_pass(fn, d, config, nr, na, r_min=None):
+    """The product pass as it ran before radii were grouped into blocks:
+    one integrand call per radius."""
+    r_lo = max(r_min if r_min is not None else config.r_min, 1e-12)
+    r_hi = config.r_max
+    nodes, wts = np.polynomial.legendre.leggauss(nr)
+    s_lo, s_hi = math.log(r_lo), math.log(r_hi)
+    svals = 0.5 * (s_hi + s_lo) + 0.5 * (s_hi - s_lo) * nodes
+    swts = 0.5 * (s_hi - s_lo) * wts
+    r = np.exp(svals)
+    pts, aw = qd.sphere_grid(d, na)
+    total = 0.0
+    degen = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for ri, wi in zip(r, swts):
+            vals = np.asarray(fn(ri * pts), dtype=float)
+            bad = ~np.isfinite(vals)
+            degen += int(bad.sum())
+            vals = np.where(bad, 0.0, vals)
+            total += wi * ri**d * float(aw @ vals)
+    return total, degen, len(r) * len(aw)
+
+
+class TestProductBlocks:
+    """The blocked product rule sums the same terms in the same order as
+    one integrand call per radius, so its results are bit-identical."""
+
+    # (d, radial nodes, angular nodes): all radii in one block, blocks with
+    # a remainder, several radii per block, and one radius per block.
+    GRIDS = [(2, 200, 48), (2, 200, 64), (3, 42, 48), (3, 16, 101), (4, 9, 12)]
+
+    @staticmethod
+    def _integrands(d):
+        u = gaussian_trial(vandermonde(d), 1.3)
+
+        def hardy(X):
+            return u.grad_norm_sq(X) ** 1.25 * qd._weight(X, 0.5)
+
+        def rellich(X):
+            return np.abs(u.laplacian(X)) ** 3.0 * qd._weight(X, -1.0)
+
+        def mass(X):
+            return np.abs(u.value(X)) ** 2.0 * qd._weight(X, 2.0)
+
+        def rare(X):
+            # Non-finite at a few nodes near |x| = 1: few enough that the
+            # estimate stands, with its degenerate count.
+            out = mass(X)
+            r2 = qd.row_dot(X, X)
+            out[(X[:, -1] == 0.0) & (X[:, 0] > 0.0) & (r2 > 0.81)
+                & (r2 < 1.21)] = np.nan
+            return out
+
+        def holes(X):
+            # Non-finite on a cap of directions at small and large radii:
+            # too many nodes, so the product rule refuses.
+            out = mass(X)
+            r2 = qd.row_dot(X, X)
+            cap = X[:, 0] * X[:, 0] > 0.8 * r2
+            out[cap & (r2 < 1e-8)] = np.nan
+            out[cap & (r2 > 900.0)] = np.inf
+            return out
+
+        return {"hardy": hardy, "rellich": rellich, "rare": rare,
+                "holes": holes}
+
+    @pytest.mark.parametrize("d, nr, na", GRIDS)
+    @pytest.mark.parametrize("name", ["hardy", "rellich", "rare", "holes"])
+    def test_passes_bit_identical(self, d, nr, na, name):
+        fn = self._integrands(d)[name]
+        cfg = qd.QuadratureConfig(method="product")
+        for r_min in (None, 5e-7):
+            got = qd._product_pass(fn, d, cfg, nr, na, r_min)
+            want = _per_radius_pass(fn, d, cfg, nr, na, r_min)
+            assert got == want
+        if name == "holes":
+            assert got[1] > 0
+
+    @pytest.mark.parametrize("d, nr, na", GRIDS)
+    def test_product_integral_bit_identical(self, d, nr, na):
+        cfg = qd.QuadratureConfig(method="product", radial_nodes=nr,
+                                  angular_nodes=na)
+        for name, fn in self._integrands(d).items():
+            fine, degen, n = _per_radius_pass(fn, d, cfg, nr, na)
+            if degen > qd.DEGENERATE_FRACTION * n:
+                with pytest.raises(DegenerateSampleError,
+                                   match=f"{degen} of {n} quadrature nodes"):
+                    qd.product_integral(fn, d, cfg)
+                continue
+            coarse, _, _ = _per_radius_pass(fn, d, cfg, max(nr // 2, 8),
+                                            max(na // 2, 4))
+            halved, _, _ = _per_radius_pass(fn, d, cfg, nr, na,
+                                            r_min=cfg.r_min / 2.0)
+            err = (2.0 * (abs(fine - coarse) + abs(fine - halved))
+                   + 1e-15 * abs(fine))
+            assert qd.product_integral(fn, d, cfg) == qd.Estimate(
+                fine, err, n, degen, "product")
+            if name == "rare" and d == 2:
+                assert degen > 0
+
+    def test_leggauss_cached_and_read_only(self):
+        nodes, wts = qd._leggauss(12)
+        assert qd._leggauss(12)[0] is nodes
+        ref_nodes, ref_wts = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(wts, ref_wts)
+        for arr in (nodes, wts):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+class TestExactErrorBars:
+    """A quotient without an error bar is compared exactly: its margin is
+    infinite on the side of the constant where it lies."""
+
+    @pytest.mark.parametrize(
+        "quotient, margin",
+        [(0.5, -math.inf), (2.0, math.inf), (1.0, 0.0)],
+    )
+    def test_zero_error_margin_carries_the_sign(self, quotient, margin):
+        ref = reference_constant(Params(2, 2.0, 0.0, ANTI), Functional.HARDY)
+        assert ref.value == 1.0
+        num = qd.Estimate(quotient * 4.0, 0.0, 10)
+        den = qd.Estimate(4.0, 0.0, 10)
+        rep = qd._build_report(num, den, ref, Functional.HARDY)
+        assert rep.quotient_error == 0.0
+        assert rep.margin == margin
+        assert rep.violation is (margin < 0.0)
+        assert rep.conclusive is (margin != 0.0)
+
+    def test_single_sample_refused(self):
+        # One sample always has variance 0, which would read as exact.
+        with pytest.raises(DomainError, match="samples must be >= 2"):
+            qd.QuadratureConfig(samples=1)

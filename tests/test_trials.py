@@ -36,6 +36,11 @@ def fd_laplacian(f, x, h=1e-4):
 
 
 class TestGaussianTrial:
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            tr.gaussian_profile(sigma)
+
     def test_gradient_assembly_d2(self):
         u = tr.gaussian_trial(vandermonde(2), 1.0)
         x = np.array([1.0, 2.0])
@@ -209,3 +214,37 @@ class TestProjectors:
         assert tr.perm_parity([0, 1, 2]) == 1
         assert tr.perm_parity([1, 0, 2]) == -1
         assert tr.perm_parity([2, 0, 1]) == 1
+
+
+class TestProfileMemo:
+    """Scalar calls of a piecewise-power profile share one memo of the
+    per-radius terms; it must not change a bit of psi, dpsi or d2psi."""
+
+    ARGS = (0.3, 0.7, 0.05, 40.0)
+    RADII = [0.0, 1e-3, 0.5, 0.95, 0.9512345678, 0.999, 1.0, 1.0376543219,
+             1.05, 2.0, 40.0, 55.5, 63.258719, 80.0, 120.0]
+
+    @pytest.mark.parametrize("part", ["psi", "dpsi", "d2psi"])
+    def test_scalar_values_match_fresh_profile_and_array_path(self, part):
+        memo = tr.piecewise_power_profile(*self.ARGS)
+        array_values = getattr(memo, part)(np.array(self.RADII))
+        # Three sweeps, the second reversed, with float and numpy-scalar
+        # arguments, so later calls hit the memo that earlier ones filled.
+        for radii in (self.RADII, self.RADII[::-1], self.RADII):
+            for r in radii:
+                fresh = tr.piecewise_power_profile(*self.ARGS)
+                want = getattr(fresh, part)(r)
+                for arg in (r, np.float64(r)):
+                    got = getattr(memo, part)(arg)
+                    assert got.tobytes() == want.tobytes()
+                    # The array path rounds the collar terms in another
+                    # order (d2psi differs by ~1e-15 there, memo or not).
+                    index = self.RADII.index(r)
+                    assert np.isclose(got, array_values[index], rtol=1e-13,
+                                      atol=0.0)
+
+    def test_memo_results_are_independent_arrays(self):
+        profile = tr.piecewise_power_profile(*self.ARGS)
+        first = profile.psi(1.02)
+        first[...] = -1.0
+        assert float(profile.psi(1.02)) > 0.0
