@@ -8,7 +8,15 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
   (for Gaussian-profile trials the radial part of the weighted mass
   integrand is matched exactly).  Sampling is partitioned into
   independently seeded streams and reduced in a fixed pairwise order, so
-  estimates are bit-identical given (seed, samples, n_streams).
+  estimates are bit-identical given (seed, samples, n_streams).  A
+  quotient's numerator and denominator come from one pass over the
+  streams: each stream draws its directions once for both, and its radii
+  once for both when their radial shapes agree (as in the Hardy quotient
+  of a Gaussian trial with a non-constant angular factor), and then they
+  also share the trial's per-point terms.  Otherwise each draws its own
+  radii from the generator state that follows the directions.  Either way
+  both integrals see exactly the points that separate ``mc_integral``
+  calls with the same seed would draw.
 * ``product``: a log-radial Gauss-Legendre rule times a tensor angular
   rule on the sphere (d <= 4).  The reported error is the change under
   halving both node counts.
@@ -83,7 +91,11 @@ _NON_INTEGRABLE = (
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Engine selection and its reproducibility-relevant knobs."""
+    """Engine selection and its reproducibility-relevant knobs.
+
+    ``samples`` is checked only for the MC engine: the product rule never
+    reads it.
+    """
 
     method: str = "mc"  # "mc" or "product"
     samples: int = 200_000
@@ -95,13 +107,27 @@ class QuadratureConfig:
     angular_nodes: int = 48
 
     def __post_init__(self):
-        if self.samples < 2:  # one sample has variance 0: no error bar
-            raise DomainError(f"samples must be >= 2, got {self.samples}")
+        if self.method not in ("mc", "product"):
+            raise DomainError(
+                f"method must be 'mc' or 'product', got {self.method!r}"
+            )
+        if self.method == "mc":
+            _check_samples(self.samples)
+        for name in ("n_streams", "radial_nodes", "angular_nodes"):
+            if getattr(self, name) < 1:
+                raise DomainError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
         if not 0.0 <= self.r_min < self.r_max:
             raise DomainError(
                 f"radial cutoffs must satisfy 0 <= r_min < r_max, got "
                 f"r_min={self.r_min}, r_max={self.r_max}"
             )
+
+
+def _check_samples(samples):
+    if samples < 2:  # one sample has variance 0: no error bar
+        raise DomainError(f"samples must be >= 2, got {samples}")
 
 
 @dataclass(frozen=True)
@@ -228,38 +254,74 @@ def mc_integral(fn, d, config: QuadratureConfig, radial_shape, radial_scale):
     proposal density r^(k-1) exp(-r^2 / (2 s^2)).  Non-finite integrand
     samples are zeroed and counted; more than 0.1 percent of them aborts.
     """
-    if radial_shape <= 0.0:
-        raise DomainError(_NON_INTEGRABLE)
-    k, s = float(radial_shape), float(radial_scale)
+    (estimate,) = _mc_streams(
+        d, config, [(radial_shape, radial_scale)], lambda X, _: [fn(X)]
+    )
+    return estimate
+
+
+def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
+    """``mc_integral`` for several integrals in one pass over the streams.
+
+    ``proposals[i]`` is the (shape, scale) pair of integral i.  Each
+    stream draws its directions once; every distinct proposal then replays
+    the generator state that follows them and draws its radii, so integral
+    i gets exactly the points of ``mc_integral`` with its own proposal.
+    ``evaluate(X, members)`` returns the integrand values at X of the
+    integrals listed in ``members``, which all drew X.  One stream's draws
+    are held at a time.
+    """
+    _check_samples(config.samples)
+    groups = {}
+    for i, (k, s) in enumerate(proposals):
+        if k <= 0.0:
+            raise DomainError(_NON_INTEGRABLE)
+        groups.setdefault((float(k), float(s)), []).append(i)
     area = sphere_area(d)
-    log_norm = (k / 2.0 - 1.0) * math.log(2.0) + gammaln(k / 2.0) + k * math.log(s)
+    log_norm = {
+        (k, s): (k / 2.0 - 1.0) * math.log(2.0) + gammaln(k / 2.0)
+        + k * math.log(s)
+        for k, s in groups
+    }
     children = np.random.SeedSequence(config.seed).spawn(config.n_streams)
     sizes = _chunk_sizes(config.samples, config.n_streams)
-    stats = []
+    stats = [[] for _ in proposals]
     for child, m in zip(children, sizes):
         rng = np.random.default_rng(child)
         z = rng.standard_normal((m, d))
         norms = np.sqrt(row_dot(z, z))
         norms[norms == 0.0] = 1.0
-        r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
-        X = z * (r / norms)[:, None]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = np.asarray(fn(X), dtype=float)
-            logw = (d - k) * np.log(r) + r * r / (2.0 * s * s) + log_norm
-            w = np.where(vals == 0.0, 0.0, area * np.exp(logw) * vals)
-        w[(r < config.r_min) | (r > config.r_max)] = 0.0
-        bad = ~np.isfinite(w)
-        degen = int(bad.sum())
-        w[bad] = 0.0
-        stats.append((m, float(w.sum()), float((w * w).sum()), degen))
-    n, s1, s2, degen = _tree_reduce(stats)
-    if degen > DEGENERATE_FRACTION * n:
-        raise DegenerateSampleError(
-            f"{degen} of {n} integrand samples were non-finite"
-        )
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return Estimate(mean, math.sqrt(var / n), n, degen, "mc")
+        after_directions = rng.bit_generator.state
+        for (k, s), members in groups.items():
+            rng.bit_generator.state = after_directions
+            r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
+            X = z * (r / norms)[:, None]
+            outside = (r < config.r_min) | (r > config.r_max)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                values = evaluate(X, members)
+                logw = ((d - k) * np.log(r) + r * r / (2.0 * s * s)
+                        + log_norm[k, s])
+                density = area * np.exp(logw)
+                for i, vals in zip(members, values):
+                    vals = np.asarray(vals, dtype=float)
+                    w = np.where(vals == 0.0, 0.0, density * vals)
+                    w[outside] = 0.0
+                    bad = ~np.isfinite(w)
+                    w[bad] = 0.0
+                    stats[i].append(
+                        (m, float(w.sum()), float((w * w).sum()), int(bad.sum()))
+                    )
+    estimates = []
+    for per_stream in stats:
+        n, s1, s2, degen = _tree_reduce(per_stream)
+        if degen > DEGENERATE_FRACTION * n:
+            raise DegenerateSampleError(
+                f"{degen} of {n} integrand samples were non-finite"
+            )
+        mean = s1 / n
+        var = max(s2 / n - mean * mean, 0.0)
+        estimates.append(Estimate(mean, math.sqrt(var / n), n, degen, "mc"))
+    return estimates
 
 
 def _product_pass(fn, d, config, nr, na, r_min=None):
@@ -353,62 +415,90 @@ def _radial_shape(u: TrialFunction, params: Params, weight_p, gradient=False):
     return k
 
 
-def _weight(X, exponent):
+def _weight(sq, exponent):
+    """|x|^(-exponent) from sq = |x|^2."""
     if exponent == 0.0:
         return 1.0
-    return row_dot(X, X) ** (-exponent / 2.0)
+    return sq ** (-exponent / 2.0)
+
+
+# The numerator and the denominator of each functional's quotient as
+# (order, w): the integrand |D u|^p |x|^(-w p - gamma), where D u is u,
+# grad u or Delta u for order 0, 1 or 2.
+_INTEGRANDS = {
+    Functional.HARDY: ((1, 0), (0, 1)),
+    Functional.RELLICH: ((2, 0), (0, 2)),
+}
+
+
+def _integrand_values(u: TrialFunction, params: Params, terms):
+    """``evaluate(X, members)`` for the integrands ``terms[i]``, i in
+    members: the value and the gradient come from one ``u.evaluate``."""
+    p, gamma = params.p, params.gamma
+
+    def evaluate(X, members):
+        orders = [terms[i][0] for i in members]
+        sq = None
+        if 0 in orders or 1 in orders:
+            sq, value, grad = u.evaluate(X, gradient=1 in orders)
+        out = []
+        for i in members:
+            order, w = terms[i]
+            if order == 0:
+                base = np.abs(value) ** p
+            elif order == 1:
+                base = row_dot(grad, grad) ** (p / 2.0)
+            else:
+                base = np.abs(u.laplacian(X)) ** p
+            exponent = w * p + gamma
+            if sq is None and exponent != 0.0:
+                sq = row_dot(X, X)
+            out.append(base * _weight(sq, exponent))
+        return out
+
+    return evaluate
+
+
+def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
+               terms):
+    """Estimates of the integrands ``terms`` (see ``_INTEGRANDS``).
+
+    Every shape is checked before any integration.  The MC engine serves
+    all of them from one pass over its streams.
+    """
+    scale = _radial_scale(u, params.p)
+    proposals = [
+        (_radial_shape(u, params, w, gradient=order == 1), scale)
+        for order, w in terms
+    ]
+    evaluate = _integrand_values(u, params, terms)
+    if config.method == "product":
+        return [
+            product_integral(lambda X, i=i: evaluate(X, (i,))[0], params.d,
+                             config)
+            for i in range(len(terms))
+        ]
+    return _mc_streams(params.d, config, proposals, evaluate)
 
 
 def hardy_numerator(u: TrialFunction, params: Params, config: QuadratureConfig):
     """Estimate of the integral of |grad u|^p |x|^(-gamma)."""
-    p, gamma = params.p, params.gamma
-
-    def fn(X):
-        return u.grad_norm_sq(X) ** (p / 2.0) * _weight(X, gamma)
-
-    k = _radial_shape(u, params, weight_p=0, gradient=True)
-    if config.method == "product":
-        return product_integral(fn, params.d, config)
-    return mc_integral(fn, params.d, config, k, _radial_scale(u, p))
+    return _estimates(u, params, config, [(1, 0)])[0]
 
 
 def hardy_denominator(u: TrialFunction, params: Params, config: QuadratureConfig):
     """Estimate of the integral of |u|^p |x|^(-p-gamma)."""
-    p, gamma = params.p, params.gamma
-
-    def fn(X):
-        return np.abs(u.value(X)) ** p * _weight(X, p + gamma)
-
-    k = _radial_shape(u, params, weight_p=1)
-    if config.method == "product":
-        return product_integral(fn, params.d, config)
-    return mc_integral(fn, params.d, config, k, _radial_scale(u, p))
+    return _estimates(u, params, config, [(0, 1)])[0]
 
 
 def rellich_numerator(u: TrialFunction, params: Params, config: QuadratureConfig):
     """Estimate of the integral of |Delta u|^p |x|^(-gamma)."""
-    p, gamma = params.p, params.gamma
-
-    def fn(X):
-        return np.abs(u.laplacian(X)) ** p * _weight(X, gamma)
-
-    k = _radial_shape(u, params, weight_p=0)
-    if config.method == "product":
-        return product_integral(fn, params.d, config)
-    return mc_integral(fn, params.d, config, k, _radial_scale(u, p))
+    return _estimates(u, params, config, [(2, 0)])[0]
 
 
 def rellich_denominator(u: TrialFunction, params: Params, config: QuadratureConfig):
     """Estimate of the integral of |u|^p |x|^(-2p-gamma)."""
-    p, gamma = params.p, params.gamma
-
-    def fn(X):
-        return np.abs(u.value(X)) ** p * _weight(X, 2.0 * p + gamma)
-
-    k = _radial_shape(u, params, weight_p=2)
-    if config.method == "product":
-        return product_integral(fn, params.d, config)
-    return mc_integral(fn, params.d, config, k, _radial_scale(u, p))
+    return _estimates(u, params, config, [(0, 2)])[0]
 
 
 def _verify_class(u: TrialFunction, params: Params, seed):
@@ -481,12 +571,7 @@ def rayleigh_quotient(
             f"(d={params.d}, p={params.p}, gamma={params.gamma}); "
             f"condition residual {ref.condition_residual}"
         )
-    if functional is Functional.HARDY:
-        num = hardy_numerator(u, params, config)
-        den = hardy_denominator(u, params, config)
-    else:
-        num = rellich_numerator(u, params, config)
-        den = rellich_denominator(u, params, config)
+    num, den = _estimates(u, params, config, _INTEGRANDS[functional])
     return _build_report(num, den, ref, functional)
 
 

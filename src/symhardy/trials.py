@@ -204,29 +204,41 @@ class TrialFunction:
             raise InvalidDimensionError("point dimension mismatch")
         return X, np.asarray(x).ndim == 1
 
-    def value(self, x):
-        X, single = self._batch(x)
-        r = np.sqrt(row_dot(X, X))
-        out = self.angular.value(X) * self.radial.psi(r)
-        return float(out[0]) if single else out
+    def evaluate(self, x, gradient=False):
+        """(|x|^2, u, grad u) on a batch x of shape (n, d); grad u is None
+        unless ``gradient`` is set.
 
-    def gradient(self, x):
-        X, single = self._batch(x)
-        r = np.sqrt(row_dot(X, X))
+        The one home of u = F psi and grad u = psi grad F + F psi' x / r:
+        ``value`` and ``gradient`` unwrap it, and the quadrature integrands
+        call it once where numerator and denominator share their points.
+        """
+        X, _ = self._batch(x)
+        sq = row_dot(X, X)
+        r = np.sqrt(sq)
         F = self.angular.value(X)
-        G = self.angular.gradient(X)
         psi = self.radial.psi(r)
+        if not gradient:
+            return sq, F * psi, None
+        G = self.angular.gradient(X)
         dpsi = self.radial.dpsi(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             radial_part = np.where(r > 0.0, F * dpsi / r, 0.0)
-        out = psi[:, None] * G
-        out += radial_part[:, None] * X
-        return out[0] if single else out
+        grad = psi[:, None] * G
+        grad += radial_part[:, None] * X
+        return sq, F * psi, grad
+
+    def value(self, x):
+        out = self.evaluate(x)[1]
+        return float(out[0]) if np.ndim(x) == 1 else out
+
+    def gradient(self, x):
+        out = self.evaluate(x, gradient=True)[2]
+        return out[0] if np.ndim(x) == 1 else out
 
     def grad_norm_sq(self, x):
-        g = self.gradient(np.atleast_2d(np.asarray(x, dtype=float)))
+        g = self.evaluate(x, gradient=True)[2]
         out = row_dot(g, g)
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
+        return float(out[0]) if np.ndim(x) == 1 else out
 
     def laplacian(self, x):
         X, single = self._batch(x)

@@ -114,27 +114,53 @@ class TestVerifyCommand:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
-        "klass, functional, pinned",
+        "klass, functional, grid, pinned",
         [
-            ("antisym", "hardy", [
+            ("antisym", "hardy", ["--d", "3,5", "--p", "2"], [
                 ("3", "15.587727356076398", "0.17141388919460038"),
                 ("5", "140.59336641757702", "3.0302766551586111"),
             ]),
-            ("odd", "rellich", [
+            ("odd", "rellich", ["--d", "3,5", "--p", "2"], [
                 ("3", "6.5918285525990612", "0.077100640404172804"),
                 ("5", "59.381198598648389", "0.76839762526309741"),
             ]),
+            ("antisym", "hardy", ["--d", "5", "--p", "3", "--gamma", "1"], [
+                ("5", "1034.5059199838895", "30.728878797583938"),
+            ]),
+            ("odd", "rellich", ["--d", "3", "--p", "3", "--gamma=-1"], [
+                ("3", "16.211934732244327", "0.23802584308017116"),
+            ]),
         ],
+        ids=["antisym-hardy-pinned0", "odd-rellich-pinned1",
+             "antisym-hardy-pinned2", "odd-rellich-pinned3"],
     )
-    def test_mc_quotients_pinned(self, tmp_path, klass, functional, pinned):
+    def test_mc_quotients_pinned(self, tmp_path, klass, functional, grid,
+                                 pinned):
         # Exact 17-digit quotients and error bars at a fixed seed: they move
-        # if any integrand kernel rounds a single sample differently.
+        # if any integrand kernel rounds a single sample differently, or if
+        # the numerator and denominator stop drawing the points of two
+        # separate integrations.
         out = tmp_path / "v.csv"
         assert run(["verify", "--class", klass, "--functional", functional,
-                    "--d", "3,5", "--p", "2", "--samples", "2e4", "--seed",
-                    "1", "--out", str(out)]) == 0
+                    *grid, "--samples", "2e4", "--seed", "1",
+                    "--out", str(out)]) == 0
         assert [(r["d"], r["quotient"], r["quotient_err"])
                 for r in read_csv(out)] == pinned
+
+    def test_product_ignores_sample_count(self, tmp_path):
+        # The product rule never reads --samples, so 1 is no error; the
+        # CSV still records the value given.
+        rows = {}
+        for samples in ("1", None):
+            out = tmp_path / f"p{samples}.csv"
+            argv = ["verify", "--method", "product", "--d", "2", "--p", "2",
+                    "--out", str(out)]
+            assert run(argv + (["--samples", samples] if samples else [])) == 0
+            (rows[samples],) = read_csv(out)
+        assert rows["1"]["samples"] == "1"
+        assert rows[None]["samples"] == "200000"
+        assert rows["1"]["quotient"] == rows[None]["quotient"]
+        assert rows["1"]["quotient_err"] == rows[None]["quotient_err"]
 
     def test_weighted_general_reference(self, tmp_path):
         out = tmp_path / "g.csv"

@@ -110,6 +110,144 @@ class TestDeterminism:
         assert a.value != b.value
 
 
+def _separate_integrals(u, functional, params, config):
+    """Numerator and denominator as two independent ``mc_integral`` calls
+    with the same seed, from the integrands written out in full."""
+    p, gamma = params.p, params.gamma
+
+    def weight(X, exponent):
+        return 1.0 if exponent == 0.0 else qd.row_dot(X, X) ** (-exponent / 2.0)
+
+    if functional is Functional.HARDY:
+        parts = [
+            (lambda X: u.grad_norm_sq(X) ** (p / 2.0) * weight(X, gamma), 0, True),
+            (lambda X: np.abs(u.value(X)) ** p * weight(X, p + gamma), 1, False),
+        ]
+    else:
+        parts = [
+            (lambda X: np.abs(u.laplacian(X)) ** p * weight(X, gamma), 0, False),
+            (lambda X: np.abs(u.value(X)) ** p * weight(X, 2.0 * p + gamma), 2,
+             False),
+        ]
+    scale = qd._radial_scale(u, p)
+    return [
+        qd.mc_integral(fn, params.d, config,
+                       qd._radial_shape(u, params, w, gradient=grad), scale)
+        for fn, w, grad in parts
+    ]
+
+
+def _outcome(compute):
+    """The estimates, or the class and message of the named error."""
+    try:
+        return compute()
+    except (DomainError, DegenerateSampleError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedDraws:
+    """One pass over the streams serves a quotient's numerator and
+    denominator with exactly the draws of two separate calls."""
+
+    CASES = [(ANTI, vandermonde, Functional.HARDY),
+             (ODD, odd_linear, Functional.HARDY),
+             (ANTI, vandermonde, Functional.RELLICH),
+             (ODD, odd_linear, Functional.RELLICH)]
+
+    @staticmethod
+    def _compare(klass, factor, functional, d, p, gamma, config):
+        u = gaussian_trial(factor(d), 1.0)
+        params = Params(d, p, gamma, klass)
+        terms = qd._INTEGRANDS[functional]
+        shared = _outcome(lambda: qd._estimates(u, params, config, terms))
+        want = _outcome(lambda: _separate_integrals(u, functional, params,
+                                                    config))
+        assert shared == want
+        return shared
+
+    @pytest.mark.parametrize("klass, factor, functional", CASES)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0])
+    def test_bit_identical_to_separate_calls(self, klass, factor, functional,
+                                             d, p, gamma):
+        # 20,003 samples leave a remainder over the eight streams.
+        config = qd.QuadratureConfig(samples=20_003, seed=d + 7)
+        self._compare(klass, factor, functional, d, p, gamma, config)
+
+    @pytest.mark.parametrize("klass, factor, functional", CASES)
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_single_stream(self, klass, factor, functional, d):
+        config = qd.QuadratureConfig(samples=5_001, seed=11, n_streams=1)
+        shared = self._compare(klass, factor, functional, d, 3.0, -0.5, config)
+        assert [est.n for est in shared] == [5_001, 5_001]
+
+    def test_quotient_report_uses_the_same_estimates(self):
+        u = gaussian_trial(vandermonde(4), 1.0)
+        params = Params(4, 3.0, 1.0, ANTI)
+        rep = qd.rayleigh_quotient(u, Functional.HARDY, params, CFG)
+        num, den = _separate_integrals(u, Functional.HARDY, params, CFG)
+        assert (rep.numerator, rep.denominator) == (num, den)
+        assert rep.numerator == qd.hardy_numerator(u, params, CFG)
+        assert rep.denominator == qd.hardy_denominator(u, params, CFG)
+
+    @pytest.mark.parametrize("functional, calls", [
+        (Functional.HARDY, 8),     # equal shapes: one point set per stream
+        (Functional.RELLICH, 16),  # unequal shapes: radii drawn twice
+    ])
+    def test_points_drawn_once_per_shape(self, functional, calls):
+        u = gaussian_trial(vandermonde(3), 1.0)
+        params = Params(3, 2.0, 0.0, ANTI)
+        terms = qd._INTEGRANDS[functional]
+        shapes = [qd._radial_shape(u, params, w, gradient=order == 1)
+                  for order, w in terms]
+        evaluate = qd._integrand_values(u, params, terms)
+        seen = []
+
+        def counting(X, members):
+            seen.append(tuple(members))
+            return evaluate(X, members)
+
+        config = qd.QuadratureConfig(samples=4_000, seed=2)
+        qd._mc_streams(3, config, [(k, 0.7) for k in shapes], counting)
+        assert len(seen) == calls
+
+    @staticmethod
+    def _nan_where(column, threshold):
+        def fn(X):
+            out = np.ones(len(X))
+            out[X[:, column] > threshold] = np.nan
+            return out
+        return fn
+
+    @pytest.mark.parametrize("shapes", [(3.0, 3.0), (3.0, 5.0)])
+    @pytest.mark.parametrize("den_column", [0, 1])
+    def test_degenerate_message_as_separate_calls(self, shapes, den_column):
+        # Both integrals exceed the degenerate fraction: the numerator's
+        # message, as when the numerator was integrated first.
+        num_fn = self._nan_where(0, 0.0)
+        den_fn = self._nan_where(den_column, 0.5)
+        fns = (num_fn, den_fn)
+        config = qd.QuadratureConfig(samples=10_001, seed=4)
+        with pytest.raises(DegenerateSampleError) as want:
+            qd.mc_integral(num_fn, 2, config, shapes[0], 1.0)
+        with pytest.raises(DegenerateSampleError) as got:
+            qd._mc_streams(2, config, [(k, 1.0) for k in shapes],
+                           lambda X, members: [fns[i](X) for i in members])
+        assert str(got.value) == str(want.value)
+
+    def test_degenerate_denominator_alone(self):
+        den_fn = self._nan_where(1, 0.5)
+        config = qd.QuadratureConfig(samples=10_001, seed=4)
+        with pytest.raises(DegenerateSampleError) as want:
+            qd.mc_integral(den_fn, 2, config, 3.0, 1.0)
+        fns = (lambda X: np.ones(len(X)), den_fn)
+        with pytest.raises(DegenerateSampleError) as got:
+            qd._mc_streams(2, config, [(3.0, 1.0), (3.0, 1.0)],
+                           lambda X, members: [fns[i](X) for i in members])
+        assert str(got.value) == str(want.value)
+
+
 class TestScalingLaws:
     def test_dilation_scaling_of_numerator(self):
         # With u_a(x) = u(x/a), the unweighted energy scales by a^(d-p);
@@ -400,6 +538,22 @@ class TestEngineGuards:
             qd.QuadratureConfig(samples=samples)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("method", "bogus"), ("n_streams", 0), ("radial_nodes", 0),
+         ("angular_nodes", 0), ("angular_nodes", -2)],
+    )
+    def test_unusable_field_named(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            qd.QuadratureConfig(**{field: value})
+
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_sample_count_is_an_mc_knob(self, samples):
+        # The product rule never reads it; the sampler refuses it anyway.
+        cfg = qd.QuadratureConfig(method="product", samples=samples)
+        with pytest.raises(DomainError, match="samples must be >= 2"):
+            qd.mc_integral(lambda X: np.ones(len(X)), 2, cfg, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
         "r_min, r_max",
         [(1e-6, -1.0), (-1e-6, 40.0), (2.0, 2.0), (1e-6, math.nan)],
     )
@@ -481,13 +635,16 @@ class TestProductBlocks:
         u = gaussian_trial(vandermonde(d), 1.3)
 
         def hardy(X):
-            return u.grad_norm_sq(X) ** 1.25 * qd._weight(X, 0.5)
+            return u.grad_norm_sq(X) ** 1.25 * qd._weight(qd.row_dot(X, X),
+                                                          0.5)
 
         def rellich(X):
-            return np.abs(u.laplacian(X)) ** 3.0 * qd._weight(X, -1.0)
+            return np.abs(u.laplacian(X)) ** 3.0 * qd._weight(
+                qd.row_dot(X, X), -1.0)
 
         def mass(X):
-            return np.abs(u.value(X)) ** 2.0 * qd._weight(X, 2.0)
+            return np.abs(u.value(X)) ** 2.0 * qd._weight(qd.row_dot(X, X),
+                                                         2.0)
 
         def rare(X):
             # Non-finite at a few nodes near |x| = 1: few enough that the
