@@ -13,11 +13,14 @@ Inadmissible parameter combinations do not raise: the algebraic value is
 still computed (NaN when it is not real) and flagged ``admissible=False``,
 so sweep tools can plot the admissibility boundary.  Hard preconditions
 such as ``p >= 2`` for the class-restricted Hardy formulas, and finite
-``p`` and ``gamma`` everywhere, do raise.
+``p`` and ``gamma`` everywhere, do raise, and so does a formula whose
+value or intermediate overflows a float (for example the Rellich
+constants at d = 5, p = 400).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -120,6 +123,23 @@ def _real_power(base, p):
     return float("nan")
 
 
+def _refuse_overflow(formula):
+    """Raise a float overflow inside ``formula`` as ``OutOfRangeError``."""
+
+    @functools.wraps(formula)
+    def constant(d, p, gamma=0.0):
+        try:
+            return formula(d, p, gamma)
+        except OverflowError as exc:
+            raise OutOfRangeError(
+                f"{formula.__name__} overflows a float at d={d}, p={p}, "
+                f"gamma={gamma}"
+            ) from exc
+
+    return constant
+
+
+@_refuse_overflow
 def classical_hardy(d, p, gamma=0.0):
     """(|d - p - gamma| / p)**p, the unrestricted weighted Hardy constant;
     vanishes at p + gamma = d."""
@@ -130,6 +150,7 @@ def classical_hardy(d, p, gamma=0.0):
     return ConstantValue(value, "classical_hardy", True)
 
 
+@_refuse_overflow
 def hardy_antisymmetric(d, p, gamma=0.0):
     """Antisymmetric-class Hardy constant.
 
@@ -150,6 +171,7 @@ def hardy_antisymmetric(d, p, gamma=0.0):
     return ConstantValue(value, "hardy_antisymmetric", admissible)
 
 
+@_refuse_overflow
 def hardy_odd(d, p, gamma=0.0):
     """Odd-class Hardy constant.
 
@@ -164,6 +186,7 @@ def hardy_odd(d, p, gamma=0.0):
     return ConstantValue(value, "hardy_odd", base >= 0.0)
 
 
+@_refuse_overflow
 def rellich_mitidieri(d, p, gamma=0.0):
     """Unrestricted weighted Rellich constant.
 
@@ -182,6 +205,7 @@ def rellich_mitidieri(d, p, gamma=0.0):
     return ConstantValue(value, "rellich_mitidieri", residual > 0.0, residual)
 
 
+@_refuse_overflow
 def rellich_antisymmetric(d, p, gamma=0.0):
     """Antisymmetric-class Rellich constant, (N / p^2)^p with
 
@@ -200,6 +224,7 @@ def rellich_antisymmetric(d, p, gamma=0.0):
     return ConstantValue(value, "rellich_antisymmetric", d >= 2 and N >= 0.0, N)
 
 
+@_refuse_overflow
 def rellich_odd(d, p, gamma=0.0):
     """Odd-class Rellich constant, (N / p^2)^p with
 

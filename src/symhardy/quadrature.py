@@ -30,6 +30,14 @@ one-dimensional quadrature.  This is the route the sharpness sweeps use,
 since power-law tails defeat the gamma importance density.
 ``separable_mass`` multiplies the moment back in where the absolute
 weighted mass is wanted.
+
+scipy is imported on first use, not with this module, so the constants
+tables, the certificate solve and the field checks never load it:
+``scipy.integrate.quad`` when a radial integral first needs ``quad``,
+and ``scipy.special.gammaln`` when the Monte Carlo sampler first
+normalizes its radial density.  ``gammaln`` is not swapped for
+``math.lgamma``: the two differ in the last bits for many arguments, which
+would change the Monte Carlo estimates and the CLI bytes.
 """
 
 from __future__ import annotations
@@ -39,8 +47,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .constants import (
     ConstantValue,
@@ -271,6 +277,9 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
     integrals listed in ``members``, which all drew X.  One stream's draws
     are held at a time.
     """
+    # scipy's gammaln, not math.lgamma: they differ in the last bits.
+    from scipy.special import gammaln
+
     _check_samples(config.samples)
     groups = {}
     for i, (k, s) in enumerate(proposals):
@@ -633,7 +642,16 @@ def _power_primitive(lo, hi, q):
     return (hi ** (q + 1.0) - lo ** (q + 1.0)) / (q + 1.0)
 
 
+def quad(fn, lo, hi, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(fn, lo, hi, **kwargs)
+
+
 def _quad(fn, lo, hi):
+    # Looks ``quad`` up as a module global on every call, so patching
+    # ``quadrature.quad`` reaches every radial integral.
     try:
         return quad(fn, lo, hi, limit=200)
     except OverflowError as exc:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -329,6 +333,14 @@ class TestBadInput:
             (["minimax", "--gap-tol=-1"], "UsageError"),
             (["minimax", "--gap-tol", "0"], "UsageError"),
             (["minimax", "--gap-tol", "abc"], "UsageError"),
+            # Constants that overflow a float: a power at p = 400, p**2 at
+            # p = 1e200.
+            (["constants", "--p", "400", "--class", "antisym", "--d", "5"],
+             "OutOfRangeError"),
+            (["constants", "--p", "1e200", "--class", "odd", "--d", "5"],
+             "OutOfRangeError"),
+            (["verify", "--p", "400", "--d", "5", "--functional", "rellich"],
+             "OutOfRangeError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
@@ -341,6 +353,18 @@ class TestBadInput:
         report = json.loads((tmp_path / "bad.csv.run.json").read_text())
         assert report["exit_code"] == 2
         assert report["error"]["class"] == error_class
+
+    def test_overflow_names_the_point(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(["constants", "--p", "400", "--class", "antisym",
+                    "--d", "5", "--out", str(out)]) == 2
+        report = json.loads((tmp_path / "c.csv.run.json").read_text())
+        assert report["error"] == {
+            "class": "OutOfRangeError",
+            "message": "rellich_antisymmetric overflows a float at d=5, "
+                       "p=400.0, gamma=0.0",
+        }
+        assert "error: rellich_antisymmetric overflows" in capsys.readouterr().err
 
     def test_bad_cutoff_is_named(self, capsys):
         # Not the symptom "denominator estimate is not positive".
@@ -395,3 +419,57 @@ class TestParsing:
         assert run(["constants", "--d", "3", "--p", "2", "--gamma=-1",
                     "--out", str(out)]) == 0
         assert any(r["gamma"] == "-1" for r in read_csv(out))
+
+
+# Run in a fresh interpreter: the test session has already imported scipy.
+_LOADED_MODULES_SCRIPT = textwrap.dedent("""
+    import io, sys
+    from contextlib import redirect_stderr, redirect_stdout
+
+    def loaded():
+        return sorted(m for m in ("scipy", "scipy.special", "scipy.integrate")
+                      if m in sys.modules)
+
+    def main(*argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(list(argv)) in (0, 1), argv
+        return loaded()
+
+    import symhardy.cli as cli
+    print("import", loaded())
+    print("constants", main("constants", "--d", "2..4", "--p", "2,3"))
+    print("minimax", main("minimax", "--d", "3", "--p", "3"))
+    import numpy as np
+    from symhardy import fields, minimax
+    from symhardy.constants import FunctionClass, Params
+    params = Params(3, 3.0, 0.0, FunctionClass.ANTISYMMETRIC)
+    domain = fields.SectorDomain.for_params(params)
+    X = domain.sample_interior(50, np.random.default_rng(0))
+    opt = minimax.closed_form_optimum(params)
+    fields.certificate_many(X, opt.alpha, opt.beta, params, domain.factor)
+    print("certificate", loaded())
+    print("verify-mc", main("verify", "--d", "3", "--p", "3",
+                            "--samples", "2000"))
+    print("sharpness", main("sharpness", "--d", "3", "--epsilon", "0.2",
+                            "--delta", "0.05"))
+""")
+
+
+def test_scipy_loaded_only_where_used():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES_SCRIPT],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    steps = dict(line.split(" ", 1) for line in done.stdout.splitlines())
+    none = "[]"
+    assert steps == {
+        "import": none,
+        "constants": none,
+        "minimax": none,
+        "certificate": none,
+        "verify-mc": "['scipy', 'scipy.special']",
+        "sharpness": "['scipy', 'scipy.integrate', 'scipy.special']",
+    }

@@ -205,6 +205,46 @@ class TestNonFiniteArguments:
             fn(3, p, gamma)
 
 
+class TestOverflow:
+    # A finite p or gamma can still overflow a float in the formula; that
+    # used to escape as a bare OverflowError.
+    @pytest.mark.parametrize(
+        "fn", [cn.rellich_mitidieri, cn.rellich_antisymmetric, cn.rellich_odd],
+        ids=lambda f: f.__name__,
+    )
+    def test_rellich_power_overflow_named(self, fn):
+        with pytest.raises(OutOfRangeError, match="overflows") as exc:
+            fn(5, 400.0)
+        assert "d=5, p=400.0, gamma=0.0" in str(exc.value)
+        assert fn.__name__ in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "fn", [cn.hardy_antisymmetric, cn.hardy_odd], ids=lambda f: f.__name__
+    )
+    def test_hardy_p_squared_overflow_named(self, fn):
+        with pytest.raises(OutOfRangeError, match="overflows") as exc:
+            fn(3, 1e200, -1.0)
+        assert "d=3, p=1e+200, gamma=-1.0" in str(exc.value)
+
+    def test_classical_overflow_named(self):
+        with pytest.raises(OutOfRangeError, match="overflows"):
+            cn.classical_hardy(3, 2.0, 1e200)
+
+    def test_large_finite_values_still_computed(self):
+        # The Hardy constants at d = 5, p = 400 are representable.
+        assert cn.hardy_antisymmetric(5, 400.0).value == pytest.approx(
+            0.012701167890798244, rel=1e-15
+        )
+        assert cn.hardy_odd(5, 400.0).admissible
+
+    def test_wrapped_names_kept(self):
+        assert [fn.__name__ for fn in ALL_CONSTANTS] == [
+            "classical_hardy", "hardy_antisymmetric", "hardy_odd",
+            "rellich_mitidieri", "rellich_antisymmetric", "rellich_odd",
+        ]
+        assert cn.hardy_odd(3, 2.0, gamma=1.0) == cn.hardy_odd(3, 2.0, 1.0)
+
+
 class TestAsymptotics:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_large_p_limit(self, d):

@@ -516,6 +516,36 @@ class TestSharpnessQuotients:
         assert abs(a.value - b.value) <= max(a.error, b.error)
 
 
+class TestQuadPatchPoint:
+    """``quadrature.quad`` is the one name every radial 1-D integral calls:
+    patching it must reach them all."""
+
+    def test_separable_path_calls_the_module_global(self, monkeypatch):
+        calls = []
+        original = qd.quad
+
+        def counting(fn, lo, hi, **kwargs):
+            calls.append((lo, hi, kwargs))
+            return original(fn, lo, hi, **kwargs)
+
+        u = sharpness_family(vandermonde(3), 0.2, 0.05)
+        pr = Params(3, 2.0, 0.0, ANTI)
+        expected = qd.separable_rellich_quotient(u, pr)
+        monkeypatch.setattr(qd, "quad", counting)
+        assert qd.separable_rellich_quotient(u, pr) == expected
+        assert calls
+        assert all(kwargs == {"limit": 200} for _, _, kwargs in calls)
+
+    def test_patched_overflow_is_named(self, monkeypatch):
+        def overflowing(fn, lo, hi, **kwargs):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(qd, "quad", overflowing)
+        u = sharpness_family(vandermonde(3), 0.2, 0.05)
+        with pytest.raises(DomainError, match="overflows"):
+            qd.separable_rellich_quotient(u, Params(3, 2.0, 0.0, ANTI))
+
+
 class TestEngineGuards:
     def test_degenerate_samples_abort(self):
         def bad(X):
