@@ -24,10 +24,12 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
 For separable trials u = F psi(|x|) there is additionally an exact
 radial-reduction path: the sphere moment of |F|^p is a common factor of
 numerator and denominator, so the separable quotients cancel it without
-computing it and report the radial factors alone.  Pure-power profile
-segments integrate in closed form, and only collar/cutoff segments need
-one-dimensional quadrature.  This is the route the sharpness sweeps use,
-since power-law tails defeat the gamma importance density.
+computing it and report the radial factors alone.  Every radial integral
+is one loop over the profile's segments: closed forms on "power"
+segments, one-dimensional ``quad`` on "numeric" (collar and cutoff)
+segments, nothing on "zero" ones; a profile without segments is one
+numeric segment.  This is the route the sharpness sweeps use, since
+power-law tails defeat the gamma importance density.
 ``separable_mass`` multiplies the moment back in where the absolute
 weighted mass is wanted.
 
@@ -119,10 +121,11 @@ class QuadratureConfig:
             )
         if self.method == "mc":
             _check_samples(self.samples)
-        for name in ("n_streams", "radial_nodes", "angular_nodes"):
-            if getattr(self, name) < 1:
+        for name, least in (("seed", 0), ("n_streams", 1),
+                            ("radial_nodes", 1), ("angular_nodes", 1)):
+            if getattr(self, name) < least:
                 raise DomainError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
+                    f"{name} must be >= {least}, got {getattr(self, name)}"
                 )
         if not 0.0 <= self.r_min < self.r_max:
             raise DomainError(
@@ -292,8 +295,10 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
         + k * math.log(s)
         for k, s in groups
     }
-    children = np.random.SeedSequence(config.seed).spawn(config.n_streams)
     sizes = _chunk_sizes(config.samples, config.n_streams)
+    if sizes[0] * d * 8 > np.iinfo(np.intp).max:  # numpy's largest array
+        raise DomainError(f"samples={config.samples} is too large to draw")
+    children = np.random.SeedSequence(config.seed).spawn(config.n_streams)
     stats = [[] for _ in proposals]
     for child, m in zip(children, sizes):
         rng = np.random.default_rng(child)
@@ -510,12 +515,16 @@ def rellich_denominator(u: TrialFunction, params: Params, config: QuadratureConf
     return _estimates(u, params, config, [(0, 2)])[0]
 
 
-def _verify_class(u: TrialFunction, params: Params, seed):
+def _check_tag(u: TrialFunction, params: Params):
     if u.class_tag is not params.klass:
         raise SymmetryClassError(
             f"trial is tagged {u.class_tag.value}, params declare "
             f"{params.klass.value}"
         )
+
+
+def _verify_class(u: TrialFunction, params: Params, seed):
+    _check_tag(u, params)
     if params.klass is FunctionClass.GENERAL:
         return
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
@@ -527,36 +536,27 @@ def _verify_class(u: TrialFunction, params: Params, seed):
         )
 
 
-def _margin(quotient, constant, q_err):
-    """(quotient - constant) in units of q_err.  Without an error bar the
-    comparison is exact: infinitely many sigmas on the side where the
-    quotient lies, or 0 when it equals the constant."""
-    diff = quotient - constant
+def _report(num: Estimate, den: Estimate, quotient, q_err,
+            ref: ConstantValue, functional):
+    """The report, with margin (quotient - constant) / q_err.  Without an
+    error bar the comparison is exact: infinitely many sigmas on the side
+    where the quotient lies, or 0 when it equals the constant."""
+    diff = quotient - ref.value
     if q_err > 0.0:
-        return diff / q_err
-    return math.copysign(math.inf, diff) if diff else 0.0
+        margin = diff / q_err
+    else:
+        margin = math.copysign(math.inf, diff) if diff else 0.0
+    return QuotientReport(num, den, quotient, q_err, ref.value, margin,
+                          functional.value, ref.formula_id)
 
 
 def _build_report(num: Estimate, den: Estimate, ref: ConstantValue, functional):
     if den.value <= 0.0:
         raise DomainError("denominator estimate is not positive")
     quotient = num.value / den.value
-    rel = math.hypot(
-        num.error / num.value if num.value else 0.0,
-        den.error / den.value,
-    )
-    q_err = abs(quotient) * rel
-    margin = _margin(quotient, ref.value, q_err)
-    return QuotientReport(
-        numerator=num,
-        denominator=den,
-        quotient=quotient,
-        quotient_error=q_err,
-        reference_constant=ref.value,
-        margin=margin,
-        functional=functional.value,
-        formula_id=ref.formula_id,
-    )
+    rel = math.hypot(num.error / num.value if num.value else 0.0,
+                     den.error / den.value)
+    return _report(num, den, quotient, abs(quotient) * rel, ref, functional)
 
 
 def rayleigh_quotient(
@@ -605,27 +605,14 @@ def vandermonde_sphere_moment_p2(d):
     return math.exp(log_m)
 
 
-def angular_moment(factor, p, nodes=96, seed=0, mc_samples=200_000):
-    """Estimate of the sphere integral of |F|^p."""
-    d = factor.dimension
-    if d <= MAX_PRODUCT_DIM:
-        pts, w = sphere_grid(factor.dimension, nodes)
-        fine = float(w @ np.abs(factor.value(pts)) ** p)
-        pts_c, w_c = sphere_grid(factor.dimension, max(nodes // 2, 4))
-        coarse = float(w_c @ np.abs(factor.value(pts_c)) ** p)
-        return Estimate(fine, abs(fine - coarse) + 1e-15 * abs(fine),
-                        len(w), 0, "product")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((mc_samples, d))
-    z /= np.sqrt(row_dot(z, z))[:, None]
-    vals = np.abs(factor.value(z)) ** p * sphere_area(d)
-    return Estimate(
-        float(vals.mean()),
-        float(vals.std(ddof=1) / math.sqrt(mc_samples)),
-        mc_samples,
-        0,
-        "mc",
-    )
+def angular_moment(factor, p, nodes=96):
+    """Sphere integral of |F|^p by the tensor rule (d <= 4)."""
+    pts, w = sphere_grid(factor.dimension, nodes)
+    fine = float(w @ np.abs(factor.value(pts)) ** p)
+    pts_c, w_c = sphere_grid(factor.dimension, max(nodes // 2, 4))
+    coarse = float(w_c @ np.abs(factor.value(pts_c)) ** p)
+    return Estimate(fine, abs(fine - coarse) + 1e-15 * abs(fine),
+                    len(w), 0, "product")
 
 
 def _power_primitive(lo, hi, q):
@@ -660,91 +647,58 @@ def _quad(fn, lo, hi):
         ) from exc
 
 
-def radial_mass(profile, m, p):
-    """(value, error) of the integral of r^m psi(r)^p over (0, inf)."""
-    if profile.segments is None:
-        return _quad(lambda r: r**m * float(profile.psi(r)) ** p, 0.0, math.inf)
-    total, err = 0.0, 0.0
-    for seg in profile.segments:
-        if seg[0] == "zero":
-            continue
-        if seg[0] == "power":
-            _, lo, hi, rho = seg
-            total += _power_primitive(lo, hi, m - p * rho)
-        else:
-            _, lo, hi = seg
-            v, e = _quad(lambda r: r**m * float(profile.psi(r)) ** p, lo, hi)
-            total += v
-            err += e
-    return total, err
+def _radial_integrals(profile, terms):
+    """Integrals over (0, inf) of each term, and their summed quad error.
 
-
-def radial_second_order(profile, m, p, c):
-    """(value, error) of the integral of r^m |psi'' + c psi'/r|^p."""
-
-    def local(r):
-        return float(profile.d2psi(r)) + c * float(profile.dpsi(r)) / r
-
-    if profile.segments is None:
-        return _quad(lambda r: r**m * abs(local(r)) ** p, 0.0, math.inf)
-    total, err = 0.0, 0.0
-    for seg in profile.segments:
-        if seg[0] == "zero":
-            continue
-        if seg[0] == "power":
-            _, lo, hi, rho = seg
-            coef = abs(rho * (rho + 1.0 - c)) ** p
-            total += coef * _power_primitive(lo, hi, m - p * (rho + 2.0))
-        else:
-            _, lo, hi = seg
-            v, e = _quad(lambda r: r**m * abs(local(r)) ** p, lo, hi)
-            total += v
-            err += e
-    return total, err
-
-
-def radial_hardy_forms(profile, q0):
-    """I1 = int r^q0 psi^2, I2 = int r^(q0+1) psi psi', I3 = int r^(q0+2) psi'^2."""
-    if profile.segments is None:
-        i1 = _quad(lambda r: r**q0 * float(profile.psi(r)) ** 2, 0.0, math.inf)
-        i2 = _quad(
-            lambda r: r ** (q0 + 1.0) * float(profile.psi(r)) * float(profile.dpsi(r)),
-            0.0,
-            math.inf,
-        )
-        i3 = _quad(
-            lambda r: r ** (q0 + 2.0) * float(profile.dpsi(r)) ** 2, 0.0, math.inf
-        )
-        return (i1[0], i2[0], i3[0]), i1[1] + i2[1] + i3[1]
-    I = [0.0, 0.0, 0.0]
+    A term is (integrand, closed): ``integrand(r)`` is integrated by
+    ``quad`` on "numeric" segments, ``closed(lo, hi, rho)`` gives the
+    integral over a "power" segment where psi = r^(-rho), and "zero"
+    segments add nothing.  A profile without segments is one numeric
+    segment on (0, inf).
+    """
+    totals = [0.0] * len(terms)
     err = 0.0
-    for seg in profile.segments:
-        if seg[0] == "zero":
-            continue
-        if seg[0] == "power":
-            _, lo, hi, rho = seg
-            base = _power_primitive(lo, hi, q0 - 2.0 * rho)
-            I[0] += base
-            I[1] += -rho * base
-            I[2] += rho * rho * base
-        else:
-            _, lo, hi = seg
-            v1, e1 = _quad(lambda r: r**q0 * float(profile.psi(r)) ** 2, lo, hi)
-            v2, e2 = _quad(
-                lambda r: r ** (q0 + 1.0)
-                * float(profile.psi(r))
-                * float(profile.dpsi(r)),
-                lo,
-                hi,
-            )
-            v3, e3 = _quad(
-                lambda r: r ** (q0 + 2.0) * float(profile.dpsi(r)) ** 2, lo, hi
-            )
-            I[0] += v1
-            I[1] += v2
-            I[2] += v3
-            err += e1 + e2 + e3
-    return tuple(I), err
+    segments = profile.segments or (("numeric", 0.0, math.inf),)
+    for kind, lo, hi, *rho in segments:
+        if kind == "power":
+            for i, (_, closed) in enumerate(terms):
+                totals[i] += closed(lo, hi, *rho)
+        elif kind == "numeric":
+            results = [_quad(integrand, lo, hi) for integrand, _ in terms]
+            totals = [t + value for t, (value, _) in zip(totals, results)]
+            err += sum(error for _, error in results)
+    return totals, err
+
+
+def _mass_term(profile, m, p):
+    """r^m psi^p."""
+    return (
+        lambda r: r**m * float(profile.psi(r)) ** p,
+        lambda lo, hi, rho: _power_primitive(lo, hi, m - p * rho),
+    )
+
+
+def _second_order_term(profile, m, p, c):
+    """r^m |psi'' + c psi'/r|^p."""
+    dpsi, d2psi = profile.dpsi, profile.d2psi
+    return (
+        lambda r: r**m * abs(float(d2psi(r)) + c * float(dpsi(r)) / r) ** p,
+        lambda lo, hi, rho: (abs(rho * (rho + 1.0 - c)) ** p
+                             * _power_primitive(lo, hi, m - p * (rho + 2.0))),
+    )
+
+
+def _hardy_terms(profile, q0):
+    """r^q0 psi^2, r^(q0+1) psi psi' and r^(q0+2) psi'^2."""
+    psi, dpsi = profile.psi, profile.dpsi
+    mass, base = _mass_term(profile, q0, 2.0)
+    return (
+        (mass, base),
+        (lambda r: r ** (q0 + 1.0) * float(psi(r)) * float(dpsi(r)),
+         lambda lo, hi, rho: -rho * base(lo, hi, rho)),
+        (lambda r: r ** (q0 + 2.0) * float(dpsi(r)) ** 2,
+         lambda lo, hi, rho: rho * rho * base(lo, hi, rho)),
+    )
 
 
 def separable_mass(u: TrialFunction, params: Params, weight_exponent):
@@ -757,10 +711,17 @@ def separable_mass(u: TrialFunction, params: Params, weight_exponent):
     lam = u.angular.homogeneity
     mom = angular_moment(u.angular, p)
     m = p * lam + d - 1.0 - weight_exponent
-    rad, rad_err = radial_mass(u.radial, m, p)
-    value = mom.value * rad
+    (rad,), rad_err = _radial_integrals(u.radial, [_mass_term(u.radial, m, p)])
     err = abs(rad) * mom.error + mom.value * rad_err
-    return Estimate(value, err, mom.n, 0, "separable")
+    return Estimate(mom.value * rad, err, mom.n, 0, "separable")
+
+
+def _separable_homogeneity(u: TrialFunction, params: Params):
+    """The degree of u's angular factor, once the reduction applies."""
+    _check_tag(u, params)
+    if u.angular.kind not in (AngularKind.VANDERMONDE, AngularKind.ODD_LINEAR):
+        raise DomainError("the reduction needs a harmonic built-in factor")
+    return u.angular.homogeneity
 
 
 def separable_hardy_quotient(u: TrialFunction, params: Params):
@@ -772,35 +733,23 @@ def separable_hardy_quotient(u: TrialFunction, params: Params):
     report carries them, without the moment, as its numerator and
     denominator.
     """
-    p, d, gamma = params.p, params.d, params.gamma
-    if abs(p - 2.0) > 1e-12:
+    d, gamma = params.d, params.gamma
+    if abs(params.p - 2.0) > 1e-12:
         raise DomainError("the radial reduction of the gradient needs p = 2")
-    if u.angular.kind not in (AngularKind.VANDERMONDE, AngularKind.ODD_LINEAR):
-        raise DomainError("the reduction needs a harmonic built-in factor")
-    lam = u.angular.homogeneity
+    lam = _separable_homogeneity(u, params)
     q0 = 2.0 * lam + d - 3.0 - gamma
-    (i1, i2, i3), err = radial_hardy_forms(u.radial, q0)
+    (i1, i2, i3), err = _radial_integrals(u.radial, _hardy_terms(u.radial, q0))
     if i1 <= 0.0:
         raise DomainError("degenerate radial mass")
     g2_over_m2 = lam * (2.0 * lam + d - 2.0)
+    # Not num / den: the division rounds differently.
     quotient = g2_over_m2 + (2.0 * lam * i2 + i3) / i1
     num = Estimate(g2_over_m2 * i1 + 2.0 * lam * i2 + i3, err, 0, 0,
                    "separable")
     den = Estimate(i1, err, 0, 0, "separable")
     ref = reference_constant(params, Functional.HARDY)
-    rel_err = err * (1.0 + abs(quotient)) / i1
-    q_err = max(rel_err, 1e-14 * abs(quotient))
-    margin = _margin(quotient, ref.value, q_err)
-    return QuotientReport(
-        numerator=num,
-        denominator=den,
-        quotient=quotient,
-        quotient_error=q_err,
-        reference_constant=ref.value,
-        margin=margin,
-        functional=Functional.HARDY.value,
-        formula_id=ref.formula_id,
-    )
+    q_err = max(err * (1.0 + abs(quotient)) / i1, 1e-14 * abs(quotient))
+    return _report(num, den, quotient, q_err, ref, Functional.HARDY)
 
 
 def separable_rellich_quotient(u: TrialFunction, params: Params):
@@ -812,14 +761,14 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
     those radial integrals as its numerator and denominator.
     """
     p, d, gamma = params.p, params.d, params.gamma
-    if u.angular.kind not in (AngularKind.VANDERMONDE, AngularKind.ODD_LINEAR):
-        raise DomainError("the reduction needs a harmonic built-in factor")
-    lam = u.angular.homogeneity
+    lam = _separable_homogeneity(u, params)
     c = d - 1.0 + 2.0 * lam
     m_num = p * lam + d - 1.0 - gamma
     m_den = p * lam + d - 1.0 - 2.0 * p - gamma
-    num_rad, num_err = radial_second_order(u.radial, m_num, p, c)
-    den_rad, den_err = radial_mass(u.radial, m_den, p)
+    num_term = _second_order_term(u.radial, m_num, p, c)
+    (num_rad,), num_err = _radial_integrals(u.radial, [num_term])
+    den_term = _mass_term(u.radial, m_den, p)
+    (den_rad,), den_err = _radial_integrals(u.radial, [den_term])
     if den_rad <= 0.0:
         raise DomainError("degenerate radial mass")
     quotient = num_rad / den_rad
@@ -828,14 +777,4 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
     ref = reference_constant(params, Functional.RELLICH)
     rel = num_err / num_rad + den_err / den_rad
     q_err = max(abs(quotient) * rel, 1e-14 * abs(quotient))
-    margin = _margin(quotient, ref.value, q_err)
-    return QuotientReport(
-        numerator=num,
-        denominator=den,
-        quotient=quotient,
-        quotient_error=q_err,
-        reference_constant=ref.value,
-        margin=margin,
-        functional=Functional.RELLICH.value,
-        formula_id=ref.formula_id,
-    )
+    return _report(num, den, quotient, q_err, ref, Functional.RELLICH)

@@ -312,6 +312,11 @@ class TestBadInput:
             (["verify", "--samples", "abc"], "UsageError"),
             (["verify", "--samples", "0"], "DomainError"),
             (["verify", "--samples=-3"], "DomainError"),
+            # numpy refuses these before allocating anything.
+            (["verify", "--samples", "1e30"], "DomainError"),
+            (["verify", "--samples", "1e19"], "DomainError"),
+            (["verify", "--seed=-1"], "DomainError"),
+            (["verify", "--method", "product", "--seed=-1"], "DomainError"),
             (["verify", "--sigma", "0"], "DomainError"),
             (["verify", "--d", ""], "UsageError"),
             (["minimax", "--p", ""], "UsageError"),

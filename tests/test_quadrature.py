@@ -54,6 +54,8 @@ class TestSphereRules:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimensionError):
             qd.sphere_grid(5, 8)
+        with pytest.raises(UnsupportedDimensionError):
+            qd.angular_moment(vandermonde(5), 2.0)
 
 
 class TestOneDimensionalOracles:
@@ -410,11 +412,22 @@ class TestQuotients:
         rep = qd.separable_hardy_quotient(gaussian_trial(vandermonde(2), 1.0), pr)
         assert rep.quotient == pytest.approx(2.0, rel=1e-12)
 
-    def test_symmetry_tag_mismatch_refused(self):
+    @pytest.mark.parametrize(
+        "quotient",
+        [
+            lambda u, pr: qd.rayleigh_quotient(u, Functional.HARDY, pr, CFG),
+            qd.separable_hardy_quotient,
+            qd.separable_rellich_quotient,
+        ],
+        ids=["rayleigh", "separable-hardy", "separable-rellich"],
+    )
+    def test_symmetry_tag_mismatch_refused(self, quotient):
+        # The separable quotients would otherwise compare an odd trial
+        # with the antisymmetric constant and report a false violation.
         pr = Params(3, 2.0, 0.0, ANTI)
         u = gaussian_trial(odd_linear(3), 1.0)  # tagged odd
-        with pytest.raises(SymmetryClassError):
-            qd.rayleigh_quotient(u, Functional.HARDY, pr, CFG)
+        with pytest.raises(SymmetryClassError, match="tagged odd"):
+            quotient(u, pr)
 
     def test_actual_class_violation_refused(self):
         # (x1 + x2) is symmetric, not antisymmetric; lying about the tag
@@ -471,6 +484,55 @@ class TestSeparableReports:
                 rep.quotient, rel=1e-12
             )
             assert rep.quotient >= rep.reference_constant
+
+    @pytest.mark.parametrize(
+        "quotient, trial, params, pinned",
+        [
+            (qd.separable_rellich_quotient,
+             lambda: sharpness_family(vandermonde(3), 0.2, 0.05),
+             Params(3, 2.0, 0.0, ANTI),
+             (129.03582904603272, 1.0139001892821528e-09,
+              644.63024504079488, 5.0650438116192531e-09,
+              4.9957461412583868, 1.1171052976171229e-15)),
+            (qd.separable_hardy_quotient,
+             lambda: sharpness_family(odd_linear(3), 0.1, 0.02,
+                                      functional="hardy"),
+             Params(3, 2.0, 0.0, ODD),
+             (2.260419177286193, 2.2604191772861931e-14,
+              22.583028026793688, 2.2338061338705529e-15,
+              9.9906372471615423, 2.2338061338705529e-15)),
+            (qd.separable_hardy_quotient,
+             lambda: sharpness_family(odd_linear(4), 0.1, 0.01,
+                                      functional="hardy"),
+             Params(4, 2.0, 0.0, ODD),
+             (4.0104165975135553, 4.0104165975135554e-14,
+              40.066583105329762, 1.7061837129222825e-15,
+              9.990628686847872, 1.7061837129222825e-15)),
+            (qd.separable_hardy_quotient,
+             lambda: gaussian_trial(odd_linear(3), 1.0),
+             Params(3, 2.0, 1.0, ODD),
+             (2.9999999999999982, 1.2727848606887082e-07,
+              1.4999999999999996, 1.5909810758608862e-08,
+              0.50000000000000011, 1.5909810758608862e-08)),
+            (qd.separable_rellich_quotient,
+             lambda: gaussian_trial(vandermonde(3), 1.0),
+             Params(3, 2.5, 1.0, ANTI),
+             (618.69249236480232, 1.0338066888414505e-05,
+              212.14285918471901, 2.7668271738723801e-06,
+              0.34288901482197442, 1.2574621581168621e-09)),
+        ],
+        ids=["collar-rellich", "collar-hardy", "collar-hardy-d4",
+             "gaussian-hardy", "gaussian-rellich"],
+    )
+    def test_reports_pinned(self, quotient, trial, params, pinned):
+        # Exact 17-digit quotients, error bars and radial factors.  The d = 4
+        # collar moves if the segment loop adds the quad errors of a
+        # segment in another order, the Gaussian Hardy row if its quotient
+        # becomes numerator / denominator.
+        rep = quotient(trial(), params)
+        assert (rep.quotient, rep.quotient_error,
+                rep.numerator.value, rep.numerator.error,
+                rep.denominator.value, rep.denominator.error) == pinned
 
 
 class TestSharpnessQuotients:
@@ -570,7 +632,7 @@ class TestEngineGuards:
     @pytest.mark.parametrize(
         "field, value",
         [("method", "bogus"), ("n_streams", 0), ("radial_nodes", 0),
-         ("angular_nodes", 0), ("angular_nodes", -2)],
+         ("angular_nodes", 0), ("angular_nodes", -2), ("seed", -1)],
     )
     def test_unusable_field_named(self, field, value):
         with pytest.raises(DomainError, match=field):
