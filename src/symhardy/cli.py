@@ -76,26 +76,6 @@ _FACTORS = {
 
 
 @dataclass
-class RunManifest:
-    command: str
-    params: dict
-    quadrature: dict | None
-    seed: int | None
-    version: str
-    schema_version: int = SCHEMA_VERSION
-
-    def as_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "version": self.version,
-            "command": self.command,
-            "seed": self.seed,
-            "params": self.params,
-            "quadrature": self.quadrature,
-        }
-
-
-@dataclass
 class Sweep:
     """What a subcommand contributes to the one sweep in ``main``.
 
@@ -173,7 +153,7 @@ def _json_safe(value):
 def _emit(rows, manifest, fmt, out_path):
     if fmt == "json":
         doc = {
-            "manifest": manifest.as_dict(),
+            "manifest": manifest,
             "rows": [
                 {c: _json_safe(v) for c, v in row.items()} for row in rows
             ],
@@ -191,17 +171,17 @@ def _emit(rows, manifest, fmt, out_path):
             handle.write(payload)
         if fmt == "csv":
             with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
-                json.dump(manifest.as_dict(), handle, indent=2)
+                json.dump(manifest, handle, indent=2)
                 handle.write("\n")
     else:
         sys.stdout.write(payload)
         if fmt == "csv":
-            print(json.dumps({"manifest": manifest.as_dict()}), file=sys.stderr)
+            print(json.dumps({"manifest": manifest}), file=sys.stderr)
 
 
 def _write_run_report(args, manifest, checks, wall_clock, exit_code, error):
     report = {
-        "manifest": manifest.as_dict() if manifest else None,
+        "manifest": manifest,
         "wall_clock_s": wall_clock,
         "checks": [{"name": name, "pass": ok} for name, ok in checks.items()],
         "exit_code": exit_code,
@@ -492,8 +472,14 @@ def main(argv=None):
         sweep = args.func(args)
         if not sweep.points:
             raise UsageError("empty parameter grid")
-        manifest = RunManifest(args.command, sweep.params, sweep.quadrature,
-                               sweep.seed, __version__)
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "version": __version__,
+            "command": args.command,
+            "seed": sweep.seed,
+            "params": sweep.params,
+            "quadrature": sweep.quadrature,
+        }
         for point in sweep.points:
             point_rows, (name, ok) = sweep.row(*point)
             rows.extend(point_rows)

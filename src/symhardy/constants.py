@@ -100,9 +100,9 @@ class ConstantValue:
         return float(self.value)
 
 
-def _check_d(d, minimum=1):
-    if int(d) != d or d < minimum:
-        raise InvalidDimensionError(f"d must be an integer >= {minimum}")
+def _check_d(d):
+    if int(d) != d or d < 1:
+        raise InvalidDimensionError("d must be an integer >= 1")
 
 
 def _check_args(d, p, gamma):
@@ -275,15 +275,17 @@ class AsymptoticsReport:
     rellich_rate_ratios: tuple
 
 
-def asymptotic_checks(d, p=2.0, p_grid=(1e2, 1e3, 1e4), d_grid=(10, 100, 1000)):
+def asymptotic_checks(d, p=2.0):
     """Sanity report for the large-p and large-d behavior.
 
-    For fixed d, both class constants converge to exp(-d) as p grows; for
-    fixed p the antisymmetric constant grows like (d^2/p)^p, the classical
-    one like (d/p)^p, and the antisymmetric Rellich constant like
-    ((p-1) d^4 / p^2)^p.
+    For fixed d, both class constants converge to exp(-d) as p grows
+    (checked at p = 1e2, 1e3, 1e4); for fixed p the antisymmetric constant
+    grows like (d^2/p)^p, the classical one like (d/p)^p, and the
+    antisymmetric Rellich constant like ((p-1) d^4 / p^2)^p (checked at
+    d = 10, 100, 1000).
     """
     _check_d(d)
+    p_grid, d_grid = (1e2, 1e3, 1e4), (10, 100, 1000)
     limit = math.exp(-d)
     a_gaps = tuple(abs(hardy_antisymmetric(d, q).value - limit) for q in p_grid)
     o_gaps = tuple(abs(hardy_odd(d, q).value - limit) for q in p_grid)
@@ -301,12 +303,12 @@ def asymptotic_checks(d, p=2.0, p_grid=(1e2, 1e3, 1e4), d_grid=(10, 100, 1000)):
         d=d,
         p=p,
         limit=limit,
-        p_grid=tuple(p_grid),
+        p_grid=p_grid,
         antisym_gaps=a_gaps,
         odd_gaps=o_gaps,
         antisym_gaps_decreasing=a_dec,
         odd_gaps_decreasing=o_dec,
-        d_grid=tuple(d_grid),
+        d_grid=d_grid,
         antisym_rate_ratios=a_ratio,
         classical_rate_ratios=c_ratio,
         rellich_rate_ratios=r_ratio,

@@ -27,7 +27,12 @@ from enum import Enum
 import numpy as np
 
 from .constants import FunctionClass, Params
-from .errors import InvalidDimensionError, OutOfRangeError, SingularPointError
+from .errors import (
+    DegenerateSampleError,
+    InvalidDimensionError,
+    OutOfRangeError,
+    SingularPointError,
+)
 from .polynomials import AngularFactor, odd_linear, row_dot, row_sum, vandermonde
 
 __all__ = [
@@ -95,24 +100,21 @@ class SectorDomain:
             dist = np.abs(row_sum(X.T)) / np.sqrt(self.dimension)
         return float(dist[0]) if np.asarray(x).ndim == 1 else dist
 
-    def sample_interior(
-        self,
-        n,
-        rng,
-        tube=1e-6,
-        origin_ball=1e-6,
-        scale=1.0,
-    ):
-        """Draw n interior points, excluding a tube around the boundary and
-        a ball at the origin where the certificate is numerically singular."""
+    def sample_interior(self, n, rng, tube=1e-6, origin_ball=1e-6):
+        """Draw n standard normal interior points, excluding a tube around
+        the boundary and a ball at the origin where the certificate is
+        numerically singular.  Gives up after 200 draws of max(n, 128)."""
         d = self.dimension
         out = np.empty((0, d))
         attempts = 0
         while len(out) < n:
             attempts += 1
             if attempts > 200:
-                raise RuntimeError("interior sampling failed to converge")
-            X = scale * rng.standard_normal((max(n, 128), d))
+                raise DegenerateSampleError(
+                    f"interior sampling kept {len(out)} of n={n} points after "
+                    f"200 draws with tube={tube:g}, origin_ball={origin_ball:g}"
+                )
+            X = rng.standard_normal((max(n, 128), d))
             if self.kind is SectorKind.ORDERED_SECTOR:
                 X = np.sort(X, axis=1)
             else:
@@ -139,23 +141,34 @@ def _prepare(x, params, factor):
     return X, r2, F, factor.gradient(X)
 
 
+def _field(X, F, G, r, rp, alpha, beta, params):
+    """T = alpha x / |x|^p - beta grad F / (F |x|^(p-2)), given r and r^p."""
+    q = params.p - 2.0
+    return alpha * X / rp[:, None] - beta * G / (F * r**q)[:, None]
+
+
+def _divergence(F, G, r, rp, alpha, beta, params, lam):
+    """Closed-form div T, given r and r^p."""
+    p = params.p
+    return (alpha * (params.d - p) + beta * (p - 2.0) * lam) / rp + beta * (
+        row_dot(G, G) / (F * F)
+    ) / r ** (p - 2.0)
+
+
 def field_T(x, alpha, beta, params: Params, factor: AngularFactor):
     """alpha x / |x|^p - beta grad F / (F |x|^(p-2)) at interior points."""
     X, r2, F, G = _prepare(x, params, factor)
-    p = params.p
     r = np.sqrt(r2)
-    T = alpha * X / r[:, None] ** p - beta * G / (F * r ** (p - 2.0))[:, None]
+    T = _field(X, F, G, r, r**params.p, alpha, beta, params)
     return T[0] if np.asarray(x).ndim == 1 else T
 
 
 def divergence_T(x, alpha, beta, params: Params, factor: AngularFactor):
     """Closed-form divergence, valid for harmonic homogeneous factors."""
     X, r2, F, G = _prepare(x, params, factor)
-    p, d, lam = params.p, params.d, factor.homogeneity
     r = np.sqrt(r2)
-    div = (alpha * (d - p) + beta * (p - 2.0) * lam) / r**p + beta * (
-        row_dot(G, G) / (F * F)
-    ) / r ** (p - 2.0)
+    div = _divergence(F, G, r, r**params.p, alpha, beta, params,
+                      factor.homogeneity)
     return float(div[0]) if np.asarray(x).ndim == 1 else div
 
 
@@ -177,13 +190,11 @@ def certificate_many(X, alpha, beta, params: Params, factor: AngularFactor):
     if params.p < 2.0:
         raise OutOfRangeError("the pointwise certificate needs p >= 2")
     X, r2, F, G = _prepare(X, params, factor)
-    p, d, gamma, lam = params.p, params.d, params.gamma, factor.homogeneity
+    p, gamma = params.p, params.gamma
     r = np.sqrt(r2)
     rp = r**p
-    div = (alpha * (d - p) + beta * (p - 2.0) * lam) / rp + beta * (
-        row_dot(G, G) / (F * F)
-    ) / r ** (p - 2.0)
-    T = alpha * X / rp[:, None] - beta * G / (F * r ** (p - 2.0))[:, None]
+    div = _divergence(F, G, r, rp, alpha, beta, params, factor.homogeneity)
+    T = _field(X, F, G, r, rp, alpha, beta, params)
     T_sq = row_dot(T, T)
     x_dot_T = row_dot(X, T)
     return rp * (

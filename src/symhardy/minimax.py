@@ -185,6 +185,15 @@ def min_over_t(alpha, beta, params: Params):
     return t_star, f_certificate(t_star, alpha, beta, params)
 
 
+def _optimum_bracket(params: Params):
+    """A = (d - p - gamma + 2 lam) / 2 and the bracket (p-2+gamma) lam + A^2."""
+    p, lam = params.p, params.lam
+    if p < 2.0:
+        raise OutOfRangeError("the certificate optimum needs p >= 2")
+    A = (params.d - p - params.gamma + 2.0 * lam) / 2.0
+    return A, (p - 2.0 + params.gamma) * lam + A * A
+
+
 def closed_form_optimum(params: Params) -> CertificateParams:
     """The maximizing (alpha0, beta0) of the certificate value.
 
@@ -194,10 +203,7 @@ def closed_form_optimum(params: Params) -> CertificateParams:
     which is asserted here.
     """
     p, d, gamma, lam = params.p, params.d, params.gamma, params.lam
-    if p < 2.0:
-        raise OutOfRangeError("the certificate optimum needs p >= 2")
-    A = (d - p - gamma + 2.0 * lam) / 2.0
-    bracket = (p - 2.0 + gamma) * lam + A * A
+    A, bracket = _optimum_bracket(params)
     if bracket < 0.0:
         raise DomainError("the certificate bracket is negative for these params")
     K = bracket ** ((p - 2.0) / 2.0) * (2.0 / p) ** (p - 1.0)
@@ -212,12 +218,8 @@ def closed_form_optimum(params: Params) -> CertificateParams:
 
 def closed_form_value(params: Params) -> float:
     """The certificate maximum (2/p)^p ((p-2+gamma) lam + A^2)^(p/2)."""
-    p, d, gamma, lam = params.p, params.d, params.gamma, params.lam
-    if p < 2.0:
-        raise OutOfRangeError("the certificate optimum needs p >= 2")
-    A = (d - p - gamma + 2.0 * lam) / 2.0
-    bracket = (p - 2.0 + gamma) * lam + A * A
-    return (2.0 / p) ** p * bracket ** (p / 2.0)
+    p = params.p
+    return (2.0 / p) ** p * _optimum_bracket(params)[1] ** (p / 2.0)
 
 
 def g_envelope(alpha, beta, params: Params):

@@ -48,12 +48,7 @@ __all__ = [
     "vandermonde_value_exact",
     "vandermonde_gradient_exact",
     "vandermonde_laplacian_exact",
-    "MAX_EXPANSION_DIM",
 ]
-
-# Largest dimension for which the exact pair-omission expansion of second
-# derivatives is offered; beyond it the finite-difference backend is used.
-MAX_EXPANSION_DIM = 6
 
 # Largest dimension for the exact rational backend.
 MAX_EXACT_DIM = 4
@@ -130,10 +125,10 @@ class AngularFactor:
         g = self._gradient(X)
         return g[0] if single else g
 
-    def laplacian(self, x, backend="auto"):
+    def laplacian(self, x):
         X, single = _as_batch(x)
         self._check_dim(X)
-        v = self._laplacian(X, backend=backend)
+        v = self._laplacian(X)
         return float(v[0]) if single else v
 
     def schwarz_ratio(self, x):
@@ -234,24 +229,7 @@ class Vandermonde(AngularFactor):
             out[k] = acc
         return out
 
-    def _laplacian(self, X, backend="auto"):
-        d = self.dimension
-        if backend == "auto":
-            backend = "analytic" if d <= MAX_EXPANSION_DIM else "fd"
-        elif backend == "expansion":
-            if d > MAX_EXPANSION_DIM:
-                raise UnsupportedDimensionError(
-                    f"exact second derivatives are offered for d <= "
-                    f"{MAX_EXPANSION_DIM}; use the 'fd' backend beyond that"
-                )
-            backend = "analytic"
-        if backend == "analytic":
-            return self._laplacian_analytic(X)
-        if backend == "fd":
-            return self._laplacian_fd(X)
-        raise ValueError(f"unknown laplacian backend {backend!r}")
-
-    def _laplacian_analytic(self, X):
+    def _laplacian(self, X):
         # Second derivatives via twofold pair omission; exact polynomial
         # evaluation, no expansion into monomials needed.
         d = self.dimension
@@ -275,23 +253,6 @@ class Vandermonde(AngularFactor):
                     res += sj * sl * row_prod(keep)
         return res
 
-    def _laplacian_fd(self, X):
-        out = np.zeros(len(X))
-        for i, x in enumerate(X):
-            h = 1e-3 * max(1.0, float(np.max(np.abs(x))))
-            acc = 0.0
-            f0 = float(self._value(x[None, :])[0])
-            for k in range(self.dimension):
-                xp = x.copy()
-                xm = x.copy()
-                xp[k] += h
-                xm[k] -= h
-                fp = float(self._value(xp[None, :])[0])
-                fm = float(self._value(xm[None, :])[0])
-                acc += (fp - 2.0 * f0 + fm) / (h * h)
-            out[i] = acc
-        return out
-
 
 class OddLinear(AngularFactor):
     """The linear form sum_k x_k; odd, harmonic, homogeneous of order one."""
@@ -310,7 +271,7 @@ class OddLinear(AngularFactor):
     def _gradient(self, X):
         return np.ones_like(X)
 
-    def _laplacian(self, X, backend="auto"):
+    def _laplacian(self, X):
         return np.zeros(len(X))
 
 
@@ -319,25 +280,15 @@ class CustomFactor(AngularFactor):
 
     ``value_fn`` and ``gradient_fn`` should accept (n, d) arrays; plain
     pointwise callables are wrapped row by row.  The Euler relation is
-    verified statistically on construction, since everything downstream
-    silently relies on it.  If ``laplacian_fn`` is omitted the factor is
-    assumed harmonic.
+    verified on construction at 64 Gaussian points (seed 0, relative
+    tolerance 1e-6), since everything downstream silently relies on it.
+    If ``laplacian_fn`` is omitted the factor is assumed harmonic.
     """
 
     kind = AngularKind.CUSTOM
 
-    def __init__(
-        self,
-        dimension,
-        homogeneity,
-        value_fn,
-        gradient_fn,
-        laplacian_fn=None,
-        check=True,
-        check_points=64,
-        seed=0,
-        tol=1e-6,
-    ):
+    def __init__(self, dimension, homogeneity, value_fn, gradient_fn,
+                 laplacian_fn=None):
         if dimension < 1:
             raise InvalidDimensionError("custom factors need d >= 1")
         self.dimension = int(dimension)
@@ -345,8 +296,7 @@ class CustomFactor(AngularFactor):
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
         self._laplacian_fn = laplacian_fn
-        if check:
-            self._verify_euler(check_points, seed, tol)
+        self._verify_euler()
 
     def _value(self, X):
         v = np.asarray(self._value_fn(X), dtype=float)
@@ -360,7 +310,7 @@ class CustomFactor(AngularFactor):
             g = np.array([np.asarray(self._gradient_fn(row), dtype=float) for row in X])
         return g
 
-    def _laplacian(self, X, backend="auto"):
+    def _laplacian(self, X):
         if self._laplacian_fn is None:
             return np.zeros(len(X))
         v = np.asarray(self._laplacian_fn(X), dtype=float)
@@ -368,18 +318,17 @@ class CustomFactor(AngularFactor):
             v = np.array([float(self._laplacian_fn(row)) for row in X])
         return v
 
-    def _verify_euler(self, n, seed, tol):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, self.dimension))
+    def _verify_euler(self):
+        X = np.random.default_rng(0).standard_normal((64, self.dimension))
         v = self._value(X)
         g = self._gradient(X)
         res = np.abs(row_dot(X, g) - self.homogeneity * v)
         scale = 1.0 + np.abs(v) + row_sum(np.abs(X * g).T)
         worst = float(np.max(res / scale))
-        if worst > tol:
+        if worst > 1e-6:
             raise DomainError(
                 f"custom factor fails the Euler identity check "
-                f"(worst relative residual {worst:.3e} > {tol:.1e}); "
+                f"(worst relative residual {worst:.3e} > 1.0e-06); "
                 "the declared homogeneity order is inconsistent"
             )
 
@@ -392,7 +341,6 @@ def constant_factor(dimension):
         lambda X: np.ones(len(np.atleast_2d(X))),
         lambda X: np.zeros_like(np.atleast_2d(np.asarray(X, dtype=float))),
         laplacian_fn=lambda X: np.zeros(len(np.atleast_2d(X))),
-        check=False,
     )
 
 
@@ -429,15 +377,13 @@ def euler_residual(x, factor=None):
     return float(res[0]) if single else res
 
 
-def laplacian_residual(x, backend="auto"):
+def laplacian_residual(x):
     """Laplacian of the Vandermonde factor; identically zero up to rounding.
 
-    ``backend='expansion'`` forces the exact second-derivative route and
-    raises for d > 6; ``'fd'`` uses central second differences with a
-    documented 1e-4 tolerance; ``'auto'`` picks exact for d <= 6.
+    Evaluated exactly as a polynomial by twofold pair omission, at every d.
     """
     x = np.asarray(x, dtype=float)
-    return vandermonde(x.shape[-1]).laplacian(x, backend=backend)
+    return vandermonde(x.shape[-1]).laplacian(x)
 
 
 def schwarz_ratio(x, factor=None):

@@ -417,7 +417,7 @@ def _radial_shape(u: TrialFunction, params: Params, weight_p, gradient=False):
 
     k matches the integrand's power at the origin for Gaussian-profile
     trials.  k <= 0 means the integrand is not integrable there, and every
-    engine refuses it.
+    engine and both separable quotients refuse it.
     """
     p = params.p
     lam = u.angular.homogeneity + _origin_shift(u)
@@ -737,6 +737,7 @@ def separable_hardy_quotient(u: TrialFunction, params: Params):
     if abs(params.p - 2.0) > 1e-12:
         raise DomainError("the radial reduction of the gradient needs p = 2")
     lam = _separable_homogeneity(u, params)
+    _radial_shape(u, params, 1)
     q0 = 2.0 * lam + d - 3.0 - gamma
     (i1, i2, i3), err = _radial_integrals(u.radial, _hardy_terms(u.radial, q0))
     if i1 <= 0.0:
@@ -762,6 +763,7 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
     """
     p, d, gamma = params.p, params.d, params.gamma
     lam = _separable_homogeneity(u, params)
+    _radial_shape(u, params, 2)
     c = d - 1.0 + 2.0 * lam
     m_num = p * lam + d - 1.0 - gamma
     m_den = p * lam + d - 1.0 - 2.0 * p - gamma

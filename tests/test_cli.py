@@ -389,6 +389,89 @@ class TestBadInput:
         assert report["checks"] == [{"name": "constants", "pass": True}]
 
 
+class TestManifestBytes:
+    """The manifest sidecar, byte for byte, and the same object in the run
+    report; the key order is schema_version, version, command, seed,
+    params, quadrature."""
+
+    CONSTANTS = textwrap.dedent("""\
+        {
+          "schema_version": 1,
+          "version": "0.1.0",
+          "command": "constants",
+          "seed": null,
+          "params": {
+            "d": [
+              2,
+              3
+            ],
+            "p": [
+              2.0,
+              3.0
+            ],
+            "gamma": [
+              -1.0
+            ],
+            "class": "odd"
+          },
+          "quadrature": null
+        }
+        """)
+
+    VERIFY_PRODUCT = textwrap.dedent("""\
+        {
+          "schema_version": 1,
+          "version": "0.1.0",
+          "command": "verify",
+          "seed": 3,
+          "params": {
+            "d": [
+              2
+            ],
+            "p": [
+              2.0
+            ],
+            "gamma": [
+              0.0
+            ],
+            "class": "odd",
+            "functional": "hardy",
+            "trial": "gaussian",
+            "sigma": 1.0
+          },
+          "quadrature": {
+            "method": "product",
+            "samples": 200000,
+            "seed": 3,
+            "n_streams": 8,
+            "r_min": 1e-06,
+            "r_max": 40.0,
+            "radial_nodes": 200,
+            "angular_nodes": 48
+          }
+        }
+        """)
+
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (["constants", "--d", "2,3", "--p", "2,3", "--gamma=-1",
+              "--class", "odd"], CONSTANTS),
+            (["verify", "--method", "product", "--d", "2", "--class", "odd",
+              "--seed", "3"], VERIFY_PRODUCT),
+        ],
+        ids=["constants", "verify-product"],
+    )
+    def test_manifest_text_pinned(self, tmp_path, capsys, argv, pinned):
+        out = tmp_path / "t.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        sidecar = (tmp_path / "t.csv.manifest.json").read_text(encoding="utf-8")
+        assert sidecar == pinned
+        report = json.loads((tmp_path / "t.csv.run.json").read_text())
+        assert json.dumps(report["manifest"], indent=2) + "\n" == pinned
+
+
 class TestRepeatedMain:
     """``main`` reuses one parser; no option may carry over between calls."""
 

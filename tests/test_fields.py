@@ -4,7 +4,11 @@ import pytest
 from symhardy import fields as fd
 from symhardy import minimax as mm
 from symhardy.constants import FunctionClass, Params
-from symhardy.errors import OutOfRangeError, SingularPointError
+from symhardy.errors import (
+    DegenerateSampleError,
+    OutOfRangeError,
+    SingularPointError,
+)
 from symhardy.polynomials import odd_linear, vandermonde
 
 ANTI = FunctionClass.ANTISYMMETRIC
@@ -182,6 +186,18 @@ class TestSectorDomain:
         assert np.all(dom.factor.value(X) > 0.0)
         assert np.all(dom.boundary_distance(X) > 1e-3)
         assert np.all(np.linalg.norm(X, axis=1) > 1e-2)
+
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_sampling_gives_up_with_a_named_error(self, klass):
+        # No standard normal point lies 10 away from the sector walls.
+        dom = fd.SectorDomain.for_params(Params(3, 2, 0.0, klass))
+        with pytest.raises(DegenerateSampleError) as info:
+            dom.sample_interior(10, np.random.default_rng(28), tube=10.0)
+        assert isinstance(info.value, RuntimeError)
+        assert str(info.value) == (
+            "interior sampling kept 0 of n=10 points after 200 draws "
+            "with tube=10, origin_ball=1e-06"
+        )
 
     def test_for_params_rejects_general(self):
         with pytest.raises(OutOfRangeError):

@@ -664,6 +664,22 @@ class TestEngineGuards:
         with pytest.raises(DomainError, match="non-positive radial shape"):
             qd.rellich_denominator(gaussian_trial(factor(2), 1.0), pr, cfg)
 
+    @pytest.mark.parametrize("factor", [vandermonde, odd_linear])
+    @pytest.mark.parametrize(
+        "functional, gamma",
+        [("rellich", 0.0), ("rellich", 1.0), ("hardy", 2.0)],
+    )
+    def test_divergent_mass_refused_by_the_separable_path(self, factor,
+                                                          functional, gamma):
+        # d = p = 2, lam = 1: the mass |u|^2 |x|^(-2 w - gamma) ~ r^(1 - 2 w
+        # - gamma) near the origin diverges for Rellich (w = 2) at gamma = 0
+        # and 1, and for Hardy (w = 1) at gamma = 2.
+        pr = Params(2, 2.0, gamma, ANTI if factor is vandermonde else ODD)
+        quotient = (qd.separable_rellich_quotient if functional == "rellich"
+                    else qd.separable_hardy_quotient)
+        with pytest.raises(DomainError, match="non-positive radial shape"):
+            quotient(gaussian_trial(factor(2), 1.0), pr)
+
     def test_radial_overflow_is_named(self):
         u = sharpness_family(vandermonde(4), 0.05, 0.05)
         with pytest.raises(DomainError, match="overflows"):
