@@ -87,8 +87,19 @@ def row_sum(columns):
 
 
 def row_dot(A, B):
-    """Row-wise inner products of (n, d) batches, as ``(A * B).sum(axis=1)``."""
-    return row_sum((A * B).T)
+    """Row-wise inner products of (n, d) batches, as ``(A * B).sum(axis=1)``.
+
+    Below eight columns the products are formed and added one column at a
+    time, so no (n, d) temporary is made.
+    """
+    if A.shape[1] >= 8:
+        return row_sum((A * B).T)
+    pairs = zip(A.T, B.T)
+    a, b = next(pairs)
+    out = a * b
+    for a, b in pairs:
+        out += a * b
+    return out
 
 
 def row_prod(columns):
@@ -124,6 +135,17 @@ class AngularFactor:
         self._check_dim(X)
         g = self._gradient(X)
         return g[0] if single else g
+
+    def value_and_gradient(self, x):
+        """(F, grad F), rounded exactly as ``value`` and ``gradient``; grad F
+        may be column-major, where ``gradient`` returns a C-ordered array."""
+        X, single = _as_batch(x)
+        self._check_dim(X)
+        v, g = self._value_and_gradient(X)
+        return (float(v[0]), g[0]) if single else (v, g)
+
+    def _value_and_gradient(self, X):
+        return self._value(X), self._gradient(X)
 
     def laplacian(self, x):
         X, single = _as_batch(x)
@@ -170,10 +192,12 @@ class Vandermonde(AngularFactor):
     """The alternating product prod_{i<j} (x_j - x_i) in dimension d >= 2.
 
     Antisymmetric under any coordinate transposition, harmonic and
-    homogeneous of order d (d - 1) / 2.  Gradients use logarithmic
-    differentiation away from coordinate coincidences and an exact
-    pair-omission product form on the coincidence set, so they are valid
-    polynomial evaluations everywhere.
+    homogeneous of order d (d - 1) / 2.  The value and the gradient come
+    from one loop over the pairs (``value_and_gradient``): logarithmic
+    differentiation away from coordinate coincidences, and an exact
+    pair-omission product form, applied to all coincident rows at once, on
+    the coincidence set, so they are valid polynomial evaluations
+    everywhere.
     """
 
     kind = AngularKind.VANDERMONDE
@@ -192,41 +216,75 @@ class Vandermonde(AngularFactor):
         return row_prod(X[:, j] - X[:, i] for i, j in self._pairs)
 
     def _gradient(self, X):
-        d = self.dimension
-        v = self._value(X)
-        zero = np.zeros(len(X))
-        grad = np.empty_like(X)
-        finite = np.ones(len(X), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(d):
-                # dF/dx_k = F * sum_{j != k} 1/(x_k - x_j); the j = k term
-                # is a 0 so that the sum rounds as a row of d terms.
-                terms = [zero if j == k else 1.0 / (X[:, k] - X[:, j])
-                         for j in range(d)]
-                grad[:, k] = v * row_sum(terms)
-                finite &= np.isfinite(grad[:, k])
-        for i in np.nonzero(~finite)[0]:
-            grad[i] = self._gradient_products(X[i])
-        return grad
+        # C order, as callers may reduce rows with numpy, whose sums of
+        # eight or more terms round by memory layout.
+        return np.ascontiguousarray(self._value_and_gradient(X)[1])
 
-    def _gradient_products(self, x):
-        # Exact polynomial route: d/dx_k of the product is a sum of signed
-        # products with one pair factor omitted.  O(d^4) but coincidence-safe.
+    def _value_and_gradient(self, X):
+        # One loop over the pairs: each difference x_j - x_i is a factor of
+        # F, and below d = 8 its reciprocal is added to accumulator j and
+        # subtracted from accumulator i, so accumulator k adds
+        # 1/(x_k - x_j) over j = 0..d-1 in order, exactly as a row sum of d
+        # terms does (1/(x_k - x_j) is -(1/(x_j - x_k)) exactly).  From
+        # eight terms on numpy's row sums are pairwise, so those rows are
+        # summed by ``row_sum`` instead.  dF/dx_k = F * accumulator k.
         d = self.dimension
-        out = np.zeros(d)
-        for k in range(d):
-            acc = 0.0
-            for j in range(d):
-                if j == k:
-                    continue
-                skip = self._pair_index[(min(j, k), max(j, k))]
-                prod = 1.0
-                for q, (a, b) in enumerate(self._pairs):
-                    if q == skip:
+        columns = X.T
+        pairwise = d >= 8
+        # Not np.zeros: its calloc maps fresh zero pages for large arrays.
+        grad = np.empty((d, len(X)))
+        grad.fill(0.0)
+        F = None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, j in self._pairs:
+                diff = columns[j] - columns[i]
+                if not pairwise:
+                    inv = 1.0 / diff
+                    grad[j] += inv
+                    grad[i] -= inv
+                if F is None:
+                    F = diff
+                else:
+                    F *= diff
+            if pairwise:
+                zero = np.zeros(len(X))
+                for k in range(d):
+                    # The j = k term is a 0, so that the sum rounds as a
+                    # row of d terms.
+                    grad[k] = row_sum([
+                        zero if j == k else 1.0 / (columns[k] - columns[j])
+                        for j in range(d)
+                    ])
+            grad *= F
+        rows = np.nonzero(~np.isfinite(grad).all(axis=0))[0]
+        if len(rows):
+            grad[:, rows] = self._gradient_products(X[rows]).T
+        return F, grad.T
+
+    def _gradient_products(self, X):
+        # Exact polynomial route for a point (d,) or a batch (m, d): d/dx_k
+        # of the product is a sum of signed products with one pair factor
+        # omitted.  O(d^4) operations on whole columns, coincidence-safe;
+        # each row sees exactly the operations of a one-point call.
+        d = self.dimension
+        out = np.zeros(X.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(d):
+                acc = np.zeros(X.shape[:-1])
+                for j in range(d):
+                    if j == k:
                         continue
-                    prod *= x[b] - x[a]
-                acc += prod if k > j else -prod
-            out[k] = acc
+                    skip = self._pair_index[(min(j, k), max(j, k))]
+                    prod = np.ones(X.shape[:-1])
+                    for q, (a, b) in enumerate(self._pairs):
+                        if q == skip:
+                            continue
+                        prod *= X[..., b] - X[..., a]
+                    if k > j:
+                        acc += prod
+                    else:
+                        acc -= prod
+                out[..., k] = acc
         return out
 
     def _laplacian(self, X):

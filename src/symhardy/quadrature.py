@@ -16,10 +16,14 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
   also share the trial's per-point terms.  Otherwise each draws its own
   radii from the generator state that follows the directions.  Either way
   both integrals see exactly the points that separate ``mc_integral``
-  calls with the same seed would draw.
+  calls with the same seed would draw.  Each stream is evaluated in blocks
+  of at most ``_BLOCK`` points, built column-major (``np.empty((d, n)).T``),
+  whose weighted values fill one array per stream; the stream's sums are
+  taken over that array, so blocking does not change a bit.
 * ``product``: a log-radial Gauss-Legendre rule times a tensor angular
   rule on the sphere (d <= 4).  The reported error is the change under
-  halving both node counts.
+  halving both node counts.  Whole radii are grouped into blocks of at
+  most ``_BLOCK`` points, built column-major as in the ``mc`` engine.
 
 For separable trials u = F psi(|x|) there is additionally an exact
 radial-reduction path: the sphere moment of |F|^p is a common factor of
@@ -88,9 +92,13 @@ __all__ = [
 
 MAX_PRODUCT_DIM = 4
 DEGENERATE_FRACTION = 1e-3
-# Integrand points per product-rule call: whole radii are grouped until a
-# block would exceed this, so one call covers many radii at d <= 3.
-_PRODUCT_BLOCK = 10_000
+# Largest number of points per integrand call, in both engines.  Blocks are
+# stored column-major and the kernels work column by column, so most
+# temporaries are (n,) float arrays of at most 80 kB: small enough to be
+# reused from the heap rather than mapped and page-faulted afresh (glibc
+# maps 128 KiB and up).  The product rule groups whole radii until a block
+# would exceed it.
+_BLOCK = 10_000
 _NON_INTEGRABLE = (
     "non-positive radial shape: the integrand is not integrable near the "
     "origin for these parameters"
@@ -262,6 +270,7 @@ def mc_integral(fn, d, config: QuadratureConfig, radial_shape, radial_scale):
     ``radial_shape`` (k) and ``radial_scale`` (s) define the radial
     proposal density r^(k-1) exp(-r^2 / (2 s^2)).  Non-finite integrand
     samples are zeroed and counted; more than 0.1 percent of them aborts.
+    ``fn`` is called on column-major blocks of at most ``_BLOCK`` points.
     """
     (estimate,) = _mc_streams(
         d, config, [(radial_shape, radial_scale)], lambda X, _: [fn(X)]
@@ -276,9 +285,9 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
     stream draws its directions once; every distinct proposal then replays
     the generator state that follows them and draws its radii, so integral
     i gets exactly the points of ``mc_integral`` with its own proposal.
-    ``evaluate(X, members)`` returns the integrand values at X of the
-    integrals listed in ``members``, which all drew X.  One stream's draws
-    are held at a time.
+    ``evaluate(X, members)`` returns the integrand values at X, one block
+    of a stream, of the integrals listed in ``members``, which all drew X.
+    One stream's draws are held at a time.
     """
     # scipy's gammaln, not math.lgamma: they differ in the last bits.
     from scipy.special import gammaln
@@ -309,22 +318,33 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
         for (k, s), members in groups.items():
             rng.bit_generator.state = after_directions
             r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
-            X = z * (r / norms)[:, None]
-            outside = (r < config.r_min) | (r > config.r_max)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                values = evaluate(X, members)
-                logw = ((d - k) * np.log(r) + r * r / (2.0 * s * s)
-                        + log_norm[k, s])
-                density = area * np.exp(logw)
-                for i, vals in zip(members, values):
-                    vals = np.asarray(vals, dtype=float)
-                    w = np.where(vals == 0.0, 0.0, density * vals)
-                    w[outside] = 0.0
-                    bad = ~np.isfinite(w)
-                    w[bad] = 0.0
-                    stats[i].append(
-                        (m, float(w.sum()), float((w * w).sum()), int(bad.sum()))
-                    )
+            # Each integral's weighted values over the whole stream, filled
+            # block by block: the sums below see one array per stream.
+            weighted = [np.empty(m) for _ in members]
+            for lo in range(0, m, _BLOCK):
+                rb = r[lo:lo + _BLOCK]
+                scale = rb / norms[lo:lo + _BLOCK]
+                XT = np.empty((d, len(rb)))
+                for out, column in zip(XT, z[lo:lo + _BLOCK].T):
+                    np.multiply(column, scale, out=out)
+                X = XT.T
+                with np.errstate(over="ignore", invalid="ignore",
+                                 divide="ignore"):
+                    values = evaluate(X, members)
+                    logw = ((d - k) * np.log(rb) + rb * rb / (2.0 * s * s)
+                            + log_norm[k, s])
+                    density = area * np.exp(logw)
+                    outside = (rb < config.r_min) | (rb > config.r_max)
+                    for w, vals in zip(weighted, values):
+                        vals = np.asarray(vals, dtype=float)
+                        w[lo:lo + _BLOCK] = np.where(
+                            outside | (vals == 0.0), 0.0, density * vals)
+            for i, w in zip(members, weighted):
+                bad = ~np.isfinite(w)
+                w[bad] = 0.0
+                stats[i].append(
+                    (m, float(w.sum()), float((w * w).sum()), int(bad.sum()))
+                )
     estimates = []
     for per_stream in stats:
         n, s1, s2, degen = _tree_reduce(per_stream)
@@ -349,13 +369,16 @@ def _product_pass(fn, d, config, nr, na, r_min=None):
     swts = 0.5 * (s_hi - s_lo) * wts
     r = np.exp(svals)
     pts, aw = sphere_grid(d, na)
-    step = max(1, _PRODUCT_BLOCK // len(aw))
+    step = max(1, _BLOCK // len(aw))
     total = 0.0
     degen = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(r), step):
             rb, wb = r[lo:lo + step], swts[lo:lo + step]
-            X = (rb[:, None, None] * pts).reshape(-1, d)
+            XT = np.empty((d, len(rb), len(aw)))
+            for out, column in zip(XT, pts.T):
+                np.multiply.outer(rb, column, out=out)
+            X = XT.reshape(d, -1).T
             vals = np.asarray(fn(X), dtype=float).reshape(len(rb), len(aw))
             bad = ~np.isfinite(vals)
             degen += int(bad.sum())

@@ -206,33 +206,36 @@ class TrialFunction:
 
     def evaluate(self, x, gradient=False):
         """(|x|^2, u, grad u) on a batch x of shape (n, d); grad u is None
-        unless ``gradient`` is set.
+        unless ``gradient`` is set, and column-major otherwise.
 
         The one home of u = F psi and grad u = psi grad F + F psi' x / r:
         ``value`` and ``gradient`` unwrap it, and the quadrature integrands
         call it once where numerator and denominator share their points.
+        F and grad F come from one ``value_and_gradient`` call.
         """
         X, _ = self._batch(x)
         sq = row_dot(X, X)
         r = np.sqrt(sq)
-        F = self.angular.value(X)
-        psi = self.radial.psi(r)
         if not gradient:
-            return sq, F * psi, None
-        G = self.angular.gradient(X)
+            return sq, self.angular.value(X) * self.radial.psi(r), None
+        F, G = self.angular.value_and_gradient(X)
+        psi = self.radial.psi(r)
         dpsi = self.radial.dpsi(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             radial_part = np.where(r > 0.0, F * dpsi / r, 0.0)
-        grad = psi[:, None] * G
-        grad += radial_part[:, None] * X
-        return sq, F * psi, grad
+        # Column by column, so no (n, d) broadcast temporary is formed.
+        grad = np.empty((self.dimension, len(X)))
+        for out, g, x_k in zip(grad, G.T, X.T):
+            np.multiply(psi, g, out=out)
+            out += radial_part * x_k
+        return sq, F * psi, grad.T
 
     def value(self, x):
         out = self.evaluate(x)[1]
         return float(out[0]) if np.ndim(x) == 1 else out
 
     def gradient(self, x):
-        out = self.evaluate(x, gradient=True)[2]
+        out = np.ascontiguousarray(self.evaluate(x, gradient=True)[2])
         return out[0] if np.ndim(x) == 1 else out
 
     def grad_norm_sq(self, x):

@@ -134,9 +134,15 @@ class TestVerifyCommand:
             ("odd", "rellich", ["--d", "3", "--p", "3", "--gamma=-1"], [
                 ("3", "16.211934732244327", "0.23802584308017116"),
             ]),
+            # 160,003 samples: each stream ends in a partial block.
+            ("antisym", "hardy", ["--d", "4", "--p", "3",
+                                  "--samples", "160003"], [
+                ("4", "277.08432722177537", "1.9820010484176376"),
+            ]),
         ],
         ids=["antisym-hardy-pinned0", "odd-rellich-pinned1",
-             "antisym-hardy-pinned2", "odd-rellich-pinned3"],
+             "antisym-hardy-pinned2", "odd-rellich-pinned3",
+             "antisym-hardy-pinned4"],
     )
     def test_mc_quotients_pinned(self, tmp_path, klass, functional, grid,
                                  pinned):
@@ -146,7 +152,7 @@ class TestVerifyCommand:
         # separate integrations.
         out = tmp_path / "v.csv"
         assert run(["verify", "--class", klass, "--functional", functional,
-                    *grid, "--samples", "2e4", "--seed", "1",
+                    "--samples", "2e4", *grid, "--seed", "1",
                     "--out", str(out)]) == 0
         assert [(r["d"], r["quotient"], r["quotient_err"])
                 for r in read_csv(out)] == pinned

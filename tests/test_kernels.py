@@ -8,6 +8,8 @@ do.  d runs over 1..9, because numpy sums fewer than eight terms per row
 left to right and eight or more in eight pairwise accumulators.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from symhardy.polynomials import (
     row_prod,
     row_sum,
     vandermonde,
+    vandermonde_gradient_exact,
 )
 from symhardy.trials import gaussian_trial
 
@@ -208,3 +211,130 @@ def test_certificate_many(klass, d):
     X = domain.sample_interior(500, np.random.default_rng(d), tube=0.02)
     out = fields.certificate_many(X, 0.3, 0.7, params, domain.factor)
     assert np.array_equal(out, ref_certificate(X, 0.3, 0.7, params, domain.factor))
+
+
+def per_row_gradient_products(d, x):
+    """The coincidence-safe gradient of one point, one float at a time:
+    signed products with one pair factor omitted."""
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    out = np.zeros(d)
+    for k in range(d):
+        acc = 0.0
+        for j in range(d):
+            if j == k:
+                continue
+            skip = (min(j, k), max(j, k))
+            prod = 1.0
+            for a, b in pairs:
+                if (a, b) != skip:
+                    prod *= x[b] - x[a]
+            acc += prod if k > j else -prod
+        out[k] = acc
+    return out
+
+
+def coincident_rows(d, n=40, integer=False):
+    """Rows with one coincidence, two, a triple, or all coordinates equal."""
+    rng = np.random.default_rng(100 + d)
+    rows = []
+    for t in range(n):
+        x = (rng.integers(-6, 7, size=d).astype(float) if integer
+             else rng.standard_normal(d) * np.exp(rng.standard_normal()))
+        a, b = rng.choice(d, size=2, replace=False)
+        x[b] = x[a]
+        if t % 4 == 1 and d >= 4:
+            c, e = rng.choice([i for i in range(d) if i not in (a, b)],
+                              size=2, replace=False)
+            x[e] = x[c]
+        elif t % 4 == 2 and d >= 3:
+            x[[i for i in range(d) if i not in (a, b)][0]] = x[a]
+        elif t % 4 == 3:
+            x[:] = x[a]
+        rows.append(x)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+class TestCoincidenceFallback:
+    """The batched coincidence route performs each row's operations of a
+    one-point call, so it matches the per-row route bit for bit."""
+
+    def test_batch_matches_per_row(self, d):
+        X = coincident_rows(d)
+        want = np.array([per_row_gradient_products(d, x) for x in X])
+        assert np.array_equal(vandermonde(d)._gradient_products(X), want)
+
+    def test_gradient_routes_coincident_rows(self, d):
+        # Coincident rows interleaved with regular ones: each coincident
+        # row takes the product route, the others logarithmic
+        # differentiation.
+        coincident, regular = coincident_rows(d), batch(d, n=40)[:40]
+        X = np.empty((len(coincident) + len(regular), d))
+        X[0::2], X[1::2] = coincident, regular
+        factor = vandermonde(d)
+        got = factor.gradient(X)
+        assert np.array_equal(got[0::2], np.array(
+            [per_row_gradient_products(d, x) for x in coincident]))
+        assert np.array_equal(got[1::2], ref_vandermonde_gradient(factor,
+                                                                  regular))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])  # the exact backend's range
+def test_coincidence_fallback_exact_on_integer_rows(d):
+    X = coincident_rows(d, integer=True)
+    want = np.array([[float(g) for g in vandermonde_gradient_exact(
+        [Fraction(int(v)) for v in x])] for x in X])
+    assert np.array_equal(vandermonde(d)._gradient_products(X), want)
+    assert np.array_equal(vandermonde(d).gradient(X), want)
+
+
+def layouts(X):
+    """The same batch C-ordered, Fortran-ordered and as a strided view."""
+    n, d = X.shape
+    wide = np.zeros((2 * n, 3 * d))
+    wide[::2, 1::3] = X
+    return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X),
+            "sliced": wide[::2, 1::3]}
+
+
+LAYOUTS = ["C", "F", "sliced"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("d", DIMS)
+def test_row_dot_layouts(d, layout):
+    X, Y = batch(d), batch(d)[::-1].copy()
+    got = row_dot(layouts(X)[layout], layouts(Y)[layout])
+    assert np.array_equal(got, (X * Y).sum(axis=1))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("d", range(2, 10))
+def test_vandermonde_layouts(d, layout):
+    X = batch(d)
+    view, factor = layouts(X)[layout], vandermonde(d)
+    value, grad = factor.value_and_gradient(view)
+    want = ref_vandermonde_gradient(factor, X)
+    assert np.array_equal(factor.value(view), ref_vandermonde_value(X))
+    assert np.array_equal(value, ref_vandermonde_value(X))
+    assert np.array_equal(factor.gradient(view), want)
+    assert np.array_equal(grad, want)
+    assert factor.gradient(view).flags.c_contiguous
+
+
+# The custom factor's own callables reduce rows with numpy, whose sums of
+# eight or more terms round by memory layout, so only the built-in
+# factors are layout-independent.
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("kind, d", [(kind, d) for kind, d in TRIALS
+                                     if kind != "custom"])
+def test_trial_layouts(kind, d, layout):
+    u, X = trial(kind, d), batch(d)
+    view = layouts(X)[layout]
+    sq, value, grad = u.evaluate(view, gradient=True)
+    assert np.array_equal(sq, (X * X).sum(axis=1))
+    assert np.array_equal(value, ref_trial_value(u, X))
+    assert np.array_equal(grad, ref_trial_gradient(u, X))
+    assert np.array_equal(u.evaluate(view)[1], value)
+    assert np.array_equal(u.gradient(view), grad)
+    assert np.array_equal(u.laplacian(view), ref_trial_laplacian(u, X))

@@ -250,6 +250,127 @@ class TestSharedDraws:
         assert str(got.value) == str(want.value)
 
 
+def _unblocked_streams(d, config, proposals, evaluate):
+    """``_mc_streams`` as it ran before streams were split into blocks: one
+    ``evaluate`` per stream and proposal, on X = z * (r / norms)[:, None]."""
+    from scipy.special import gammaln
+
+    groups = {}
+    for i, (k, s) in enumerate(proposals):
+        groups.setdefault((float(k), float(s)), []).append(i)
+    area = qd.sphere_area(d)
+    sizes = qd._chunk_sizes(config.samples, config.n_streams)
+    children = np.random.SeedSequence(config.seed).spawn(config.n_streams)
+    stats = [[] for _ in proposals]
+    for child, m in zip(children, sizes):
+        rng = np.random.default_rng(child)
+        z = rng.standard_normal((m, d))
+        norms = np.sqrt((z * z).sum(axis=1))
+        norms[norms == 0.0] = 1.0
+        after_directions = rng.bit_generator.state
+        for (k, s), members in groups.items():
+            rng.bit_generator.state = after_directions
+            r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
+            X = z * (r / norms)[:, None]
+            outside = (r < config.r_min) | (r > config.r_max)
+            log_norm = ((k / 2.0 - 1.0) * math.log(2.0) + gammaln(k / 2.0)
+                        + k * math.log(s))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                values = evaluate(X, members)
+                logw = (d - k) * np.log(r) + r * r / (2.0 * s * s) + log_norm
+                density = area * np.exp(logw)
+                for i, vals in zip(members, values):
+                    w = np.where(vals == 0.0, 0.0, density * vals)
+                    w[outside] = 0.0
+                    bad = ~np.isfinite(w)
+                    w[bad] = 0.0
+                    stats[i].append((m, float(w.sum()), float((w * w).sum()),
+                                     int(bad.sum())))
+    estimates = []
+    for per_stream in stats:
+        n, s1, s2, degen = qd._tree_reduce(per_stream)
+        mean = s1 / n
+        var = max(s2 / n - mean * mean, 0.0)
+        estimates.append(qd.Estimate(mean, math.sqrt(var / n), n, degen, "mc"))
+    return estimates
+
+
+class TestStreamBlocks:
+    """Streams are evaluated in blocks of at most ``_BLOCK`` points, yet the
+    estimates are bit-identical to one evaluation per stream."""
+
+    B = qd._BLOCK
+    # Per-stream sizes: below one block, exactly one, one block plus one,
+    # and two blocks plus one.
+    SIZES = [B // 2 + 1, B, B + 1, 2 * B + 1]
+    CASES = [(ANTI, vandermonde, Functional.HARDY),   # one proposal group
+             (ODD, odd_linear, Functional.RELLICH)]  # two proposal groups
+
+    @staticmethod
+    def _setup(klass, factor, functional, d=3):
+        u = gaussian_trial(factor(d), 1.0)
+        params = Params(d, 3.0, -1.0, klass)
+        terms = qd._INTEGRANDS[functional]
+        proposals = [(qd._radial_shape(u, params, w, gradient=order == 1),
+                      qd._radial_scale(u, params.p)) for order, w in terms]
+        return proposals, qd._integrand_values(u, params, terms)
+
+    @pytest.mark.parametrize("klass, factor, functional", CASES)
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("n_streams", [1, 3])
+    def test_bit_identical_to_one_evaluation_per_stream(
+            self, klass, factor, functional, size, n_streams):
+        proposals, evaluate = self._setup(klass, factor, functional)
+        # One more sample than whole streams: the first stream is one
+        # point longer than the others.
+        config = qd.QuadratureConfig(samples=size * n_streams + 1, seed=5,
+                                     n_streams=n_streams)
+        got = qd._mc_streams(3, config, proposals, evaluate)
+        assert got == _unblocked_streams(3, config, proposals, evaluate)
+
+    @pytest.mark.parametrize("klass, factor, functional", CASES)
+    def test_evaluations_per_block(self, klass, factor, functional):
+        proposals, evaluate = self._setup(klass, factor, functional)
+        rows = []
+
+        def counting(X, members):
+            rows.append(len(X))
+            return evaluate(X, members)
+
+        config = qd.QuadratureConfig(samples=2 * self.B + 1, seed=5,
+                                     n_streams=1)
+        qd._mc_streams(3, config, proposals, counting)
+        groups = len(set(proposals))
+        assert rows == [self.B, self.B, 1] * groups
+
+    @pytest.mark.parametrize("offsets", [(-1,), (0,), (-1, 0), (-1, 0, 1)])
+    def test_nan_at_a_block_edge(self, offsets):
+        # Poison the points just before and just after the first block
+        # edge of the first stream: both routes count them alike.
+        proposals, evaluate = self._setup(ANTI, vandermonde, Functional.HARDY)
+        config = qd.QuadratureConfig(samples=2 * (self.B + 7), seed=9,
+                                     n_streams=2)
+        (k, s), _ = proposals
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed).spawn(2)[0])
+        z = rng.standard_normal((self.B + 7, 3))
+        r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=self.B + 7))
+        X = z * (r / np.sqrt((z * z).sum(axis=1)))[:, None]
+        targets = X[[self.B + offset for offset in offsets]]
+
+        def poisoned(X, members):
+            hit = (X[:, None, :] == targets[None, :, :]).all(axis=2).any(axis=1)
+            values = evaluate(X, members)
+            for vals in values:
+                vals[hit] = np.nan
+            return values
+
+        got = qd._mc_streams(3, config, proposals, poisoned)
+        want = _unblocked_streams(3, config, proposals, poisoned)
+        assert got == want
+        assert [est.degenerate for est in got] == [len(offsets)] * 2
+
+
 class TestScalingLaws:
     def test_dilation_scaling_of_numerator(self):
         # With u_a(x) = u(x/a), the unweighted energy scales by a^(d-p);
