@@ -139,10 +139,15 @@ class TestVerifyCommand:
                                   "--samples", "160003"], [
                 ("4", "277.08432722177537", "1.9820010484176376"),
             ]),
+            # F = 1: the Laplacian of a general-class trial.
+            ("general", "rellich", ["--d", "3,5", "--p", "2", "--gamma=-2"], [
+                ("3", "2.07549817473457", "0.02507810676120412"),
+                ("5", "21.700227083998939", "0.15637283782345135"),
+            ]),
         ],
         ids=["antisym-hardy-pinned0", "odd-rellich-pinned1",
              "antisym-hardy-pinned2", "odd-rellich-pinned3",
-             "antisym-hardy-pinned4"],
+             "antisym-hardy-pinned4", "general-rellich-pinned5"],
     )
     def test_mc_quotients_pinned(self, tmp_path, klass, functional, grid,
                                  pinned):
@@ -154,6 +159,31 @@ class TestVerifyCommand:
         assert run(["verify", "--class", klass, "--functional", functional,
                     "--samples", "2e4", *grid, "--seed", "1",
                     "--out", str(out)]) == 0
+        assert [(r["d"], r["quotient"], r["quotient_err"])
+                for r in read_csv(out)] == pinned
+
+    @pytest.mark.parametrize(
+        "functional, grid, pinned",
+        [
+            ("rellich", ["--d", "3", "--gamma=-2"], [
+                ("3", "2.0625023272846552", "2.355436271393744e-06"),
+            ]),
+            ("hardy", ["--d", "2,3", "--gamma=-1"], [
+                ("2", "0.75000084628533015", "8.463004793286672e-07"),
+                ("3", "2.0000000000019993", "1.0044914273638488e-08"),
+            ]),
+        ],
+        ids=["general-rellich", "general-hardy"],
+    )
+    def test_product_general_quotients_pinned(self, tmp_path, functional,
+                                              grid, pinned):
+        # Exact 17-digit product-rule quotients of F = 1 trials: the
+        # Rellich row moves if the Laplacian of u = psi(|x|) rounds a node
+        # differently.
+        out = tmp_path / "v.csv"
+        assert run(["verify", "--method", "product", "--class", "general",
+                    "--functional", functional, "--p", "2", *grid,
+                    "--seed", "1", "--out", str(out)]) == 0
         assert [(r["d"], r["quotient"], r["quotient_err"])
                 for r in read_csv(out)] == pinned
 
