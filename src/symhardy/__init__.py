@@ -34,8 +34,7 @@ from .minimax import (
 )
 from .polynomials import (
     AngularFactor,
-    AngularKind,
-    CustomFactor,
+    ConstantFactor,
     OddLinear,
     Vandermonde,
     euler_residual,
@@ -58,21 +57,14 @@ from .quadrature import (
     separable_hardy_quotient,
     separable_rellich_quotient,
 )
-from .trials import (
-    TrialFunction,
-    antisymmetrize,
-    gaussian_trial,
-    odd_project,
-    sharpness_family,
-)
+from .trials import TrialFunction, gaussian_trial, sharpness_family
 
 __all__ = [
     "__version__",
     "AngularFactor",
-    "AngularKind",
     "CertificateParams",
+    "ConstantFactor",
     "ConstantValue",
-    "CustomFactor",
     "Estimate",
     "FunctionClass",
     "Functional",
@@ -86,7 +78,6 @@ __all__ = [
     "SymHardyError",
     "TrialFunction",
     "Vandermonde",
-    "antisymmetrize",
     "asymptotic_checks",
     "classical_hardy",
     "closed_form_optimum",
@@ -103,7 +94,6 @@ __all__ = [
     "laplacian_residual",
     "numeric_minimax",
     "odd_linear",
-    "odd_project",
     "pointwise_certificate",
     "rayleigh_quotient",
     "reference_constant",

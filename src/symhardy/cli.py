@@ -50,7 +50,7 @@ from .constants import (
 )
 from .errors import SymHardyError, UsageError
 from .minimax import numeric_minimax
-from .polynomials import constant_factor, odd_linear, vandermonde
+from .polynomials import ConstantFactor, odd_linear, vandermonde
 from .quadrature import (
     QuadratureConfig,
     rayleigh_quotient,
@@ -71,7 +71,7 @@ _CLASSES = {
 _FACTORS = {
     FunctionClass.ANTISYMMETRIC: vandermonde,
     FunctionClass.ODD: odd_linear,
-    FunctionClass.GENERAL: constant_factor,
+    FunctionClass.GENERAL: ConstantFactor,
 }
 
 
@@ -266,7 +266,7 @@ def cmd_verify(args):
 
     def row(d, p, gamma):
         problem = Params(d, p, gamma, klass)
-        u = gaussian_trial(_FACTORS[klass](d), args.sigma, class_tag=klass)
+        u = gaussian_trial(_FACTORS[klass](d), args.sigma)
         report = rayleigh_quotient(u, functional, problem, config)
         check = (f"{functional.value} d={d} p={p} gamma={gamma}",
                  not report.violation)

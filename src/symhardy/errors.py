@@ -29,10 +29,6 @@ class SingularPointError(DomainError):
     """The field or integrand is singular at the requested point."""
 
 
-class BudgetError(SymHardyError, ValueError):
-    """A combinatorial budget (for example d! terms) is exceeded."""
-
-
 class DegenerateSampleError(SymHardyError, RuntimeError):
     """Too many non-finite integrand samples to trust the estimate."""
 

@@ -3,7 +3,9 @@
 Two polynomial families carry the symmetry classes used throughout the
 package: the Vandermonde product ``prod_{i<j} (x_j - x_i)`` for
 antisymmetric functions and the linear form ``sum_k x_k`` for odd
-functions.  Both are harmonic, homogeneous polynomials, so they satisfy
+functions; ``ConstantFactor``, F = 1, is the angular part of general-class
+trials.  Each factor class carries the ``FunctionClass`` it gives a trial.
+All three are harmonic, homogeneous polynomials, so they satisfy
 the Euler relation ``<x, grad F(x)> = lam * F(x)`` with ``lam`` the
 homogeneity order, and the Schwarz ratio
 
@@ -17,14 +19,13 @@ rational backend that anchors the floating-point tolerances.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .constants import FunctionClass
 from .errors import (
-    DomainError,
     InvalidDimensionError,
     OnBoundaryError,
     SymHardyError,
@@ -32,12 +33,10 @@ from .errors import (
 )
 
 __all__ = [
-    "AngularKind",
     "AngularFactor",
     "Vandermonde",
     "OddLinear",
-    "CustomFactor",
-    "constant_factor",
+    "ConstantFactor",
     "vandermonde",
     "odd_linear",
     "vandermonde_value",
@@ -52,12 +51,6 @@ __all__ = [
 
 # Largest dimension for the exact rational backend.
 MAX_EXACT_DIM = 4
-
-
-class AngularKind(Enum):
-    VANDERMONDE = "vandermonde"
-    ODD_LINEAR = "odd_linear"
-    CUSTOM = "custom"
 
 
 def _as_batch(x):
@@ -118,9 +111,11 @@ class AngularFactor:
     Concrete subclasses provide the vectorized internals ``_value``,
     ``_gradient`` and ``_laplacian`` on (n, d) arrays; the public methods
     accept either a single point or a batch and unwrap accordingly.
+    ``function_class`` is the symmetry class of F, and so of every trial
+    F psi(|x|) built on it.
     """
 
-    kind: AngularKind
+    function_class: FunctionClass
     dimension: int
     homogeneity: float
 
@@ -200,7 +195,7 @@ class Vandermonde(AngularFactor):
     everywhere.
     """
 
-    kind = AngularKind.VANDERMONDE
+    function_class = FunctionClass.ANTISYMMETRIC
 
     def __init__(self, dimension):
         if dimension < 2:
@@ -315,7 +310,7 @@ class Vandermonde(AngularFactor):
 class OddLinear(AngularFactor):
     """The linear form sum_k x_k; odd, harmonic, homogeneous of order one."""
 
-    kind = AngularKind.ODD_LINEAR
+    function_class = FunctionClass.ODD
 
     def __init__(self, dimension):
         if dimension < 1:
@@ -333,73 +328,25 @@ class OddLinear(AngularFactor):
         return np.zeros(len(X))
 
 
-class CustomFactor(AngularFactor):
-    """User-supplied angular factor with a declared homogeneity order.
+class ConstantFactor(AngularFactor):
+    """F = 1, the angular part of general-class trials; harmonic of order 0."""
 
-    ``value_fn`` and ``gradient_fn`` should accept (n, d) arrays; plain
-    pointwise callables are wrapped row by row.  The Euler relation is
-    verified on construction at 64 Gaussian points (seed 0, relative
-    tolerance 1e-6), since everything downstream silently relies on it.
-    If ``laplacian_fn`` is omitted the factor is assumed harmonic.
-    """
+    function_class = FunctionClass.GENERAL
 
-    kind = AngularKind.CUSTOM
-
-    def __init__(self, dimension, homogeneity, value_fn, gradient_fn,
-                 laplacian_fn=None):
+    def __init__(self, dimension):
         if dimension < 1:
-            raise InvalidDimensionError("custom factors need d >= 1")
+            raise InvalidDimensionError("the constant factor needs d >= 1")
         self.dimension = int(dimension)
-        self.homogeneity = float(homogeneity)
-        self._value_fn = value_fn
-        self._gradient_fn = gradient_fn
-        self._laplacian_fn = laplacian_fn
-        self._verify_euler()
+        self.homogeneity = 0.0
 
     def _value(self, X):
-        v = np.asarray(self._value_fn(X), dtype=float)
-        if v.shape != (len(X),):
-            v = np.array([float(self._value_fn(row)) for row in X])
-        return v
+        return np.ones(len(X))
 
     def _gradient(self, X):
-        g = np.asarray(self._gradient_fn(X), dtype=float)
-        if g.shape != X.shape:
-            g = np.array([np.asarray(self._gradient_fn(row), dtype=float) for row in X])
-        return g
+        return np.zeros_like(X)
 
     def _laplacian(self, X):
-        if self._laplacian_fn is None:
-            return np.zeros(len(X))
-        v = np.asarray(self._laplacian_fn(X), dtype=float)
-        if v.shape != (len(X),):
-            v = np.array([float(self._laplacian_fn(row)) for row in X])
-        return v
-
-    def _verify_euler(self):
-        X = np.random.default_rng(0).standard_normal((64, self.dimension))
-        v = self._value(X)
-        g = self._gradient(X)
-        res = np.abs(row_dot(X, g) - self.homogeneity * v)
-        scale = 1.0 + np.abs(v) + row_sum(np.abs(X * g).T)
-        worst = float(np.max(res / scale))
-        if worst > 1e-6:
-            raise DomainError(
-                f"custom factor fails the Euler identity check "
-                f"(worst relative residual {worst:.3e} > 1.0e-06); "
-                "the declared homogeneity order is inconsistent"
-            )
-
-
-def constant_factor(dimension):
-    """Degree-zero factor F = 1; the 'no symmetry class' angular part."""
-    return CustomFactor(
-        dimension,
-        0.0,
-        lambda X: np.ones(len(np.atleast_2d(X))),
-        lambda X: np.zeros_like(np.atleast_2d(np.asarray(X, dtype=float))),
-        laplacian_fn=lambda X: np.zeros(len(np.atleast_2d(X))),
-    )
+        return np.zeros(len(X))
 
 
 @lru_cache(maxsize=None)

@@ -67,7 +67,7 @@ from .errors import (
     SymmetryClassError,
     UnsupportedDimensionError,
 )
-from .polynomials import AngularKind, row_dot
+from .polynomials import row_dot
 from .trials import TrialFunction
 
 __all__ = [
@@ -546,19 +546,6 @@ def _check_tag(u: TrialFunction, params: Params):
         )
 
 
-def _verify_class(u: TrialFunction, params: Params, seed):
-    _check_tag(u, params)
-    if params.klass is FunctionClass.GENERAL:
-        return
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
-    residual = u.class_residual(100, rng=rng)
-    if residual > 1e-10:
-        raise SymmetryClassError(
-            f"symmetrizer residual {residual:.3e} exceeds 1e-10; the trial "
-            "does not belong to its declared class"
-        )
-
-
 def _report(num: Estimate, den: Estimate, quotient, q_err,
             ref: ConstantValue, functional):
     """The report, with margin (quotient - constant) / q_err.  Without an
@@ -590,12 +577,11 @@ def rayleigh_quotient(
 ):
     """Quotient of the weighted energy by the weighted mass, with margin.
 
-    The trial's symmetry class is verified against the declared params
-    (projector residual below 1e-10 at 100 seeded points) before any
-    integration happens; inadmissible reference constants refuse with
-    their condition residual.
+    The trial's class, that of its angular factor, must be the class the
+    params declare; inadmissible reference constants refuse with their
+    condition residual.  Both checks come before any integration.
     """
-    _verify_class(u, params, config.seed)
+    _check_tag(u, params)
     ref = reference_constant(params, functional)
     if not ref.admissible:
         raise DomainError(
@@ -742,8 +728,11 @@ def separable_mass(u: TrialFunction, params: Params, weight_exponent):
 def _separable_homogeneity(u: TrialFunction, params: Params):
     """The degree of u's angular factor, once the reduction applies."""
     _check_tag(u, params)
-    if u.angular.kind not in (AngularKind.VANDERMONDE, AngularKind.ODD_LINEAR):
-        raise DomainError("the reduction needs a harmonic built-in factor")
+    if u.class_tag is FunctionClass.GENERAL:
+        raise DomainError(
+            "the separable reduction is offered for the antisymmetric and "
+            "odd classes"
+        )
     return u.angular.homogeneity
 
 

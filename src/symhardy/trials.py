@@ -7,6 +7,8 @@ order lam) and a radial profile psi have
     Delta u = F (psi'' + (d - 1 + 2 lam) psi' / r)      (harmonic F),
 
 which keeps every Rayleigh-quotient evaluation exact up to the profile.
+Every factor in ``polynomials`` is harmonic, and a trial's symmetry
+class is its factor's ``function_class``.
 Two profile families ship: Gaussian profiles as smooth, well-conditioned
 class representatives, and piecewise-power profiles (inner exponent
 base - eps, outer base + eps, blended over a collar of width 2 delta and
@@ -16,16 +18,14 @@ constants as eps shrinks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .constants import FunctionClass
-from .errors import BudgetError, DomainError, InvalidDimensionError
-from .polynomials import AngularFactor, AngularKind, row_dot
+from .errors import DomainError, InvalidDimensionError
+from .polynomials import AngularFactor, row_dot
 
 __all__ = [
     "RadialProfile",
@@ -34,12 +34,7 @@ __all__ = [
     "piecewise_power_profile",
     "gaussian_trial",
     "sharpness_family",
-    "antisymmetrize",
-    "odd_project",
-    "perm_parity",
 ]
-
-MAX_FACTORIAL_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -185,13 +180,14 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
 
 
 class TrialFunction:
-    """Separable trial u = F(x) psi(|x|) with analytic derivatives."""
+    """Separable trial u = F(x) psi(|x|) with analytic derivatives; its
+    symmetry class is that of F."""
 
-    def __init__(self, angular: AngularFactor, radial: RadialProfile, class_tag,
+    def __init__(self, angular: AngularFactor, radial: RadialProfile,
                  heuristic=False):
         self.angular = angular
         self.radial = radial
-        self.class_tag = class_tag
+        self.class_tag = angular.function_class
         self.heuristic = bool(heuristic)
 
     @property
@@ -252,44 +248,13 @@ class TrialFunction:
         d, lam = self.dimension, self.angular.homogeneity
         with np.errstate(invalid="ignore", divide="ignore"):
             dpsi_over_r = np.where(r > 0.0, dpsi / r, 0.0)
-        if self.angular.kind is AngularKind.CUSTOM:
-            # No harmonicity shortcut: use the honest product rule.
-            G = self.angular.gradient(X)
-            lap_F = self.angular.laplacian(X)
-            psi = self.radial.psi(r)
-            cross = 2.0 * dpsi_over_r * row_dot(G, X)
-            out = psi * lap_F + cross + F * (psi2 + (d - 1.0) * dpsi_over_r)
-        else:
-            out = F * (psi2 + (d - 1.0 + 2.0 * lam) * dpsi_over_r)
+        out = F * (psi2 + (d - 1.0 + 2.0 * lam) * dpsi_over_r)
         return float(out[0]) if single else out
 
-    def class_residual(self, n=100, rng=None):
-        """Worst relative projector residual over n random points."""
-        rng = rng or np.random.default_rng(0)
-        X = rng.standard_normal((n, self.dimension))
-        u = self.value(X)
-        if self.class_tag is FunctionClass.ANTISYMMETRIC:
-            proj = _antisymmetrize_batch(self.value, X)
-        elif self.class_tag is FunctionClass.ODD:
-            proj = 0.5 * (u - self.value(-X))
-        else:
-            return 0.0
-        scale = 1.0 + np.abs(u)
-        return float(np.max(np.abs(u - proj) / scale))
 
-
-def _class_for_factor(factor: AngularFactor):
-    if factor.kind is AngularKind.VANDERMONDE:
-        return FunctionClass.ANTISYMMETRIC
-    if factor.kind is AngularKind.ODD_LINEAR:
-        return FunctionClass.ODD
-    return FunctionClass.GENERAL
-
-
-def gaussian_trial(factor: AngularFactor, sigma=1.0, class_tag=None):
+def gaussian_trial(factor: AngularFactor, sigma=1.0):
     """u = F(x) exp(-|x|^2 / (2 sigma^2)); the workhorse smooth trial."""
-    tag = class_tag if class_tag is not None else _class_for_factor(factor)
-    return TrialFunction(factor, gaussian_profile(sigma), tag)
+    return TrialFunction(factor, gaussian_profile(sigma))
 
 
 def sharpness_family(
@@ -337,51 +302,5 @@ def sharpness_family(
                                       smoothing_delta, R)
     profile.meta.update({"base": base, "epsilon": float(epsilon),
                          "functional": functional})
-    return TrialFunction(factor, profile, _class_for_factor(factor),
-                         heuristic=heuristic)
+    return TrialFunction(factor, profile, heuristic=heuristic)
 
-
-def perm_parity(perm):
-    """+1 for even permutations, -1 for odd ones."""
-    perm = list(perm)
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
-def _check_budget(d):
-    if d > MAX_FACTORIAL_DIM:
-        raise BudgetError(
-            f"full antisymmetrization enumerates d! terms; d <= "
-            f"{MAX_FACTORIAL_DIM} is supported"
-        )
-
-
-def antisymmetrize(u, x):
-    """A[u](x) = (1/d!) sum_sigma sgn(sigma) u(sigma x)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    _check_budget(d)
-    total = 0.0
-    for perm in itertools.permutations(range(d)):
-        total += perm_parity(perm) * float(u(x[list(perm)]))
-    return total / math.factorial(d)
-
-
-def _antisymmetrize_batch(u, X):
-    d = X.shape[1]
-    _check_budget(d)
-    total = np.zeros(len(X))
-    for perm in itertools.permutations(range(d)):
-        total += perm_parity(perm) * np.asarray(u(X[:, list(perm)]), dtype=float)
-    return total / math.factorial(d)
-
-
-def odd_project(u, x):
-    """O[u](x) = (u(x) - u(-x)) / 2."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * (float(u(x)) - float(u(-x)))

@@ -152,7 +152,7 @@ def _criterion_4():
     # Class restriction is essential: the radial Gaussian lands above the
     # classical constant but far below the antisymmetric-class one.
     pg = Params(3, 2.0, 0.0, GEN)
-    ug = tr.gaussian_trial(poly.constant_factor(3), 1.0, class_tag=GEN)
+    ug = tr.gaussian_trial(poly.ConstantFactor(3), 1.0)
     rep = qd.rayleigh_quotient(ug, Functional.HARDY, pg, cfg)
     assert rep.margin >= -2.0
     ch = cn.hardy_antisymmetric(3, 2.0).value

@@ -187,6 +187,17 @@ class TestVerifyCommand:
         assert [(r["d"], r["quotient"], r["quotient_err"])
                 for r in read_csv(out)] == pinned
 
+    def test_antisym_runs_past_d8(self, tmp_path):
+        # The class comes from the Vandermonde factor, so no d! check
+        # bounds the dimension.
+        out = tmp_path / "v.csv"
+        assert run(["verify", "--method", "mc", "--class", "antisym",
+                    "--d", "9", "--samples", "2e4", "--seed", "3",
+                    "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert math.isfinite(float(row["quotient"]))
+        assert float(row["quotient"]) > 0.0
+
     def test_product_ignores_sample_count(self, tmp_path):
         # The product rule never reads --samples, so 1 is no error; the
         # CSV still records the value given.

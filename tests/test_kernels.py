@@ -16,8 +16,7 @@ import pytest
 from symhardy import fields
 from symhardy.constants import FunctionClass, Params
 from symhardy.polynomials import (
-    AngularKind,
-    CustomFactor,
+    ConstantFactor,
     odd_linear,
     row_dot,
     row_prod,
@@ -68,19 +67,19 @@ def ref_vandermonde_gradient(factor, X):
 
 
 def ref_angular_value(factor, X):
-    if factor.kind is AngularKind.VANDERMONDE:
+    if factor.function_class is FunctionClass.ANTISYMMETRIC:
         return ref_vandermonde_value(X)
-    if factor.kind is AngularKind.ODD_LINEAR:
+    if factor.function_class is FunctionClass.ODD:
         return X.sum(axis=1)
-    return factor.value(X)
+    return np.ones(len(X))
 
 
 def ref_angular_gradient(factor, X):
-    if factor.kind is AngularKind.VANDERMONDE:
+    if factor.function_class is FunctionClass.ANTISYMMETRIC:
         return ref_vandermonde_gradient(factor, X)
-    if factor.kind is AngularKind.ODD_LINEAR:
+    if factor.function_class is FunctionClass.ODD:
         return np.ones_like(X)
-    return factor.gradient(X)
+    return np.zeros_like(X)
 
 
 def ref_trial_value(u, X):
@@ -107,12 +106,6 @@ def ref_trial_laplacian(u, X):
     d, lam = u.dimension, u.angular.homogeneity
     with np.errstate(invalid="ignore", divide="ignore"):
         dpsi_over_r = np.where(r > 0.0, dpsi / r, 0.0)
-    if u.angular.kind is AngularKind.CUSTOM:
-        G = u.angular.gradient(X)
-        lap_F = u.angular.laplacian(X)
-        psi = u.radial.psi(r)
-        cross = 2.0 * dpsi_over_r * (G * X).sum(axis=1)
-        return psi * lap_F + cross + F * (psi2 + (d - 1.0) * dpsi_over_r)
     return F * (psi2 + (d - 1.0 + 2.0 * lam) * dpsi_over_r)
 
 
@@ -133,26 +126,15 @@ def ref_certificate(X, alpha, beta, params, factor):
     )
 
 
-def squared_norm_factor(d):
-    """|x|^2: a non-harmonic custom factor, so the Laplacian takes its
-    product-rule branch."""
-    return CustomFactor(
-        d, 2.0,
-        lambda X: (np.atleast_2d(X) ** 2).sum(axis=-1),
-        lambda X: 2.0 * np.asarray(X, dtype=float),
-        laplacian_fn=lambda X: np.full(len(np.atleast_2d(X)), 2.0 * d),
-    )
-
-
 def trial(kind, d):
     if kind == "vandermonde":
         return gaussian_trial(vandermonde(d), 1.3)
     if kind == "odd":
         return gaussian_trial(odd_linear(d), 0.7)
-    return gaussian_trial(squared_norm_factor(d), 1.0)
+    return gaussian_trial(ConstantFactor(d), 1.0)
 
 
-TRIALS = [(kind, d) for kind in ("vandermonde", "odd", "custom") for d in DIMS
+TRIALS = [(kind, d) for kind in ("vandermonde", "odd", "constant") for d in DIMS
           if not (kind == "vandermonde" and d < 2)]
 
 
@@ -322,12 +304,8 @@ def test_vandermonde_layouts(d, layout):
     assert factor.gradient(view).flags.c_contiguous
 
 
-# The custom factor's own callables reduce rows with numpy, whose sums of
-# eight or more terms round by memory layout, so only the built-in
-# factors are layout-independent.
 @pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("kind, d", [(kind, d) for kind, d in TRIALS
-                                     if kind != "custom"])
+@pytest.mark.parametrize("kind, d", TRIALS)
 def test_trial_layouts(kind, d, layout):
     u, X = trial(kind, d), batch(d)
     view = layouts(X)[layout]

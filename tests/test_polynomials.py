@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symhardy import polynomials as poly
+from symhardy.constants import FunctionClass
 from symhardy.errors import (
-    DomainError,
     InvalidDimensionError,
     OnBoundaryError,
     UnsupportedDimensionError,
@@ -249,31 +249,68 @@ class TestSchwarzRatio:
             poly.schwarz_ratio([1.0, 1.0])
 
 
-class TestCustomFactor:
-    def test_accepts_consistent_factor(self):
-        f = poly.CustomFactor(
-            2,
-            3.0,
-            lambda X: np.atleast_2d(X)[:, 0] ** 2 * np.atleast_2d(X)[:, 1]
-            - np.atleast_2d(X)[:, 1] ** 3,
-            lambda X: np.stack(
-                [
-                    2.0 * np.atleast_2d(X)[:, 0] * np.atleast_2d(X)[:, 1],
-                    np.atleast_2d(X)[:, 0] ** 2 - 3.0 * np.atleast_2d(X)[:, 1] ** 2,
-                ],
-                axis=1,
-            ),
-        )
-        assert abs(poly.euler_residual([1.0, 2.0], f)) < 1e-12
+class TestConstantFactor:
+    def test_harmonic_of_order_zero(self):
+        f = poly.ConstantFactor(3)
+        X = np.random.default_rng(11).standard_normal((20, 3))
+        assert f.homogeneity == 0.0
+        assert np.array_equal(f.value(X), np.ones(20))
+        assert np.array_equal(f.gradient(X), np.zeros((20, 3)))
+        assert np.array_equal(f.laplacian(X), np.zeros(20))
+        assert np.array_equal(poly.euler_residual(X, f), np.zeros(20))
 
-    def test_rejects_wrong_homogeneity(self):
-        with pytest.raises(DomainError):
-            poly.CustomFactor(
-                2,
-                2.0,  # declared order is wrong: the form is degree 1
-                lambda X: np.atleast_2d(X).sum(axis=1),
-                lambda X: np.ones_like(np.atleast_2d(X)),
-            )
+    def test_dimension_guard(self):
+        with pytest.raises(InvalidDimensionError):
+            poly.ConstantFactor(0)
+
+
+# Each factor's symmetry class, checked once here instead of at every
+# quotient: the quadrature takes a trial's class from its factor.
+
+# Multiples of 2^-10 in [-1024, 1024]: differences are exact and nonzero
+# ones are at least 2^-10, so no product of 45 of them leaves the normal
+# range.
+DYADIC = st.integers(min_value=-2**20, max_value=2**20).map(lambda n: n / 1024.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=2, max_value=10).flatmap(
+        lambda d: st.lists(DYADIC, min_size=d, max_size=d)
+    )
+)
+def test_vandermonde_alternates_under_adjacent_transpositions(x):
+    # Adjacent transpositions generate S_d, so d - 1 swaps show that F
+    # carries the antisymmetric class.  A swap permutes the lam factors of
+    # the product and negates one of them exactly; only the order of its
+    # lam - 1 roundings changes, so F moves by less than 2 lam rounding
+    # units (2^-53 relative each).
+    x = np.asarray(x)
+    d = len(x)
+    f = poly.vandermonde(d)
+    assert f.function_class is FunctionClass.ANTISYMMETRIC
+    v = f.value(x)
+    bound = 2.0 * f.homogeneity * 2.0**-53 * abs(v)
+    for k in range(d - 1):
+        swapped = x.copy()
+        swapped[[k, k + 1]] = swapped[[k + 1, k]]
+        assert abs(f.value(swapped) + v) <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda d: st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                           min_size=d, max_size=d)
+    )
+)
+def test_odd_linear_is_odd_and_constant_is_even(x):
+    x = np.asarray(x)
+    odd, const = poly.odd_linear(len(x)), poly.ConstantFactor(len(x))
+    assert odd.function_class is FunctionClass.ODD
+    assert odd.value(-x) == -odd.value(x)
+    assert const.function_class is FunctionClass.GENERAL
+    assert const.value(-x) == const.value(x) == 1.0
 
 
 class TestExactBackend:

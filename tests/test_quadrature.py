@@ -17,7 +17,7 @@ from symhardy.errors import (
     UnsupportedDimensionError,
 )
 from symhardy.fields import SectorDomain
-from symhardy.polynomials import constant_factor, odd_linear, vandermonde
+from symhardy.polynomials import ConstantFactor, odd_linear, vandermonde
 from symhardy.trials import gaussian_trial, sharpness_family
 
 ANTI = FunctionClass.ANTISYMMETRIC
@@ -87,7 +87,7 @@ class TestOneDimensionalOracles:
 
         zeros = lambda r: np.zeros_like(np.asarray(r, dtype=float))
         u = TrialFunction(
-            odd_linear(1), RadialProfile("custom", zeros, zeros, zeros), ODD
+            odd_linear(1), RadialProfile("custom", zeros, zeros, zeros)
         )
         est = qd.hardy_denominator(u, self.params, CFG)
         assert est.value == 0.0
@@ -500,7 +500,7 @@ class TestQuotients:
         # the antisymmetric-class one.
         pr = Params(3, 2.0, 0.0, GEN)
         rep = qd.rayleigh_quotient(
-            gaussian_trial(constant_factor(3), 1.0, class_tag=GEN),
+            gaussian_trial(ConstantFactor(3), 1.0),
             Functional.HARDY,
             pr,
             CFG,
@@ -550,23 +550,23 @@ class TestQuotients:
         with pytest.raises(SymmetryClassError, match="tagged odd"):
             quotient(u, pr)
 
-    def test_actual_class_violation_refused(self):
-        # (x1 + x2) is symmetric, not antisymmetric; lying about the tag
-        # must be caught by the projector residual.
-        pr = Params(2, 2.0, 0.0, ANTI)
-        u = gaussian_trial(odd_linear(2), 1.0, class_tag=ANTI)
-        with pytest.raises(SymmetryClassError):
-            qd.rayleigh_quotient(u, Functional.HARDY, pr, CFG)
-
     def test_inadmissible_reference_refused(self):
         pr = Params(3, 2.0, 0.0, GEN)  # d - 2p = -1: outside the interval
         with pytest.raises(DomainError):
             qd.rayleigh_quotient(
-                gaussian_trial(constant_factor(3), 1.0, class_tag=GEN),
+                gaussian_trial(ConstantFactor(3), 1.0),
                 Functional.RELLICH,
                 pr,
                 CFG,
             )
+
+    @pytest.mark.parametrize(
+        "quotient", [qd.separable_hardy_quotient, qd.separable_rellich_quotient]
+    )
+    def test_separable_refuses_constant_factor(self, quotient):
+        pr = Params(5, 2.0, -2.0, GEN)
+        with pytest.raises(DomainError, match="antisymmetric and odd"):
+            quotient(gaussian_trial(ConstantFactor(5), 1.0), pr)
 
 
 class TestSeparableReports:

@@ -5,8 +5,8 @@ import pytest
 
 from symhardy import trials as tr
 from symhardy.constants import FunctionClass
-from symhardy.errors import BudgetError, DomainError, InvalidDimensionError
-from symhardy.polynomials import constant_factor, odd_linear, vandermonde
+from symhardy.errors import DomainError, InvalidDimensionError
+from symhardy.polynomials import ConstantFactor, odd_linear, vandermonde
 
 ANTI = FunctionClass.ANTISYMMETRIC
 ODD = FunctionClass.ODD
@@ -69,7 +69,6 @@ class TestGaussianTrial:
         x = rng.standard_normal(3)
         swapped = x[[1, 0, 2]]
         assert u.value(swapped) == pytest.approx(-u.value(x), rel=1e-12)
-        assert u.class_residual(50) < 1e-12
 
     def test_laplacian_where_factor_vanishes(self):
         # With F(x) = 0 the product rule leaves 2 <grad F, grad psi>, which
@@ -84,10 +83,9 @@ class TestGaussianTrial:
         assert abs(u.laplacian(x) - fd_laplacian(u.value, x)) < 1e-6
 
     def test_general_tag_with_constant_factor(self):
-        u = tr.gaussian_trial(constant_factor(3), 1.0,
-                              class_tag=FunctionClass.GENERAL)
+        u = tr.gaussian_trial(ConstantFactor(3), 1.0)
+        assert u.class_tag is FunctionClass.GENERAL
         assert u.value([0.0, 0.0, 0.0]) == 1.0
-        assert u.class_residual(10) == 0.0
 
     def test_constant_profile_shell_is_harmonic(self):
         # Harmonic angular factor times a locally constant radial profile
@@ -97,7 +95,6 @@ class TestGaussianTrial:
         u = tr.TrialFunction(
             vandermonde(3),
             tr.RadialProfile("custom", ones, zeros, zeros),
-            ANTI,
         )
         rng = np.random.default_rng(37)
         X = rng.standard_normal((50, 3))
@@ -152,11 +149,9 @@ class TestSharpnessFamily:
     def test_class_tags(self):
         ua = tr.sharpness_family(vandermonde(3), 0.1, 0.02)
         assert ua.class_tag is ANTI
-        assert ua.class_residual(50) < 1e-10
         assert not ua.heuristic
         uo = tr.sharpness_family(odd_linear(3), 0.1, 0.02)
         assert uo.class_tag is ODD
-        assert uo.class_residual(50) < 1e-10
 
     def test_exponent_choices(self):
         d = 3
@@ -182,38 +177,14 @@ class TestSharpnessFamily:
         assert u.radial.meta["cutoff"] == pytest.approx(500.0, rel=1e-12)
 
 
-class TestProjectors:
-    def test_antisymmetrize_linear_coordinate(self):
-        got = tr.antisymmetrize(lambda x: x[0], np.array([2.0, 5.0]))
-        assert got == pytest.approx((2.0 - 5.0) / 2.0, rel=1e-14)
-
-    def test_idempotence(self):
-        rng = np.random.default_rng(35)
-        f = lambda x: x[0] ** 2 * x[1] - 3.0 * x[2] + x[0] * x[1] * x[2]
-        for _ in range(20):
-            x = rng.standard_normal(3)
-            once = tr.antisymmetrize(f, x)
-            twice = tr.antisymmetrize(lambda y: tr.antisymmetrize(f, y), x)
-            assert twice == pytest.approx(once, rel=1e-12, abs=1e-12)
-
-    def test_odd_projector(self):
-        even = lambda x: float(np.sum(np.asarray(x) ** 2))
-        rng = np.random.default_rng(36)
-        for _ in range(20):
-            x = rng.standard_normal(4)
-            assert tr.odd_project(even, x) == 0.0
-        odd = lambda x: float(np.asarray(x)[0] ** 3)
-        x = rng.standard_normal(4)
-        assert tr.odd_project(odd, x) == pytest.approx(odd(x), rel=1e-14)
-
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            tr.antisymmetrize(lambda x: x[0], np.zeros(9))
-
-    def test_parity(self):
-        assert tr.perm_parity([0, 1, 2]) == 1
-        assert tr.perm_parity([1, 0, 2]) == -1
-        assert tr.perm_parity([2, 0, 1]) == 1
+@pytest.mark.parametrize("make", [vandermonde, odd_linear, ConstantFactor])
+@pytest.mark.parametrize("d", range(3, 11))
+def test_trial_class_is_the_factors(make, d):
+    factor = make(d)
+    assert tr.gaussian_trial(factor, 1.0).class_tag is factor.function_class
+    for functional in ("hardy", "rellich"):
+        u = tr.sharpness_family(factor, 0.1, 0.02, functional=functional)
+        assert u.class_tag is factor.function_class
 
 
 class TestProfileMemo:
