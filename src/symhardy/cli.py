@@ -171,8 +171,7 @@ def _emit(rows, manifest, fmt, out_path):
             handle.write(payload)
         if fmt == "csv":
             with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2)
-                handle.write("\n")
+                handle.write(json.dumps(manifest, indent=2) + "\n")
     else:
         sys.stdout.write(payload)
         if fmt == "csv":
@@ -189,8 +188,7 @@ def _write_run_report(args, manifest, checks, wall_clock, exit_code, error):
     }
     if args.out:
         with open(args.out + ".run.json", "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+            handle.write(json.dumps(report, indent=2) + "\n")
     print(
         f"run: {args.command} wall_clock_s={wall_clock:.3f} "
         f"checks_failed={sum(not ok for ok in checks.values())}"

@@ -21,6 +21,7 @@ tests pin down.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +30,7 @@ import numpy as np
 from .constants import FunctionClass, Params
 from .errors import (
     DegenerateSampleError,
+    DomainError,
     InvalidDimensionError,
     OutOfRangeError,
     SingularPointError,
@@ -88,14 +90,16 @@ class SectorDomain:
         return bool(out[0]) if x.ndim == 1 else out
 
     def boundary_distance(self, x):
-        """Euclidean distance to the sector boundary (hyperplane arrangement)."""
+        """Euclidean distance to the sector boundary (hyperplane arrangement).
+
+        For the ordered sector the nearest wall x_i = x_j is the one of the
+        smallest adjacent gap of the sorted row, at distance gap / sqrt(2):
+        fl(x_j - x_i) is monotone in both arguments, so on a sorted row no
+        other pair has a smaller rounded gap.  Rows are sorted first.
+        """
         X = np.atleast_2d(np.asarray(x, dtype=float))
         if self.kind is SectorKind.ORDERED_SECTOR:
-            # Nearest wall is x_i = x_j; distance |x_i - x_j| / sqrt(2).
-            D = X[:, :, None] - X[:, None, :]
-            iu = np.triu_indices(self.dimension, k=1)
-            gaps = np.abs(D[:, iu[0], iu[1]])
-            dist = gaps.min(axis=1) / np.sqrt(2.0)
+            dist = _ordered_distance(_sort_rows(X))
         else:
             dist = np.abs(row_sum(X.T)) / np.sqrt(self.dimension)
         return float(dist[0]) if np.asarray(x).ndim == 1 else dist
@@ -103,29 +107,76 @@ class SectorDomain:
     def sample_interior(self, n, rng, tube=1e-6, origin_ball=1e-6):
         """Draw n standard normal interior points, excluding a tube around
         the boundary and a ball at the origin where the certificate is
-        numerically singular.  Gives up after 200 draws of max(n, 128)."""
+        numerically singular.  Gives up after 200 draws of max(n, 128).
+
+        Rows are sorted (ordered sector) or negated where their sum is
+        negative (half-space), and the wall distance comes from the sorted
+        columns or those sums.  The points and the generator's state equal,
+        bit for bit, those of ``np.sort`` and ``boundary_distance`` on each
+        draw.  Bad arguments raise ``DomainError`` before anything is drawn.
+        """
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise DomainError(f"n must be a non-negative integer, got {n!r}")
+        for name, value in (("tube", tube), ("origin_ball", origin_ball)):
+            if not 0.0 <= value < np.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
         d = self.dimension
-        out = np.empty((0, d))
-        attempts = 0
-        while len(out) < n:
-            attempts += 1
-            if attempts > 200:
+        kept, count, draws = [], 0, 0
+        while count < n:
+            if draws == 200:
                 raise DegenerateSampleError(
-                    f"interior sampling kept {len(out)} of n={n} points after "
+                    f"interior sampling kept {count} of n={n} points after "
                     f"200 draws with tube={tube:g}, origin_ball={origin_ball:g}"
                 )
+            draws += 1
             X = rng.standard_normal((max(n, 128), d))
             if self.kind is SectorKind.ORDERED_SECTOR:
-                X = np.sort(X, axis=1)
+                X = _sort_rows(X)
+                dist = _ordered_distance(X)
             else:
-                s = np.sign(row_sum(X.T))
+                total = row_sum(X.T)
+                s = np.sign(total)
                 s[s == 0.0] = 1.0
                 X = X * s[:, None]
-            keep = (self.boundary_distance(X) > tube) & (
-                np.sqrt(row_dot(X, X)) > origin_ball
-            )
-            out = np.vstack([out, X[keep]])
-        return out[:n]
+                # Negation is exact, so the flipped rows sum to -total.
+                dist = np.abs(total) / np.sqrt(d)
+            keep = (dist > tube) & (np.sqrt(row_dot(X, X)) > origin_ball)
+            kept.append(X.compress(keep, axis=0))
+            count += len(kept[-1])
+        return np.concatenate(kept)[:n] if kept else np.empty((0, d))
+
+
+# Below this many coordinates a transposition network over whole columns
+# sorts rows faster than np.sort(axis=1), which sorts each short row on its
+# own; from here on np.sort is as fast.
+_NETWORK_DIM = 8
+
+
+def _sort_rows(X):
+    """np.sort(X, axis=1), C-ordered; below ``_NETWORK_DIM`` columns by an
+    odd-even transposition network.  Its compare-exchanges keep tied pairs
+    in place (np.minimum and np.maximum return their second argument on
+    ties), so without NaN it matches ``np.sort(kind="stable")``, and
+    np.sort on rows without a -0.0/0.0 tie."""
+    d = X.shape[1]
+    if d >= _NETWORK_DIM:
+        return np.sort(X, axis=1)
+    cols = list(X.T)
+    for step in range(d):
+        for i in range(step % 2, d - 1, 2):
+            a, b = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.minimum(b, a), np.maximum(a, b)
+    return np.stack(cols, axis=1)
+
+
+def _ordered_distance(X):
+    """Distance to the nearest wall x_i = x_j of rows sorted ascending."""
+    cols = X.T
+    gap = cols[1] - cols[0]
+    for i in range(1, len(cols) - 1):
+        np.minimum(gap, cols[i + 1] - cols[i], out=gap)
+    # abs: a tie of 0.0 before -0.0 leaves a gap of -0.0.
+    return np.abs(gap) / np.sqrt(2.0)
 
 
 def _prepare(x, params, factor):
@@ -133,42 +184,51 @@ def _prepare(x, params, factor):
     if X.shape[1] != factor.dimension or factor.dimension != params.d:
         raise InvalidDimensionError("dimension mismatch between point, factor, params")
     r2 = row_dot(X, X)
-    F = factor.value(X)
-    if np.any(r2 == 0.0) or np.any(F <= 0.0):
+    F, G = factor.value_and_gradient(X)
+    # Comparisons with NaN are false, so NaN coordinates are refused too.
+    if not np.all((0.0 < r2) & (r2 < np.inf) & (0.0 < F) & (F < np.inf)):
         raise SingularPointError(
-            "the field needs interior points: factor value > 0 and x != 0"
+            "the field needs interior points: finite x != 0 with a finite "
+            "factor value > 0"
         )
-    return X, r2, F, factor.gradient(X)
+    return X, r2, F, G
 
 
-def _field(X, F, G, r, rp, alpha, beta, params):
-    """T = alpha x / |x|^p - beta grad F / (F |x|^(p-2)), given r and r^p."""
-    q = params.p - 2.0
-    return alpha * X / rp[:, None] - beta * G / (F * r**q)[:, None]
+def _radial_powers(r2, p):
+    """|x|^p and |x|^(p-2), given |x|^2."""
+    r = np.sqrt(r2)
+    return r**p, r ** (p - 2.0)
 
 
-def _divergence(F, G, r, rp, alpha, beta, params, lam):
-    """Closed-form div T, given r and r^p."""
+def _field(X, F, G, rp, rq, alpha, beta):
+    """T = alpha x / |x|^p - beta grad F / (F |x|^(p-2)), given r^p and
+    r^(p-2)."""
+    return alpha * X / rp[:, None] - beta * G / (F * rq)[:, None]
+
+
+def _divergence(F, G, rp, rq, alpha, beta, params, lam):
+    """Closed-form div T, given r^p and r^(p-2)."""
     p = params.p
     return (alpha * (params.d - p) + beta * (p - 2.0) * lam) / rp + beta * (
         row_dot(G, G) / (F * F)
-    ) / r ** (p - 2.0)
+    ) / rq
 
 
 def field_T(x, alpha, beta, params: Params, factor: AngularFactor):
     """alpha x / |x|^p - beta grad F / (F |x|^(p-2)) at interior points."""
     X, r2, F, G = _prepare(x, params, factor)
-    r = np.sqrt(r2)
-    T = _field(X, F, G, r, r**params.p, alpha, beta, params)
+    rp, rq = _radial_powers(r2, params.p)
+    # C order whatever the layout of grad F, as callers may reduce rows of
+    # eight or more terms with numpy, whose sums round by memory layout.
+    T = np.ascontiguousarray(_field(X, F, G, rp, rq, alpha, beta))
     return T[0] if np.asarray(x).ndim == 1 else T
 
 
 def divergence_T(x, alpha, beta, params: Params, factor: AngularFactor):
     """Closed-form divergence, valid for harmonic homogeneous factors."""
     X, r2, F, G = _prepare(x, params, factor)
-    r = np.sqrt(r2)
-    div = _divergence(F, G, r, r**params.p, alpha, beta, params,
-                      factor.homogeneity)
+    rp, rq = _radial_powers(r2, params.p)
+    div = _divergence(F, G, rp, rq, alpha, beta, params, factor.homogeneity)
     return float(div[0]) if np.asarray(x).ndim == 1 else div
 
 
@@ -191,10 +251,9 @@ def certificate_many(X, alpha, beta, params: Params, factor: AngularFactor):
         raise OutOfRangeError("the pointwise certificate needs p >= 2")
     X, r2, F, G = _prepare(X, params, factor)
     p, gamma = params.p, params.gamma
-    r = np.sqrt(r2)
-    rp = r**p
-    div = _divergence(F, G, r, rp, alpha, beta, params, factor.homogeneity)
-    T = _field(X, F, G, r, rp, alpha, beta, params)
+    rp, rq = _radial_powers(r2, p)
+    div = _divergence(F, G, rp, rq, alpha, beta, params, factor.homogeneity)
+    T = _field(X, F, G, rp, rq, alpha, beta)
     T_sq = row_dot(T, T)
     x_dot_T = row_dot(X, T)
     return rp * (

@@ -6,10 +6,11 @@ from symhardy import minimax as mm
 from symhardy.constants import FunctionClass, Params
 from symhardy.errors import (
     DegenerateSampleError,
+    DomainError,
     OutOfRangeError,
     SingularPointError,
 )
-from symhardy.polynomials import odd_linear, vandermonde
+from symhardy.polynomials import odd_linear, row_dot, row_sum, vandermonde
 
 ANTI = FunctionClass.ANTISYMMETRIC
 ODD = FunctionClass.ODD
@@ -202,3 +203,177 @@ class TestSectorDomain:
     def test_for_params_rejects_general(self):
         with pytest.raises(OutOfRangeError):
             fd.SectorDomain.for_params(Params(3, 2, 0.0, FunctionClass.GENERAL))
+
+
+class TestSamplingArguments:
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n": 2.5}, "n"),
+        ({"n": -1}, "n"),
+        ({"n": "10"}, "n"),
+        ({"tube": float("nan")}, "tube"),
+        ({"tube": float("inf")}, "tube"),
+        ({"tube": -1e-3}, "tube"),
+        ({"origin_ball": float("nan")}, "origin_ball"),
+        ({"origin_ball": float("inf")}, "origin_ball"),
+        ({"origin_ball": -1.0}, "origin_ball"),
+    ])
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_refused_before_any_draw(self, klass, kwargs, name):
+        dom = fd.SectorDomain.for_params(Params(3, 2, 0.0, klass))
+        rng = np.random.default_rng(29)
+        state = rng.bit_generator.state
+        args = {"n": 10, "rng": rng, **kwargs}
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            dom.sample_interior(**args)
+        assert rng.bit_generator.state == state
+
+    def test_zero_points_draw_nothing(self):
+        dom = fd.SectorDomain.for_params(Params(3, 2, 0.0, ANTI))
+        rng = np.random.default_rng(30)
+        state = rng.bit_generator.state
+        assert dom.sample_interior(np.int64(0), rng).shape == (0, 3)
+        assert rng.bit_generator.state == state
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("klass,x", [
+        (ANTI, [np.nan, 1.0, 2.0]),
+        (ANTI, [-np.inf, 1.0, 2.0]),
+        (ANTI, [0.0, 1.0, np.inf]),
+        (ODD, [1.0, 2.0, np.inf]),
+        (ODD, [1.0, np.nan, 2.0]),
+    ])
+    @pytest.mark.parametrize("fn", [
+        fd.field_T, fd.divergence_T, fd.pointwise_certificate,
+        lambda x, *args: fd.certificate_many(np.array([[1.0, 2.0, 3.0], x]), *args),
+    ], ids=["field_T", "divergence_T", "pointwise_certificate",
+            "certificate_many"])
+    def test_refused(self, klass, x, fn):
+        pr = Params(3, 2.5, 0.0, klass)
+        opt = mm.closed_form_optimum(pr)
+        factor = fd.SectorDomain.for_params(pr).factor
+        with pytest.raises(SingularPointError):
+            fn(np.array(x), opt.alpha, opt.beta, pr, factor)
+
+
+# Reference implementations: the direct formulas that the field-check path
+# must reproduce bit for bit -- a row-wise np.sort, every pairwise gap of
+# the ordered sector, separate factor value and gradient calls, and
+# |x|^(p-2) formed once for the field and once for its divergence.
+
+def ref_boundary_distance(dom, x):
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    if dom.kind is fd.SectorKind.ORDERED_SECTOR:
+        D = X[:, :, None] - X[:, None, :]
+        iu = np.triu_indices(dom.dimension, k=1)
+        gaps = np.abs(D[:, iu[0], iu[1]])
+        dist = gaps.min(axis=1) / np.sqrt(2.0)
+    else:
+        dist = np.abs(row_sum(X.T)) / np.sqrt(dom.dimension)
+    return float(dist[0]) if np.asarray(x).ndim == 1 else dist
+
+
+def ref_sample_interior(dom, n, rng, tube, origin_ball):
+    d = dom.dimension
+    out = np.empty((0, d))
+    while len(out) < n:
+        X = rng.standard_normal((max(n, 128), d))
+        if dom.kind is fd.SectorKind.ORDERED_SECTOR:
+            X = np.sort(X, axis=1)
+        else:
+            s = np.sign(row_sum(X.T))
+            s[s == 0.0] = 1.0
+            X = X * s[:, None]
+        keep = (ref_boundary_distance(dom, X) > tube) & (
+            np.sqrt(row_dot(X, X)) > origin_ball
+        )
+        out = np.vstack([out, X[keep]])
+    return out[:n]
+
+
+def ref_parts(X, alpha, beta, pr, factor):
+    r2 = row_dot(X, X)
+    F, G = factor.value(X), factor.gradient(X)
+    r = np.sqrt(r2)
+    rp = r**pr.p
+    T = alpha * X / rp[:, None] - beta * G / (F * r ** (pr.p - 2.0))[:, None]
+    div = (
+        alpha * (pr.d - pr.p) + beta * (pr.p - 2.0) * factor.homogeneity
+    ) / rp + beta * (row_dot(G, G) / (F * F)) / r ** (pr.p - 2.0)
+    cert = rp * (
+        div
+        - (pr.p - 1.0) * row_dot(T, T) ** (pr.p / (2.0 * (pr.p - 1.0)))
+        - pr.gamma * row_dot(X, T) / r2
+    )
+    return T, div, cert
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("tube,origin_ball",
+                             [(1e-6, 1e-6), (0.02, 1e-6), (0.05, 0.5)])
+    @pytest.mark.parametrize("n", [50, 10_000])
+    @pytest.mark.parametrize("d", range(2, 11))
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_sample_interior(self, klass, d, n, tube, origin_ball):
+        # Covers the sorting network (d < 8) and np.sort (d >= 8).
+        dom = fd.SectorDomain.for_params(Params(d, 2, 0.0, klass))
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        X = dom.sample_interior(n, rng, tube=tube, origin_ball=origin_ball)
+        assert_same_bits(X, ref_sample_interior(dom, n, ref_rng, tube, origin_ball))
+        assert X.flags.c_contiguous
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 10])
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_boundary_distance(self, klass, d):
+        dom = fd.SectorDomain.for_params(Params(d, 2, 0.0, klass))
+        rng = np.random.default_rng(32)
+        unsorted = rng.standard_normal((500, d))
+        ties = rng.integers(-2, 3, size=(500, d)).astype(float)
+        zeros = rng.choice([0.0, -0.0, 1.0, -1.0], size=(500, d))
+        for X in (unsorted, ties, zeros, 1e-300 * unsorted):
+            assert_same_bits(dom.boundary_distance(X), ref_boundary_distance(dom, X))
+        for x in unsorted[:5]:
+            got = dom.boundary_distance(x)
+            assert isinstance(got, float)
+            assert_same_bits(got, ref_boundary_distance(dom, x))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_network_is_a_stable_sort(self, d):
+        rng = np.random.default_rng(33)
+        X = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0], size=(2000, d))
+        assert_same_bits(fd._sort_rows(X), np.sort(X, axis=1, kind="stable"))
+
+    # The certificate workload's 24 field-op point sets at seed 1 (classes
+    # antisym, odd; d = 2, 3; p = 2, 3; gamma = -1, 0, 1), and two d >= 8
+    # sets, where row sums round by numpy's pairwise rule.
+    FIELD_SETS = [
+        (klass, d, p, gamma, [1, 54 + k])
+        for k, (klass, d, p, gamma) in enumerate(
+            (klass, d, p, gamma)
+            for klass in (ANTI, ODD) for d in (2, 3)
+            for p in (2.0, 3.0) for gamma in (-1.0, 0.0, 1.0)
+        )
+    ] + [(ANTI, 8, 3.0, 1.0, [1, 0]), (ODD, 9, 2.5, -1.0, [1, 1])]
+
+    @pytest.mark.parametrize("klass,d,p,gamma,seed", FIELD_SETS)
+    def test_field_checks(self, klass, d, p, gamma, seed):
+        pr = Params(d, p, gamma, klass)
+        dom = fd.SectorDomain.for_params(pr)
+        X = dom.sample_interior(10_000, np.random.default_rng(seed), tube=0.02)
+        opt = mm.closed_form_optimum(pr)
+        args = (opt.alpha, opt.beta, pr, dom.factor)
+        T, div, cert = ref_parts(X, *args)
+        got_T = fd.field_T(X, *args)
+        assert_same_bits(got_T, T)
+        assert got_T.flags.c_contiguous
+        assert_same_bits(fd.divergence_T(X, *args), div)
+        assert_same_bits(fd.certificate_many(X, *args), cert)
+        assert_same_bits(fd.field_T(X[0], *args), T[0])
+        assert_same_bits(fd.pointwise_certificate(X[0], *args), cert[0])
