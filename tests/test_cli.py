@@ -187,6 +187,49 @@ class TestVerifyCommand:
         assert [(r["d"], r["quotient"], r["quotient_err"])
                 for r in read_csv(out)] == pinned
 
+    @pytest.mark.parametrize(
+        "args, pinned",
+        [
+            ("--class antisym --functional hardy --d 2", (
+                "6.2831853071733406", "3.1415926535866707",
+                "1.9999999999999998", "1.4625046747565169e-08")),
+            ("--class antisym --functional hardy --d 3", (
+                "37.586213978614062", "2.3864262843564497",
+                "15.749999999999991", "1.1338772628617142e-05")),
+            ("--class odd --functional hardy --d 2", (
+                "6.2831853071733397", "3.1415926535866707",
+                "1.9999999999999993", "1.4625047880235974e-08")),
+            ("--class odd --functional hardy --d 3", (
+                "20.881229988118935", "5.5683279968317168",
+                "3.7499999999999996", "1.6190499700281049e-07")),
+            ("--class antisym --functional rellich --d 3", (
+                "206.72417688237752", "0.95457051374257995",
+                "216.56250000000006", "6.696579977337942e-05")),
+            ("--class odd --functional rellich --d 3", (
+                "73.084304958416254", "11.136643427292819",
+                "6.5625074049966372", "7.405103893611391e-06")),
+            ("--class odd --functional hardy --d 3 --p 3", (
+                "15.364367496677438", "3.9374016876649254",
+                "3.9021590163916628", "5.1352066571994058e-05")),
+            ("--class antisym --functional rellich --d 4 --p 3 --gamma=1", (
+                "6965.196885221746", "0.045730384782843483",
+                "152310.0432742227", "553.9775153089372")),
+        ],
+        ids=["antisym-hardy-d2", "antisym-hardy-d3", "odd-hardy-d2",
+             "odd-hardy-d3", "antisym-rellich-d3", "odd-rellich-d3",
+             "odd-hardy-d3-p3", "antisym-rellich-d4-p3-gamma1"],
+    )
+    def test_product_quotients_pinned(self, tmp_path, args, pinned):
+        # Exact 17-digit product-rule estimates of the antisymmetric and
+        # odd classes: they move if the numerator and denominator stop
+        # summing the nodes of two separate integrations in node order.
+        out = tmp_path / "v.csv"
+        assert run(["verify", "--method", "product", *args.split(),
+                    "--seed", "7", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert (row["numerator"], row["denominator"], row["quotient"],
+                row["quotient_err"]) == pinned
+
     def test_antisym_runs_past_d8(self, tmp_path):
         # The class comes from the Vandermonde factor, so no d! check
         # bounds the dimension.
