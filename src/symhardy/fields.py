@@ -34,6 +34,7 @@ from .errors import (
     InvalidDimensionError,
     OutOfRangeError,
     SingularPointError,
+    SymmetryClassError,
 )
 from .polynomials import AngularFactor, odd_linear, row_dot, row_sum, vandermonde
 
@@ -52,6 +53,12 @@ class SectorKind(Enum):
     POSITIVE_HALF = "positive_half"
 
 
+_SECTOR_CLASS = {
+    SectorKind.ORDERED_SECTOR: FunctionClass.ANTISYMMETRIC,
+    SectorKind.POSITIVE_HALF: FunctionClass.ODD,
+}
+
+
 @dataclass(frozen=True)
 class SectorDomain:
     """A fundamental domain of the symmetry class.
@@ -60,11 +67,20 @@ class SectorDomain:
     Vandermonde factor is positive; POSITIVE_HALF is the half-space where
     the odd linear form is positive.  Interior membership implies a
     positive factor value; for the half-space (and for d = 2) the two are
-    equivalent.
+    equivalent.  So the ordered sector takes an antisymmetric factor and
+    the half-space an odd one; other pairs raise ``SymmetryClassError``.
     """
 
     kind: SectorKind
     factor: AngularFactor
+
+    def __post_init__(self):
+        need = _SECTOR_CLASS[self.kind]
+        if self.factor.function_class is not need:
+            raise SymmetryClassError(
+                f"{self.kind.value} needs a factor of class {need.value}, "
+                f"got class {self.factor.function_class.value}"
+            )
 
     @classmethod
     def for_params(cls, params: Params):

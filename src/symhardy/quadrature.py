@@ -24,6 +24,11 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
   rule on the sphere (d <= 4).  The reported error is the change under
   halving both node counts.  Whole radii are grouped into blocks of at
   most ``_BLOCK`` points, built column-major as in the ``mc`` engine.
+  A quotient's numerator and denominator share each of the three grids
+  (fine, half the node counts, half ``r_min``): each grid is built once,
+  each block's trial terms come from one call, and each integrand's sum
+  is added radius by radius in node order, so it equals that of a
+  separate ``product_integral`` bit for bit.
 
 For separable trials u = F psi(|x|) there is additionally an exact
 radial-reduction path: the sphere moment of |F|^p is a common factor of
@@ -202,8 +207,19 @@ def _leggauss(n):
     return nodes, wts
 
 
+@lru_cache(maxsize=None)
 def sphere_grid(d, n):
-    """Nodes and weights integrating over the unit sphere S^(d-1), d <= 4."""
+    """Nodes and weights integrating over the unit sphere S^(d-1), d <= 4.
+
+    The rule is built once per (d, n) and returned read-only.
+    """
+    pts, W = _sphere_rule(d, n)
+    pts.flags.writeable = False
+    W.flags.writeable = False
+    return pts, W
+
+
+def _sphere_rule(d, n):
     if d < 1:
         raise UnsupportedDimensionError("d must be >= 1")
     if d == 1:
@@ -358,11 +374,13 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
     return estimates
 
 
-def _product_pass(fn, d, config, nr, na, r_min=None):
-    r_lo = max(r_min if r_min is not None else config.r_min, 1e-12)
-    r_hi = config.r_max
-    if not (0.0 < r_lo < r_hi < math.inf):
-        raise DomainError("the product rule needs finite radial cutoffs")
+def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate):
+    """One tensor rule on [r_lo, r_hi]: per integrand, the sum and the
+    number of non-finite nodes, and the node count.
+
+    ``evaluate(X, members)`` is called once per block of whole radii, with
+    every integrand as a member; only that block's values are held.
+    """
     nodes, wts = _leggauss(nr)
     s_lo, s_hi = math.log(r_lo), math.log(r_hi)
     svals = 0.5 * (s_hi + s_lo) + 0.5 * (s_hi - s_lo) * nodes
@@ -370,8 +388,9 @@ def _product_pass(fn, d, config, nr, na, r_min=None):
     r = np.exp(svals)
     pts, aw = sphere_grid(d, na)
     step = max(1, _BLOCK // len(aw))
-    total = 0.0
-    degen = 0
+    members = range(n_integrands)
+    totals = [0.0] * n_integrands
+    degen = [0] * n_integrands
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(r), step):
             rb, wb = r[lo:lo + step], swts[lo:lo + step]
@@ -379,15 +398,55 @@ def _product_pass(fn, d, config, nr, na, r_min=None):
             for out, column in zip(XT, pts.T):
                 np.multiply.outer(rb, column, out=out)
             X = XT.reshape(d, -1).T
-            vals = np.asarray(fn(X), dtype=float).reshape(len(rb), len(aw))
-            bad = ~np.isfinite(vals)
-            degen += int(bad.sum())
-            vals = np.where(bad, 0.0, vals)
+            rows = []
+            for i, vals in zip(members, evaluate(X, members)):
+                vals = np.asarray(vals, dtype=float).reshape(len(rb), len(aw))
+                finite = np.isfinite(vals)
+                if not finite.all():
+                    degen[i] += vals.size - int(np.count_nonzero(finite))
+                    vals = np.where(finite, vals, 0.0)
+                rows.append(vals)
             # Radius by radius in node order: a vectorized sum rounds
             # differently and would change the output bytes.
-            for ri, wi, row in zip(rb, wb, vals):
-                total += wi * ri**d * float(aw @ row)
-    return total, degen, len(r) * len(aw)
+            for k, (ri, wi) in enumerate(zip(rb, wb)):
+                weight = wi * ri**d
+                for i, vals in enumerate(rows):
+                    totals[i] += weight * float(aw @ vals[k])
+    return totals, degen, len(r) * len(aw)
+
+
+def _product_passes(d, config: QuadratureConfig, n_integrands, evaluate):
+    """``product_integral`` of several integrands, on grids they share.
+
+    Each of the three grids (fine, half the node counts, half ``r_min``)
+    is built once and ``evaluate(X, members)`` returns the values of every
+    integrand at its blocks, as in ``_mc_streams``.  Integrand i sums
+    exactly the terms of ``product_integral`` of its own, and a degenerate
+    integrand raises the message of the first such call.
+    """
+    nr, na, r_hi = config.radial_nodes, config.angular_nodes, config.r_max
+    r_lo = max(config.r_min, 1e-12)
+    if not r_lo < r_hi < math.inf:
+        raise DomainError("the product rule needs finite radial cutoffs")
+    grids = [(nr, na, r_lo),
+             (max(nr // 2, 8), max(na // 2, 4), r_lo),
+             (nr, na, max(config.r_min / 2.0, 1e-12))]
+    (fine, degen, n), (coarse_nodes, _, _), (coarse_rmin, _, _) = [
+        _product_pass(d, *grid, r_hi, n_integrands, evaluate)
+        for grid in grids
+    ]
+    estimates = []
+    for i in range(n_integrands):
+        if degen[i] > DEGENERATE_FRACTION * n:
+            raise DegenerateSampleError(
+                f"{degen[i]} of {n} quadrature nodes non-finite")
+        err = (
+            2.0 * (abs(fine[i] - coarse_nodes[i])
+                   + abs(fine[i] - coarse_rmin[i]))
+            + 1e-15 * abs(fine[i])
+        )
+        estimates.append(Estimate(fine[i], err, n, degen[i], "product"))
+    return estimates
 
 
 def product_integral(fn, d, config: QuadratureConfig):
@@ -396,26 +455,12 @@ def product_integral(fn, d, config: QuadratureConfig):
     The error estimate combines two Richardson-style deltas, one against
     half the node counts and one against half the inner cutoff, kept
     separate so they cannot cancel; halving r_min therefore always moves
-    the estimate by less than one error bar.
+    the estimate by less than one error bar.  ``fn`` is called on
+    column-major blocks of whole radii, at most ``_BLOCK`` points where a
+    radius's sphere rule fits.
     """
-    fine, degen, n = _product_pass(
-        fn, d, config, config.radial_nodes, config.angular_nodes
-    )
-    coarse_nodes, _, _ = _product_pass(
-        fn, d, config, max(config.radial_nodes // 2, 8),
-        max(config.angular_nodes // 2, 4),
-    )
-    coarse_rmin, _, _ = _product_pass(
-        fn, d, config, config.radial_nodes, config.angular_nodes,
-        r_min=config.r_min / 2.0,
-    )
-    if degen > DEGENERATE_FRACTION * n:
-        raise DegenerateSampleError(f"{degen} of {n} quadrature nodes non-finite")
-    err = (
-        2.0 * (abs(fine - coarse_nodes) + abs(fine - coarse_rmin))
-        + 1e-15 * abs(fine)
-    )
-    return Estimate(fine, err, n, degen, "product")
+    (estimate,) = _product_passes(d, config, 1, lambda X, _: [fn(X)])
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +515,14 @@ _INTEGRANDS = {
 
 def _integrand_values(u: TrialFunction, params: Params, terms):
     """``evaluate(X, members)`` for the integrands ``terms[i]``, i in
-    members: the value and the gradient come from one ``u.evaluate``."""
+    members: the value, the gradient and the Laplacian come from one
+    ``u.evaluate``."""
     p, gamma = params.p, params.gamma
 
     def evaluate(X, members):
         orders = [terms[i][0] for i in members]
-        sq = None
-        if 0 in orders or 1 in orders:
-            sq, value, grad = u.evaluate(X, gradient=1 in orders)
+        sq, value, grad, lap = u.evaluate(X, gradient=1 in orders,
+                                          laplacian=2 in orders)
         out = []
         for i in members:
             order, w = terms[i]
@@ -486,11 +531,8 @@ def _integrand_values(u: TrialFunction, params: Params, terms):
             elif order == 1:
                 base = row_dot(grad, grad) ** (p / 2.0)
             else:
-                base = np.abs(u.laplacian(X)) ** p
-            exponent = w * p + gamma
-            if sq is None and exponent != 0.0:
-                sq = row_dot(X, X)
-            out.append(base * _weight(sq, exponent))
+                base = np.abs(lap) ** p
+            out.append(base * _weight(sq, w * p + gamma))
         return out
 
     return evaluate
@@ -500,8 +542,9 @@ def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
                terms):
     """Estimates of the integrands ``terms`` (see ``_INTEGRANDS``).
 
-    Every shape is checked before any integration.  The MC engine serves
-    all of them from one pass over its streams.
+    Every shape is checked before any integration.  Both engines serve
+    all of them from one pass: the MC engine over its streams, the product
+    rule over each of its grids.
     """
     scale = _radial_scale(u, params.p)
     proposals = [
@@ -510,11 +553,7 @@ def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
     ]
     evaluate = _integrand_values(u, params, terms)
     if config.method == "product":
-        return [
-            product_integral(lambda X, i=i: evaluate(X, (i,))[0], params.d,
-                             config)
-            for i in range(len(terms))
-        ]
+        return _product_passes(params.d, config, len(terms), evaluate)
     return _mc_streams(params.d, config, proposals, evaluate)
 
 

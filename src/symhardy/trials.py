@@ -44,7 +44,9 @@ class RadialProfile:
     ``segments`` is optional metadata used by the separable integrators:
     a tuple of ("power", lo, hi, rho), ("numeric", lo, hi) and
     ("zero", lo, hi) entries that partition (0, inf).  Profiles without
-    segments are integrated numerically end to end.
+    segments are integrated numerically end to end.  ``joint(r, order)``,
+    when given, returns psi up to its ``order``-th derivative from one
+    pass over r; see ``derivatives``.
     """
 
     kind: str
@@ -54,6 +56,28 @@ class RadialProfile:
     sigma: float | None = None
     segments: tuple | None = None
     meta: dict = field(default_factory=dict)
+    joint: callable | None = None
+
+    def derivatives(self, r, order):
+        """(psi, psi', psi'')[:order + 1] at r, bit for bit those of the
+        three callables, with the work they share done once."""
+        if self.joint is not None:
+            return self.joint(r, order)
+        return tuple(f(r) for f in (self.psi, self.dpsi, self.d2psi)[:order + 1])
+
+
+def _shared_derivatives(shared, formulas):
+    """psi, psi', psi'' and ``joint`` from ``shared(r)``, the work the
+    three have in common, and ``formulas[k](parts)``, the k-th derivative
+    from that work."""
+    def single(k):
+        return lambda r: formulas[k](shared(r))
+
+    def joint(r, order):
+        parts = shared(r)
+        return tuple(f(parts) for f in formulas[:order + 1])
+
+    return single(0), single(1), single(2), joint
 
 
 def gaussian_profile(sigma=1.0):
@@ -61,19 +85,18 @@ def gaussian_profile(sigma=1.0):
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
     s2 = sigma * sigma
 
-    def psi(r):
+    def shared(r):
         r = np.asarray(r, dtype=float)
-        return np.exp(-0.5 * r * r / s2)
+        return r, np.exp(-0.5 * r * r / s2)
 
-    def dpsi(r):
-        r = np.asarray(r, dtype=float)
-        return -(r / s2) * np.exp(-0.5 * r * r / s2)
-
-    def d2psi(r):
-        r = np.asarray(r, dtype=float)
-        return (r * r / (s2 * s2) - 1.0 / s2) * np.exp(-0.5 * r * r / s2)
-
-    return RadialProfile("gaussian", psi, dpsi, d2psi, sigma=float(sigma))
+    # t = (r, exp(-r^2 / (2 sigma^2))): the exponential is formed once.
+    psi, dpsi, d2psi, joint = _shared_derivatives(shared, (
+        lambda t: t[1],
+        lambda t: -(t[0] / s2) * t[1],
+        lambda t: (t[0] * t[0] / (s2 * s2) - 1.0 / s2) * t[1],
+    ))
+    return RadialProfile("gaussian", psi, dpsi, d2psi, sigma=float(sigma),
+                         joint=joint)
 
 
 def _smoothstep(u):
@@ -147,21 +170,23 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
     def parts(r):
         return scalar_parts(r) if isinstance(r, float) else array_parts(r)
 
-    def psi(r):
-        r, _, psi0, _, _, c, _, _ = parts(r)
+    def psi_of(t):
+        r, _, psi0, _, _, c, _, _ = t
         out = psi0 * c
         return np.where(r > 0.0, out, np.inf if a > 0.0 else (0.0 if a < 0.0 else 1.0))
 
-    def dpsi(r):
-        r, _, psi0, w1, _, c, dc, _ = parts(r)
+    def dpsi_of(t):
+        r, _, psi0, w1, _, c, dc, _ = t
         out = psi0 * (w1 * c + dc)
         return np.where(r > 0.0, out, 0.0)
 
-    def d2psi(r):
-        r, _, psi0, w1, w2, c, dc, d2c = parts(r)
+    def d2psi_of(t):
+        r, _, psi0, w1, w2, c, dc, d2c = t
         out = psi0 * ((w2 + w1 * w1) * c + 2.0 * w1 * dc + d2c)
         return np.where(r > 0.0, out, 0.0)
 
+    psi, dpsi, d2psi, joint = _shared_derivatives(
+        parts, (psi_of, dpsi_of, d2psi_of))
     segments = (
         ("power", 0.0, lo, a),
         ("numeric", lo, hi),
@@ -176,6 +201,7 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
         d2psi,
         segments=segments,
         meta={"alpha_in": a, "beta_out": b, "delta": float(delta), "cutoff": R},
+        joint=joint,
     )
 
 
@@ -200,31 +226,43 @@ class TrialFunction:
             raise InvalidDimensionError("point dimension mismatch")
         return X, np.asarray(x).ndim == 1
 
-    def evaluate(self, x, gradient=False):
-        """(|x|^2, u, grad u) on a batch x of shape (n, d); grad u is None
-        unless ``gradient`` is set, and column-major otherwise.
+    def evaluate(self, x, gradient=False, laplacian=False):
+        """(|x|^2, u, grad u, Delta u) on a batch x of shape (n, d); grad u
+        is None unless ``gradient`` is set, and column-major otherwise, and
+        Delta u is None unless ``laplacian`` is set.
 
-        The one home of u = F psi and grad u = psi grad F + F psi' x / r:
-        ``value`` and ``gradient`` unwrap it, and the quadrature integrands
-        call it once where numerator and denominator share their points.
-        F and grad F come from one ``value_and_gradient`` call.
+        The one home of u = F psi, grad u = psi grad F + F psi' x / r and
+        Delta u = F (psi'' + (d - 1 + 2 lam) psi' / r): ``value``,
+        ``gradient`` and ``laplacian`` unwrap it, and the quadrature
+        integrands call it once per block for all their terms.  |x|^2, r
+        and F (F and grad F from one ``value_and_gradient`` call) are
+        formed once, and psi and its derivatives come from one
+        ``derivatives`` call.
         """
         X, _ = self._batch(x)
         sq = row_dot(X, X)
         r = np.sqrt(sq)
-        if not gradient:
-            return sq, self.angular.value(X) * self.radial.psi(r), None
-        F, G = self.angular.value_and_gradient(X)
-        psi = self.radial.psi(r)
-        dpsi = self.radial.dpsi(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial_part = np.where(r > 0.0, F * dpsi / r, 0.0)
-        # Column by column, so no (n, d) broadcast temporary is formed.
-        grad = np.empty((self.dimension, len(X)))
-        for out, g, x_k in zip(grad, G.T, X.T):
-            np.multiply(psi, g, out=out)
-            out += radial_part * x_k
-        return sq, F * psi, grad.T
+        derivs = self.radial.derivatives(r, 2 if laplacian else int(gradient))
+        psi = derivs[0]
+        grad = lap = None
+        if gradient:
+            F, G = self.angular.value_and_gradient(X)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                radial_part = np.where(r > 0.0, F * derivs[1] / r, 0.0)
+            # Column by column, so no (n, d) broadcast temporary is formed.
+            grad = np.empty((self.dimension, len(X)))
+            for out, g, x_k in zip(grad, G.T, X.T):
+                np.multiply(psi, g, out=out)
+                out += radial_part * x_k
+            grad = grad.T
+        else:
+            F = self.angular.value(X)
+        if laplacian:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                dpsi_over_r = np.where(r > 0.0, derivs[1] / r, 0.0)
+            c = self.dimension - 1.0 + 2.0 * self.angular.homogeneity
+            lap = F * (derivs[2] + c * dpsi_over_r)
+        return sq, F * psi, grad, lap
 
     def value(self, x):
         out = self.evaluate(x)[1]
@@ -240,16 +278,8 @@ class TrialFunction:
         return float(out[0]) if np.ndim(x) == 1 else out
 
     def laplacian(self, x):
-        X, single = self._batch(x)
-        r = np.sqrt(row_dot(X, X))
-        F = self.angular.value(X)
-        psi2 = self.radial.d2psi(r)
-        dpsi = self.radial.dpsi(r)
-        d, lam = self.dimension, self.angular.homogeneity
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dpsi_over_r = np.where(r > 0.0, dpsi / r, 0.0)
-        out = F * (psi2 + (d - 1.0 + 2.0 * lam) * dpsi_over_r)
-        return float(out[0]) if single else out
+        out = self.evaluate(x, laplacian=True)[3]
+        return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def gaussian_trial(factor: AngularFactor, sigma=1.0):

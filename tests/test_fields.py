@@ -9,6 +9,7 @@ from symhardy.errors import (
     DomainError,
     OutOfRangeError,
     SingularPointError,
+    SymmetryClassError,
 )
 from symhardy.polynomials import odd_linear, row_dot, row_sum, vandermonde
 
@@ -203,6 +204,22 @@ class TestSectorDomain:
     def test_for_params_rejects_general(self):
         with pytest.raises(OutOfRangeError):
             fd.SectorDomain.for_params(Params(3, 2, 0.0, FunctionClass.GENERAL))
+
+    @pytest.mark.parametrize("kind, factor, message", [
+        # Half of the sampled points would have F <= 0.
+        (fd.SectorKind.ORDERED_SECTOR, odd_linear(3),
+         "ordered_sector needs a factor of class antisym, got class odd"),
+        # boundary_distance raised a bare IndexError.
+        (fd.SectorKind.ORDERED_SECTOR, odd_linear(1),
+         "ordered_sector needs a factor of class antisym, got class odd"),
+        (fd.SectorKind.POSITIVE_HALF, vandermonde(3),
+         "positive_half needs a factor of class odd, got class antisym"),
+        (fd.SectorKind.POSITIVE_HALF, vandermonde(2),
+         "positive_half needs a factor of class odd, got class antisym"),
+    ])
+    def test_mismatched_factor_refused(self, kind, factor, message):
+        with pytest.raises(SymmetryClassError, match=f"^{message}$"):
+            fd.SectorDomain(kind, factor)
 
 
 class TestSamplingArguments:

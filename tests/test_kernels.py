@@ -309,10 +309,13 @@ def test_vandermonde_layouts(d, layout):
 def test_trial_layouts(kind, d, layout):
     u, X = trial(kind, d), batch(d)
     view = layouts(X)[layout]
-    sq, value, grad = u.evaluate(view, gradient=True)
+    sq, value, grad, lap = u.evaluate(view, gradient=True, laplacian=True)
     assert np.array_equal(sq, (X * X).sum(axis=1))
     assert np.array_equal(value, ref_trial_value(u, X))
     assert np.array_equal(grad, ref_trial_gradient(u, X))
+    assert np.array_equal(lap, ref_trial_laplacian(u, X))
+    assert u.evaluate(view)[2:] == (None, None)
     assert np.array_equal(u.evaluate(view)[1], value)
+    assert np.array_equal(u.evaluate(view, laplacian=True)[3], lap)
     assert np.array_equal(u.gradient(view), grad)
-    assert np.array_equal(u.laplacian(view), ref_trial_laplacian(u, X))
+    assert np.array_equal(u.laplacian(view), lap)

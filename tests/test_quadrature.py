@@ -114,7 +114,8 @@ class TestDeterminism:
 
 def _separate_integrals(u, functional, params, config):
     """Numerator and denominator as two independent ``mc_integral`` calls
-    with the same seed, from the integrands written out in full."""
+    with the same seed, or ``product_integral`` calls, from the integrands
+    written out in full."""
     p, gamma = params.p, params.gamma
 
     def weight(X, exponent):
@@ -132,6 +133,11 @@ def _separate_integrals(u, functional, params, config):
              False),
         ]
     scale = qd._radial_scale(u, p)
+    if config.method == "product":
+        for _, w, grad in parts:
+            qd._radial_shape(u, params, w, gradient=grad)
+        return [qd.product_integral(fn, params.d, config)
+                for fn, _, _ in parts]
     return [
         qd.mc_integral(fn, params.d, config,
                        qd._radial_shape(u, params, w, gradient=grad), scale)
@@ -183,6 +189,16 @@ class TestSharedDraws:
         config = qd.QuadratureConfig(samples=5_001, seed=11, n_streams=1)
         shared = self._compare(klass, factor, functional, d, 3.0, -0.5, config)
         assert [est.n for est in shared] == [5_001, 5_001]
+
+    @pytest.mark.parametrize("klass, factor, functional", CASES)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("p, gamma", [(2.0, 0.0), (3.0, -0.5)])
+    def test_product_bit_identical_to_separate_calls(self, klass, factor,
+                                                     functional, d, p, gamma):
+        # One pass over each product grid serves both integrals.
+        config = qd.QuadratureConfig(method="product", radial_nodes=40,
+                                     angular_nodes=12)
+        self._compare(klass, factor, functional, d, p, gamma, config)
 
     def test_quotient_report_uses_the_same_estimates(self):
         u = gaussian_trial(vandermonde(4), 1.0)
@@ -897,17 +913,48 @@ class TestProductBlocks:
         return {"hardy": hardy, "rellich": rellich, "rare": rare,
                 "holes": holes}
 
+    NAMES = ["hardy", "rellich", "rare", "holes"]
+
     @pytest.mark.parametrize("d, nr, na", GRIDS)
-    @pytest.mark.parametrize("name", ["hardy", "rellich", "rare", "holes"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_passes_bit_identical(self, d, nr, na, name):
-        fn = self._integrands(d)[name]
+        # One pass over the named integrand and the next one in NAMES:
+        # each member sums what a pass of its own would.
+        integrands = self._integrands(d)
+        pair = [name, self.NAMES[(self.NAMES.index(name) + 1) % 4]]
+        fns = [integrands[key] for key in pair]
         cfg = qd.QuadratureConfig(method="product")
-        for r_min in (None, 5e-7):
-            got = qd._product_pass(fn, d, cfg, nr, na, r_min)
-            want = _per_radius_pass(fn, d, cfg, nr, na, r_min)
-            assert got == want
-        if name == "holes":
-            assert got[1] > 0
+        for r_min in (cfg.r_min, 5e-7):
+            totals, degen, n = qd._product_pass(
+                d, nr, na, r_min, cfg.r_max, 2,
+                lambda X, members: [fns[i](X) for i in members])
+            for i, fn in enumerate(fns):
+                want = _per_radius_pass(fn, d, cfg, nr, na, r_min)
+                assert (totals[i], degen[i], n) == want
+        if "holes" in pair:
+            assert degen[pair.index("holes")] > 0
+
+    @pytest.mark.parametrize("d, nr, na", GRIDS)
+    def test_shared_passes_equal_separate_calls(self, d, nr, na):
+        cfg = qd.QuadratureConfig(method="product", radial_nodes=nr,
+                                  angular_nodes=na)
+        integrands = self._integrands(d)
+        u = gaussian_trial(vandermonde(d), 1.3)
+        mass = lambda X: np.abs(u.value(X)) ** 2.0 * qd._weight(
+            qd.row_dot(X, X), 2.0)
+        fns = [integrands["hardy"], mass]
+        got = qd._product_passes(
+            d, cfg, 2, lambda X, members: [fns[i](X) for i in members])
+        assert got == [qd.product_integral(fn, d, cfg) for fn in fns]
+        # A degenerate member refuses with the message of its own call,
+        # first or second.
+        with pytest.raises(DegenerateSampleError) as want:
+            qd.product_integral(integrands["holes"], d, cfg)
+        for fns in ([integrands["holes"], mass], [mass, integrands["holes"]]):
+            with pytest.raises(DegenerateSampleError) as info:
+                qd._product_passes(
+                    d, cfg, 2, lambda X, members: [fns[i](X) for i in members])
+            assert str(info.value) == str(want.value)
 
     @pytest.mark.parametrize("d, nr, na", GRIDS)
     def test_product_integral_bit_identical(self, d, nr, na):
@@ -930,6 +977,18 @@ class TestProductBlocks:
                 fine, err, n, degen, "product")
             if name == "rare" and d == 2:
                 assert degen > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sphere_grid_cached_and_read_only(self, d):
+        pts, w = qd.sphere_grid(d, 10)
+        assert qd.sphere_grid(d, 10)[0] is pts
+        ref_pts, ref_w = qd._sphere_rule(d, 10)
+        assert np.array_equal(pts, ref_pts)
+        assert np.array_equal(w, ref_w)
+        for arr in (pts, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_leggauss_cached_and_read_only(self):
         nodes, wts = qd._leggauss(12)

@@ -219,3 +219,90 @@ class TestProfileMemo:
         first = profile.psi(1.02)
         first[...] = -1.0
         assert float(profile.psi(1.02)) > 0.0
+
+
+def _profiles():
+    """Gaussian profiles, and piecewise ones with inner exponent > 0, = 0
+    and < 0 (psi(0) = inf, 1 and 0)."""
+    out = {f"gaussian-{s}": tr.gaussian_profile(s) for s in (0.7, 1.0, 1.3)}
+    for a in (0.3, 0.0, -0.4):
+        out[f"piecewise-{a}"] = tr.piecewise_power_profile(a, 0.7, 0.05, 40.0)
+    return out
+
+
+# r = 0, the inner power segment, the collar [0.95, 1.05], the outer power
+# segment, the cutoff [40, 80] and the zero tail beyond.
+PROFILE_RADII = np.array([0.0, 1e-3, 0.5, 0.95, 0.9512345678, 0.999, 1.0,
+                          1.0376543219, 1.05, 2.0, 40.0, 55.5, 63.258719,
+                          80.0, 120.0])
+
+
+class TestJointDerivatives:
+    """``RadialProfile.derivatives`` shares the work of psi, psi' and
+    psi'' without changing a bit of any of them."""
+
+    @pytest.mark.parametrize("name", list(_profiles()))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_equal_to_separate_calls(self, name, order):
+        profile = _profiles()[name]
+        r = PROFILE_RADII
+        got = profile.derivatives(r, order)
+        want = (profile.psi(r), profile.dpsi(r), profile.d2psi(r))[:order + 1]
+        assert len(got) == order + 1
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 1.3])
+    def test_gaussian_formulas(self, sigma):
+        # The formulas of three separate exponentials, written out.
+        r, s2 = PROFILE_RADII, sigma * sigma
+        want = (np.exp(-0.5 * r * r / s2),
+                -(r / s2) * np.exp(-0.5 * r * r / s2),
+                (r * r / (s2 * s2) - 1.0 / s2) * np.exp(-0.5 * r * r / s2))
+        got = tr.gaussian_profile(sigma).derivatives(r, 2)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+class TestEvaluate:
+    """``TrialFunction.evaluate`` is the one home of u, grad u and Delta u;
+    each must be the same bits whatever else it is asked for."""
+
+    TRIALS = {
+        "gaussian-vandermonde": lambda: tr.gaussian_trial(vandermonde(3), 0.7),
+        "gaussian-odd": lambda: tr.gaussian_trial(odd_linear(4), 1.3),
+        "gaussian-constant": lambda: tr.gaussian_trial(ConstantFactor(3), 1.0),
+        "sharpness-rellich": lambda: tr.sharpness_family(
+            vandermonde(3), 0.1, 0.05, functional="rellich"),
+        "sharpness-hardy": lambda: tr.sharpness_family(
+            odd_linear(3), 0.2, 0.02, functional="hardy"),
+    }
+
+    @staticmethod
+    def _points(d):
+        # Radii from 0 through the collar to the cutoff and beyond.
+        rng = np.random.default_rng(41)
+        dirs = rng.standard_normal((PROFILE_RADII.size, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        X = np.vstack([dirs * PROFILE_RADII[:, None],
+                       rng.standard_normal((40, d))])
+        return X, X.T.copy().T  # C- and F-ordered
+
+    @pytest.mark.parametrize("name", list(TRIALS))
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_laplacian_equal_to_laplacian_method(self, name):
+        u = self.TRIALS[name]()
+        # Bytes, not values: u and grad u are NaN at x = 0 when psi(0) = inf.
+        for X in self._points(u.dimension):
+            want = u.laplacian(X)
+            for gradient in (False, True):
+                sq, value, grad, lap = u.evaluate(X, gradient=gradient,
+                                                  laplacian=True)
+                assert lap.tobytes() == want.tobytes()
+                assert value.tobytes() == u.value(X).tobytes()
+                assert sq.tobytes() == (X * X).sum(axis=1).tobytes()
+                if gradient:
+                    assert grad.tobytes() == u.gradient(X).tobytes()
+                else:
+                    assert grad is None
+            assert u.laplacian(X[0]) == float(want[0])
