@@ -101,6 +101,14 @@ def _number(text, kind):
     raise UsageError(f"not a finite number: {text!r}")
 
 
+def _whole_number(text):
+    """An integer written plainly or in float notation, as ``1e6``."""
+    value = _number(text, float)
+    if not value.is_integer():
+        raise UsageError(f"not a whole number: {text!r}")
+    return int(value)
+
+
 def _parse_int_grid(text):
     out = []
     for part in text.split(","):
@@ -253,7 +261,7 @@ def cmd_verify(args):
     functional = Functional(args.functional)
     config = QuadratureConfig(
         method=args.method,
-        samples=_number(args.samples, lambda text: int(float(text))),
+        samples=_whole_number(args.samples),
         seed=args.seed,
         r_min=args.r_min,
         r_max=args.r_max,

@@ -39,8 +39,6 @@ __all__ = [
     "rellich_antisymmetric",
     "rellich_odd",
     "reference_constant",
-    "asymptotic_checks",
-    "AsymptoticsReport",
 ]
 
 
@@ -100,13 +98,9 @@ class ConstantValue:
         return float(self.value)
 
 
-def _check_d(d):
+def _check_args(d, p, gamma):
     if int(d) != d or d < 1:
         raise InvalidDimensionError("d must be an integer >= 1")
-
-
-def _check_args(d, p, gamma):
-    _check_d(d)
     if not (math.isfinite(p) and math.isfinite(gamma)):
         raise OutOfRangeError(
             f"p and gamma must be finite, got p={p}, gamma={gamma}"
@@ -255,61 +249,3 @@ def reference_constant(params: Params, functional: Functional) -> ConstantValue:
     if params.klass is FunctionClass.ODD:
         return rellich_odd(d, p, gamma)
     return rellich_mitidieri(d, p, gamma)
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    """Limit behavior of the constants; see ``asymptotic_checks``."""
-
-    d: int
-    p: float
-    limit: float
-    p_grid: tuple
-    antisym_gaps: tuple
-    odd_gaps: tuple
-    antisym_gaps_decreasing: bool
-    odd_gaps_decreasing: bool
-    d_grid: tuple
-    antisym_rate_ratios: tuple
-    classical_rate_ratios: tuple
-    rellich_rate_ratios: tuple
-
-
-def asymptotic_checks(d, p=2.0):
-    """Sanity report for the large-p and large-d behavior.
-
-    For fixed d, both class constants converge to exp(-d) as p grows
-    (checked at p = 1e2, 1e3, 1e4); for fixed p the antisymmetric constant
-    grows like (d^2/p)^p, the classical one like (d/p)^p, and the
-    antisymmetric Rellich constant like ((p-1) d^4 / p^2)^p (checked at
-    d = 10, 100, 1000).
-    """
-    _check_d(d)
-    p_grid, d_grid = (1e2, 1e3, 1e4), (10, 100, 1000)
-    limit = math.exp(-d)
-    a_gaps = tuple(abs(hardy_antisymmetric(d, q).value - limit) for q in p_grid)
-    o_gaps = tuple(abs(hardy_odd(d, q).value - limit) for q in p_grid)
-    a_dec = all(x > y for x, y in zip(a_gaps, a_gaps[1:]))
-    o_dec = all(x > y for x, y in zip(o_gaps, o_gaps[1:]))
-    a_ratio = tuple(
-        hardy_antisymmetric(D, p).value / (D * D / p) ** p for D in d_grid
-    )
-    c_ratio = tuple(classical_hardy(D, p).value / (D / p) ** p for D in d_grid)
-    r_ratio = tuple(
-        rellich_antisymmetric(D, p).value / ((p - 1.0) * D**4 / p**2) ** p
-        for D in d_grid
-    )
-    return AsymptoticsReport(
-        d=d,
-        p=p,
-        limit=limit,
-        p_grid=p_grid,
-        antisym_gaps=a_gaps,
-        odd_gaps=o_gaps,
-        antisym_gaps_decreasing=a_dec,
-        odd_gaps_decreasing=o_dec,
-        d_grid=d_grid,
-        antisym_rate_ratios=a_ratio,
-        classical_rate_ratios=c_ratio,
-        rellich_rate_ratios=r_ratio,
-    )

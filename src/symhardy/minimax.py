@@ -39,7 +39,6 @@ __all__ = [
     "min_over_t",
     "closed_form_optimum",
     "closed_form_value",
-    "g_envelope",
     "numeric_minimax",
     "class_constant",
 ]
@@ -220,26 +219,6 @@ def closed_form_value(params: Params) -> float:
     """The certificate maximum (2/p)^p ((p-2+gamma) lam + A^2)^(p/2)."""
     p = params.p
     return (2.0 / p) ** p * _optimum_bracket(params)[1] ** (p / 2.0)
-
-
-def g_envelope(alpha, beta, params: Params):
-    """f evaluated at the unclamped t0, in the explicit envelope form.
-
-    Valid for p > 2, beta > 0 and feasible (alpha, beta); this is an
-    independent expression used to cross-check min_over_t.
-    """
-    p, d, gamma, lam = params.p, params.d, params.gamma, params.lam
-    if p <= 2.0:
-        raise DomainError("the envelope form needs p > 2")
-    if beta <= 0.0:
-        raise DomainError("the envelope form needs beta > 0")
-    return (
-        alpha * (d - p - gamma)
-        + beta * (p - 2.0 + gamma) * lam
-        + 2.0 * alpha * lam
-        - alpha * alpha / beta
-        - beta ** (p / (p - 2.0)) * (p / 2.0) ** (p / (p - 2.0)) * (p / 2.0 - 1.0)
-    )
 
 
 def _gradient_hessian(alpha, beta, t, params: Params):

@@ -12,25 +12,21 @@ homogeneity order, and the Schwarz ratio
     t(x) = (|x| |grad F(x)| / F(x))**2
 
 is bounded below by ``lam**2`` wherever ``F`` does not vanish.  These two
-facts are what every certificate computation downstream relies on, so
-this module also exposes residual evaluators for them plus an exact
-rational backend that anchors the floating-point tolerances.
+facts are what every certificate computation downstream relies on;
+``AngularFactor.schwarz_ratio`` asserts the bound wherever it evaluates
+t.  The Euler residual and the exact rational Vandermonde backend that
+anchor the floating-point tolerances are test oracles, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .constants import FunctionClass
-from .errors import (
-    InvalidDimensionError,
-    OnBoundaryError,
-    SymHardyError,
-    UnsupportedDimensionError,
-)
+from .errors import InvalidDimensionError, OnBoundaryError, SymHardyError
 
 __all__ = [
     "AngularFactor",
@@ -39,18 +35,7 @@ __all__ = [
     "ConstantFactor",
     "vandermonde",
     "odd_linear",
-    "vandermonde_value",
-    "vandermonde_gradient",
-    "euler_residual",
-    "laplacian_residual",
-    "schwarz_ratio",
-    "vandermonde_value_exact",
-    "vandermonde_gradient_exact",
-    "vandermonde_laplacian_exact",
 ]
-
-# Largest dimension for the exact rational backend.
-MAX_EXACT_DIM = 4
 
 
 def _as_batch(x):
@@ -357,112 +342,3 @@ def vandermonde(dimension):
 @lru_cache(maxsize=None)
 def odd_linear(dimension):
     return OddLinear(dimension)
-
-
-def vandermonde_value(x):
-    """prod_{i<j} (x_j - x_i), computed by the O(d^2) product formula."""
-    x = np.asarray(x, dtype=float)
-    return vandermonde(x.shape[-1]).value(x)
-
-
-def vandermonde_gradient(x):
-    x = np.asarray(x, dtype=float)
-    return vandermonde(x.shape[-1]).gradient(x)
-
-
-def euler_residual(x, factor=None):
-    """sum_i x_i dF/dx_i(x) - lam F(x); zero for exact arithmetic."""
-    x = np.asarray(x, dtype=float)
-    if factor is None:
-        factor = vandermonde(x.shape[-1])
-    X, single = _as_batch(x)
-    v = factor.value(X)
-    g = factor.gradient(X)
-    res = row_dot(X, g) - factor.homogeneity * v
-    return float(res[0]) if single else res
-
-
-def laplacian_residual(x):
-    """Laplacian of the Vandermonde factor; identically zero up to rounding.
-
-    Evaluated exactly as a polynomial by twofold pair omission, at every d.
-    """
-    x = np.asarray(x, dtype=float)
-    return vandermonde(x.shape[-1]).laplacian(x)
-
-
-def schwarz_ratio(x, factor=None):
-    """t = (|x| |grad F| / F)**2 for the given factor (Vandermonde default)."""
-    x = np.asarray(x, dtype=float)
-    if factor is None:
-        factor = vandermonde(x.shape[-1])
-    return factor.schwarz_ratio(x)
-
-
-# ---------------------------------------------------------------------------
-# Exact rational backend (d <= 4): ground truth for the float tolerances.
-
-
-def _exact_coords(x):
-    coords = [Fraction(v) for v in x]
-    d = len(coords)
-    if d < 2:
-        raise InvalidDimensionError("the Vandermonde factor needs d >= 2")
-    if d > MAX_EXACT_DIM:
-        raise UnsupportedDimensionError(
-            f"the exact backend is offered for d <= {MAX_EXACT_DIM}"
-        )
-    return coords, d
-
-
-def vandermonde_value_exact(x):
-    coords, d = _exact_coords(x)
-    prod = Fraction(1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            prod *= coords[j] - coords[i]
-    return prod
-
-
-def vandermonde_gradient_exact(x):
-    coords, d = _exact_coords(x)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    grad = []
-    for k in range(d):
-        acc = Fraction(0)
-        for j in range(d):
-            if j == k:
-                continue
-            skip = (min(j, k), max(j, k))
-            prod = Fraction(1)
-            for a, b in pairs:
-                if (a, b) == skip:
-                    continue
-                prod *= coords[b] - coords[a]
-            acc += prod if k > j else -prod
-        grad.append(acc)
-    return grad
-
-
-def vandermonde_laplacian_exact(x):
-    coords, d = _exact_coords(x)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    total = Fraction(0)
-    for k in range(d):
-        for j in range(d):
-            if j == k:
-                continue
-            sj = 1 if k > j else -1
-            pj = (min(j, k), max(j, k))
-            for l in range(d):
-                if l == k or l == j:
-                    continue
-                sl = 1 if k > l else -1
-                pl = (min(l, k), max(l, k))
-                prod = Fraction(1)
-                for a, b in pairs:
-                    if (a, b) == pj or (a, b) == pl:
-                        continue
-                    prod *= coords[b] - coords[a]
-                total += sj * sl * prod
-    return total

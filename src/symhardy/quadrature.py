@@ -83,13 +83,8 @@ __all__ = [
     "sphere_grid",
     "mc_integral",
     "product_integral",
-    "hardy_numerator",
-    "hardy_denominator",
-    "rellich_numerator",
-    "rellich_denominator",
     "rayleigh_quotient",
     "angular_moment",
-    "vandermonde_sphere_moment_p2",
     "separable_hardy_quotient",
     "separable_rellich_quotient",
     "separable_mass",
@@ -557,26 +552,6 @@ def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
     return _mc_streams(params.d, config, proposals, evaluate)
 
 
-def hardy_numerator(u: TrialFunction, params: Params, config: QuadratureConfig):
-    """Estimate of the integral of |grad u|^p |x|^(-gamma)."""
-    return _estimates(u, params, config, [(1, 0)])[0]
-
-
-def hardy_denominator(u: TrialFunction, params: Params, config: QuadratureConfig):
-    """Estimate of the integral of |u|^p |x|^(-p-gamma)."""
-    return _estimates(u, params, config, [(0, 1)])[0]
-
-
-def rellich_numerator(u: TrialFunction, params: Params, config: QuadratureConfig):
-    """Estimate of the integral of |Delta u|^p |x|^(-gamma)."""
-    return _estimates(u, params, config, [(2, 0)])[0]
-
-
-def rellich_denominator(u: TrialFunction, params: Params, config: QuadratureConfig):
-    """Estimate of the integral of |u|^p |x|^(-2p-gamma)."""
-    return _estimates(u, params, config, [(0, 2)])[0]
-
-
 def _check_tag(u: TrialFunction, params: Params):
     if u.class_tag is not params.klass:
         raise SymmetryClassError(
@@ -634,23 +609,6 @@ def rayleigh_quotient(
 
 # ---------------------------------------------------------------------------
 # Separable (radial-reduction) path.
-
-
-def vandermonde_sphere_moment_p2(d):
-    """Closed form of the squared Vandermonde moment over the sphere.
-
-    Follows from the classical Gaussian ensemble normalization
-    integral of prod |x_i - x_j|^2 exp(-|x|^2/2) = (2 pi)^(d/2) prod_j j!.
-    """
-    lam = d * (d - 1) / 2.0
-    log_sf = sum(math.lgamma(j + 1) for j in range(1, d + 1))
-    log_m = (
-        (d / 2.0) * math.log(2.0 * math.pi)
-        + log_sf
-        - (lam + d / 2.0 - 1.0) * math.log(2.0)
-        - math.lgamma(lam + d / 2.0)
-    )
-    return math.exp(log_m)
 
 
 def angular_moment(factor, p, nodes=96):

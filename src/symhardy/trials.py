@@ -272,11 +272,6 @@ class TrialFunction:
         out = np.ascontiguousarray(self.evaluate(x, gradient=True)[2])
         return out[0] if np.ndim(x) == 1 else out
 
-    def grad_norm_sq(self, x):
-        g = self.evaluate(x, gradient=True)[2]
-        out = row_dot(g, g)
-        return float(out[0]) if np.ndim(x) == 1 else out
-
     def laplacian(self, x):
         out = self.evaluate(x, laplacian=True)[3]
         return float(out[0]) if np.ndim(x) == 1 else out

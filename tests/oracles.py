@@ -1,0 +1,142 @@
+"""Reference implementations the tests check the package against.
+
+None of these is on a path the package runs: each is an independent
+route to a value the package computes another way.
+
+* ``vandermonde_value_exact``, ``vandermonde_gradient_exact`` and
+  ``vandermonde_laplacian_exact``: the Vandermonde factor in exact rational
+  arithmetic (d <= ``MAX_EXACT_DIM``), which anchors the floating-point
+  tolerances.
+* ``euler_residual``: sum_i x_i dF/dx_i - lam F, zero for a factor
+  homogeneous of order lam.
+* ``vandermonde_sphere_moment_p2``: the closed form of the squared
+  Vandermonde moment over the sphere, against ``angular_moment``.
+* ``g_envelope``: the certificate function at its unclamped inner
+  minimizer in explicit envelope form, against ``min_over_t``.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from symhardy.errors import (
+    DomainError,
+    InvalidDimensionError,
+    UnsupportedDimensionError,
+)
+from symhardy.polynomials import vandermonde
+
+# Largest dimension for the exact rational backend.
+MAX_EXACT_DIM = 4
+
+
+def _exact_coords(x):
+    coords = [Fraction(v) for v in x]
+    d = len(coords)
+    if d < 2:
+        raise InvalidDimensionError("the Vandermonde factor needs d >= 2")
+    if d > MAX_EXACT_DIM:
+        raise UnsupportedDimensionError(
+            f"the exact backend is offered for d <= {MAX_EXACT_DIM}"
+        )
+    return coords, d
+
+
+def vandermonde_value_exact(x):
+    coords, d = _exact_coords(x)
+    prod = Fraction(1)
+    for i in range(d):
+        for j in range(i + 1, d):
+            prod *= coords[j] - coords[i]
+    return prod
+
+
+def vandermonde_gradient_exact(x):
+    coords, d = _exact_coords(x)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    grad = []
+    for k in range(d):
+        acc = Fraction(0)
+        for j in range(d):
+            if j == k:
+                continue
+            skip = (min(j, k), max(j, k))
+            prod = Fraction(1)
+            for a, b in pairs:
+                if (a, b) == skip:
+                    continue
+                prod *= coords[b] - coords[a]
+            acc += prod if k > j else -prod
+        grad.append(acc)
+    return grad
+
+
+def vandermonde_laplacian_exact(x):
+    coords, d = _exact_coords(x)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    total = Fraction(0)
+    for k in range(d):
+        for j in range(d):
+            if j == k:
+                continue
+            sj = 1 if k > j else -1
+            pj = (min(j, k), max(j, k))
+            for l in range(d):
+                if l == k or l == j:
+                    continue
+                sl = 1 if k > l else -1
+                pl = (min(l, k), max(l, k))
+                prod = Fraction(1)
+                for a, b in pairs:
+                    if (a, b) == pj or (a, b) == pl:
+                        continue
+                    prod *= coords[b] - coords[a]
+                total += sj * sl * prod
+    return total
+
+
+def euler_residual(x, factor=None):
+    """sum_i x_i dF/dx_i(x) - lam F(x) at a point (d,) or a batch (n, d);
+    the factor defaults to the Vandermonde one.  Zero in exact arithmetic."""
+    X = np.asarray(x, dtype=float)
+    if factor is None:
+        factor = vandermonde(X.shape[-1])
+    res = (X * factor.gradient(X)).sum(axis=-1) - factor.homogeneity * factor.value(X)
+    return float(res) if X.ndim == 1 else res
+
+
+def vandermonde_sphere_moment_p2(d):
+    """Closed form of the squared Vandermonde moment over the sphere.
+
+    Follows from the classical Gaussian ensemble normalization
+    integral of prod |x_i - x_j|^2 exp(-|x|^2/2) = (2 pi)^(d/2) prod_j j!.
+    """
+    lam = d * (d - 1) / 2.0
+    log_sf = sum(math.lgamma(j + 1) for j in range(1, d + 1))
+    log_m = (
+        (d / 2.0) * math.log(2.0 * math.pi)
+        + log_sf
+        - (lam + d / 2.0 - 1.0) * math.log(2.0)
+        - math.lgamma(lam + d / 2.0)
+    )
+    return math.exp(log_m)
+
+
+def g_envelope(alpha, beta, params):
+    """f evaluated at the unclamped t0, in the explicit envelope form.
+
+    Valid for p > 2, beta > 0 and feasible (alpha, beta).
+    """
+    p, d, gamma, lam = params.p, params.d, params.gamma, params.lam
+    if p <= 2.0:
+        raise DomainError("the envelope form needs p > 2")
+    if beta <= 0.0:
+        raise DomainError("the envelope form needs beta > 0")
+    return (
+        alpha * (d - p - gamma)
+        + beta * (p - 2.0 + gamma) * lam
+        + 2.0 * alpha * lam
+        - alpha * alpha / beta
+        - beta ** (p / (p - 2.0)) * (p / 2.0) ** (p / (p - 2.0)) * (p / 2.0 - 1.0)
+    )

@@ -436,6 +436,11 @@ class TestBadInput:
              "OutOfRangeError"),
             (["verify", "--p", "400", "--d", "5", "--functional", "rellich"],
              "OutOfRangeError"),
+            # Not truncated to 2 samples, nor to 0.
+            (["verify", "--samples", "2.5"], "UsageError"),
+            (["verify", "--samples", "0.9"], "UsageError"),
+            (["verify", "--method", "product", "--samples", "2.5"],
+             "UsageError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
@@ -460,6 +465,11 @@ class TestBadInput:
                        "p=400.0, gamma=0.0",
         }
         assert "error: rellich_antisymmetric overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["2.5", "0.9"])
+    def test_fractional_sample_count_is_named(self, capsys, text):
+        assert run(["verify", "--samples", text]) == 2
+        assert f"error: not a whole number: '{text}'" in capsys.readouterr().err
 
     def test_bad_cutoff_is_named(self, capsys):
         # Not the symptom "denominator estimate is not positive".
@@ -604,8 +614,9 @@ _LOADED_MODULES_SCRIPT = textwrap.dedent("""
     import io, sys
     from contextlib import redirect_stderr, redirect_stdout
 
-    def loaded():
-        return sorted(m for m in ("scipy", "scipy.special", "scipy.integrate")
+    def loaded(*also):
+        return sorted(m for m in ("scipy", "scipy.special", "scipy.integrate",
+                                  *also)
                       if m in sys.modules)
 
     def main(*argv):
@@ -614,7 +625,7 @@ _LOADED_MODULES_SCRIPT = textwrap.dedent("""
         return loaded()
 
     import symhardy.cli as cli
-    print("import", loaded())
+    print("import", loaded("symhardy.fields"))
     print("constants", main("constants", "--d", "2..4", "--p", "2,3"))
     print("minimax", main("minimax", "--d", "3", "--p", "3"))
     import numpy as np

@@ -248,25 +248,28 @@ class TestOverflow:
 class TestAsymptotics:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_large_p_limit(self, d):
-        rep = cn.asymptotic_checks(d)
-        assert rep.limit == pytest.approx(math.exp(-d), rel=1e-15)
-        assert rep.antisym_gaps[-1] < 1e-3
-        assert rep.odd_gaps[-1] < 1e-3
-        assert rep.antisym_gaps_decreasing
-        assert rep.odd_gaps_decreasing
+        # For fixed d both class constants tend to exp(-d) as p grows, their
+        # gaps to it shrinking along p = 1e2, 1e3, 1e4.
+        limit = math.exp(-d)
+        for constant in (cn.hardy_antisymmetric, cn.hardy_odd):
+            gaps = [abs(constant(d, p).value - limit) for p in (1e2, 1e3, 1e4)]
+            assert gaps[-1] < 1e-3
+            assert gaps[0] > gaps[1] > gaps[2]
 
     def test_growth_rates(self):
-        rep = cn.asymptotic_checks(2, p=2.0)
-        assert abs(rep.antisym_rate_ratios[-1] - 1.0) < 0.01
-        assert abs(rep.classical_rate_ratios[-1] - 1.0) < 0.01
-        assert abs(rep.rellich_rate_ratios[-1] - 1.0) < 0.01
-        # Each sequence approaches 1 monotonically in distance.
-        for seq in (
-            rep.antisym_rate_ratios,
-            rep.classical_rate_ratios,
-            rep.rellich_rate_ratios,
+        # For fixed p the antisymmetric constant grows like (d^2/p)^p, the
+        # classical one like (d/p)^p and the antisymmetric Rellich one like
+        # ((p-1) d^4 / p^2)^p: each ratio approaches 1 monotonically in
+        # distance along d = 10, 100, 1000.
+        p = 2.0
+        for constant, rate in (
+            (cn.hardy_antisymmetric, lambda d: (d * d / p) ** p),
+            (cn.classical_hardy, lambda d: (d / p) ** p),
+            (cn.rellich_antisymmetric, lambda d: ((p - 1.0) * d**4 / p**2) ** p),
         ):
-            dists = [abs(r - 1.0) for r in seq]
+            dists = [abs(constant(d, p).value / rate(d) - 1.0)
+                     for d in (10, 100, 1000)]
+            assert dists[-1] < 0.01
             assert dists == sorted(dists, reverse=True)
 
 
