@@ -91,19 +91,19 @@ class Sweep:
     seed: int | None = None
 
 
-def _number(text, kind):
+def _number(text):
     try:
-        value = kind(text)
+        value = float(text)
         if math.isfinite(value):
             return value
-    except (ValueError, OverflowError):
+    except ValueError:
         pass
     raise UsageError(f"not a finite number: {text!r}")
 
 
 def _whole_number(text):
     """An integer written plainly or in float notation, as ``1e6``."""
-    value = _number(text, float)
+    value = _number(text)
     if not value.is_integer():
         raise UsageError(f"not a whole number: {text!r}")
     return int(value)
@@ -117,14 +117,14 @@ def _parse_int_grid(text):
             continue
         if ".." in part:
             lo, hi = part.split("..", 1)
-            out.extend(range(_number(lo, int), _number(hi, int) + 1))
+            out.extend(range(_whole_number(lo), _whole_number(hi) + 1))
         else:
-            out.append(_number(part, int))
+            out.append(_whole_number(part))
     return out
 
 
 def _parse_float_grid(text):
-    return [_number(part, float) for part in text.split(",") if part.strip()]
+    return [_number(part) for part in text.split(",") if part.strip()]
 
 
 def _dpg_grid(args, **params):
@@ -304,7 +304,7 @@ def cmd_verify(args):
 
 def cmd_minimax(args):
     klass = _CLASSES[args.klass]
-    gap_tol = _number(args.gap_tol, float)
+    gap_tol = _number(args.gap_tol)
     if gap_tol <= 0.0:
         raise UsageError(f"--gap-tol must be positive, got {args.gap_tol!r}")
     params, points = _dpg_grid(args, gap_tol=gap_tol)
@@ -421,12 +421,20 @@ def build_parser():
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    def symmetry(p, choices, default):
+        p.add_argument(
+            "--class", dest="klass", choices=choices, default=default,
+            help="antisym: u changes sign under every transposition of two "
+            "coordinates; odd: u is odd under the reflection in the "
+            "hyperplane sum x_k = 0, so u = 0 there (the class the p != 2 "
+            "proofs cover); general: no symmetry",
+        )
+
     pc = sub.add_parser("constants", help="tabulate closed-form constants")
     pc.add_argument("--d", default="2..5", help="e.g. 2..5 or 2,3,4")
     pc.add_argument("--p", default="2", help="e.g. 2,2.5,3")
     pc.add_argument("--gamma", default="0", help="e.g. -1,0,1 (use --gamma=-1)")
-    pc.add_argument("--class", dest="klass",
-                    choices=["antisym", "odd", "general", "all"], default="all")
+    symmetry(pc, ["antisym", "odd", "general", "all"], "all")
     common(pc)
     pc.set_defaults(func=cmd_constants)
 
@@ -434,8 +442,7 @@ def build_parser():
     pv.add_argument("--d", default="2")
     pv.add_argument("--p", default="2")
     pv.add_argument("--gamma", default="0")
-    pv.add_argument("--class", dest="klass",
-                    choices=["antisym", "odd", "general"], default="antisym")
+    symmetry(pv, ["antisym", "odd", "general"], "antisym")
     pv.add_argument("--functional", choices=["hardy", "rellich"], default="hardy")
     pv.add_argument("--trial", choices=["gaussian"], default="gaussian")
     pv.add_argument("--sigma", type=float, default=1.0)
@@ -451,16 +458,14 @@ def build_parser():
     pm.add_argument("--d", default="2")
     pm.add_argument("--p", default="4")
     pm.add_argument("--gamma", default="0")
-    pm.add_argument("--class", dest="klass",
-                    choices=["antisym", "odd"], default="antisym")
+    symmetry(pm, ["antisym", "odd"], "antisym")
     pm.add_argument("--gap-tol", default="1e-5")
     common(pm)
     pm.set_defaults(func=cmd_minimax, format="json")
 
     ps = sub.add_parser("sharpness", help="near-extremal family sweep")
     ps.add_argument("--d", type=int, default=3)
-    ps.add_argument("--class", dest="klass",
-                    choices=["antisym", "odd"], default="antisym")
+    symmetry(ps, ["antisym", "odd"], "antisym")
     ps.add_argument("--functional", choices=["hardy", "rellich"],
                     default="rellich")
     ps.add_argument("--epsilon", default="0.2,0.1")

@@ -1,24 +1,26 @@
 """Closed-form Hardy and Rellich constants with admissibility checks.
 
-A Hardy constant ``C`` bounds the weighted gradient energy from below,
+A Hardy constant C bounds int |grad u|^p |x|^-gamma dx from below by
+C int |u|^p |x|^(-p-gamma) dx; a Rellich constant does the same with
+|Delta u|^p on the left and |x|^(-2p-gamma) on the right.  With lam the
+homogeneity order of the class's angular factor, each is one of
 
-    int |grad u|^p |x|^{-gamma} dx  >=  C  int |u|^p |x|^{-p-gamma} dx,
+    Hardy    B^(p/2),  B = 4 (p-2+gamma) lam / p^2 + ((d+2 lam-p-gamma)/p)^2
+    Rellich  (N/p^2)^p,  N = (gamma+2p-2) (4 (p-1) lam + p (d-gamma-2p))
+                             + (p-1) (d + 2 lam - gamma - 2p)^2
 
-and a Rellich constant does the same with ``|Delta u|^p`` on the left and
-``|x|^{-2p-gamma}`` on the right.  Restricting ``u`` to the antisymmetric
-or odd class enlarges the constant; the formulas here evaluate every such
-constant in closed form.
+    class     lam        Hardy                Rellich
+    general   0          classical_hardy      rellich_mitidieri
+    odd       1          hardy_odd            rellich_odd
+    antisym   d(d-1)/2   hardy_antisymmetric  rellich_antisymmetric
 
-Inadmissible parameter combinations do not raise: the algebraic value is
-still computed (NaN when it is not real) and flagged ``admissible=False``,
-so sweep tools can plot the admissibility boundary.  Hard preconditions
-such as ``p >= 2`` for the class-restricted Hardy formulas, and finite
-``p`` and ``gamma`` everywhere, do raise, and so does a formula whose
-value or intermediate overflows a float (for example the Rellich
-constants at d = 5, p = 400).
+At p != 2 the odd class is u odd under the reflection in the hyperplane
+sum x_k = 0, so u = 0 there.  N follows from B at p = 2 by Mitidieri's
+chain, and both grow with lam (``tests/test_derivations.py``).  The
+general class keeps its factored forms, whose rounding and admissibility
+differ.  Inadmissible values (NaN when not real) are flagged; broken
+preconditions and float overflow raise named errors.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -28,16 +30,9 @@ from enum import Enum
 from .errors import InvalidDimensionError, OutOfRangeError
 
 __all__ = [
-    "FunctionClass",
-    "Functional",
-    "Params",
-    "ConstantValue",
-    "classical_hardy",
-    "hardy_antisymmetric",
-    "hardy_odd",
-    "rellich_mitidieri",
-    "rellich_antisymmetric",
-    "rellich_odd",
+    "FunctionClass", "Functional", "Params", "ConstantValue",
+    "classical_hardy", "hardy_antisymmetric", "hardy_odd",
+    "rellich_mitidieri", "rellich_antisymmetric", "rellich_odd",
     "reference_constant",
 ]
 
@@ -51,6 +46,13 @@ class FunctionClass(Enum):
 class Functional(Enum):
     HARDY = "hardy"
     RELLICH = "rellich"
+
+
+_LAM = {
+    FunctionClass.GENERAL: lambda d: 0.0,
+    FunctionClass.ODD: lambda d: 1.0,
+    FunctionClass.ANTISYMMETRIC: lambda d: d * (d - 1) / 2.0,
+}
 
 
 @dataclass(frozen=True)
@@ -73,21 +75,13 @@ class Params:
     @property
     def lam(self):
         """Homogeneity order of the class's angular factor."""
-        if self.klass is FunctionClass.ANTISYMMETRIC:
-            return self.d * (self.d - 1) / 2.0
-        if self.klass is FunctionClass.ODD:
-            return 1.0
-        return 0.0
+        return _LAM[self.klass](self.d)
 
 
 @dataclass(frozen=True)
 class ConstantValue:
-    """A constant together with its admissibility verdict.
-
-    ``condition_residual`` is the quantity whose nonnegativity the Rellich
-    formulas require (the numerator before the outer power); it is None
-    for the Hardy family.
-    """
+    """A constant with its admissibility verdict; ``condition_residual`` is
+    what a Rellich formula needs >= 0 (N, or Mitidieri's min(f1, f2))."""
 
     value: float
     formula_id: str
@@ -117,12 +111,25 @@ def _real_power(base, p):
     return float("nan")
 
 
-def _refuse_overflow(formula):
-    """Raise a float overflow inside ``formula`` as ``OutOfRangeError``."""
+# B and N; integer literals round like floats and stay exact on symbols.
+def _hardy_base(d, p, gamma, lam):
+    a = (d + 2 * lam - p - gamma) / p
+    return 4 * (p - 2 + gamma) * lam / p**2 + a**2
+
+
+def _rellich_numerator(d, p, gamma, lam):
+    m, s = gamma + 2 * p - 2, d + 2 * lam - gamma - 2 * p
+    return m * (4 * (p - 1) * lam + p * (d - gamma - 2 * p)) + (p - 1) * s**2
+
+
+def _guarded(formula):
+    """Check ``formula``'s arguments, and raise a float overflow inside it
+    as ``OutOfRangeError``."""
 
     @functools.wraps(formula)
     def constant(d, p, gamma=0.0):
         try:
+            _check_args(d, p, gamma)
             return formula(d, p, gamma)
         except OverflowError as exc:
             raise OutOfRangeError(
@@ -133,63 +140,44 @@ def _refuse_overflow(formula):
     return constant
 
 
-@_refuse_overflow
+def _in_lam(name, functional, klass, doc):
+    """``functional``'s formula at ``klass``'s lam, admissible while B or N
+    (the residual) is >= 0 and, for antisym, d >= 2."""
+    min_d = 2 if klass is FunctionClass.ANTISYMMETRIC else 1
+
+    def constant(d, p, gamma=0.0):
+        lam = _LAM[klass](d)
+        if functional is Functional.HARDY:
+            if p < 2.0:
+                raise OutOfRangeError("the certificate method needs p >= 2")
+            bracket = _hardy_base(d, p, gamma, lam)
+            value, residual = _real_power(bracket, p / 2.0), None
+        else:
+            if p <= 1.0:
+                raise OutOfRangeError("the Rellich constants need p > 1")
+            bracket = residual = _rellich_numerator(d, p, gamma, lam)
+            value = _real_power(bracket / p**2, p)
+        return ConstantValue(value, name, d >= min_d and bracket >= 0.0, residual)
+
+    constant.__name__ = constant.__qualname__ = name
+    constant.__doc__ = doc
+    return _guarded(constant)
+
+
+@_guarded
 def classical_hardy(d, p, gamma=0.0):
-    """(|d - p - gamma| / p)**p, the unrestricted weighted Hardy constant;
-    vanishes at p + gamma = d."""
-    _check_args(d, p, gamma)
+    """(|d - p - gamma| / p)**p, the unrestricted weighted Hardy constant."""
     if p < 1.0:
         raise OutOfRangeError("the classical constant needs p >= 1")
     value = (abs(d - p - gamma) / p) ** p
     return ConstantValue(value, "classical_hardy", True)
 
 
-@_refuse_overflow
-def hardy_antisymmetric(d, p, gamma=0.0):
-    """Antisymmetric-class Hardy constant.
-
-    C(d, p, gamma) = (2 (p-2+gamma) d (d-1) / p^2
-                      + ((d^2 - p - gamma) / p)^2)^(p/2).
-
-    Defined by the certificate method for p >= 2 and d >= 2; the value is
-    still computed for d = 1 with admissible=False.
-    """
-    _check_args(d, p, gamma)
-    if p < 2.0:
-        raise OutOfRangeError("the certificate method needs p >= 2")
-    base = 2.0 * (p - 2.0 + gamma) * d * (d - 1.0) / p**2 + (
-        (d * d - p - gamma) / p
-    ) ** 2
-    value = _real_power(base, p / 2.0)
-    admissible = d >= 2 and base >= 0.0
-    return ConstantValue(value, "hardy_antisymmetric", admissible)
-
-
-@_refuse_overflow
-def hardy_odd(d, p, gamma=0.0):
-    """Odd-class Hardy constant.
-
-    D(d, p, gamma) = (4 (p-2+gamma) / p^2
-                      + ((d - p - gamma + 2) / p)^2)^(p/2).
-    """
-    _check_args(d, p, gamma)
-    if p < 2.0:
-        raise OutOfRangeError("the certificate method needs p >= 2")
-    base = 4.0 * (p - 2.0 + gamma) / p**2 + ((d - p - gamma + 2.0) / p) ** 2
-    value = _real_power(base, p / 2.0)
-    return ConstantValue(value, "hardy_odd", base >= 0.0)
-
-
-@_refuse_overflow
+@_guarded
 def rellich_mitidieri(d, p, gamma=0.0):
-    """Unrestricted weighted Rellich constant.
-
-    ((d - gamma - 2p) ((p-1) d + gamma) / p^2)^p, sharp on the open
-    interval -(p-1) d < gamma < d - 2p.  Outside it the algebraic value is
-    returned with admissible=False; the residual is the distance to the
-    nearer interval endpoint.
-    """
-    _check_args(d, p, gamma)
+    """Unrestricted weighted Rellich constant (f1 f2 / p^2)^p: sharp and
+    admissible while f1 = d - gamma - 2p and f2 = (p-1) d + gamma are > 0;
+    the residual min(f1, f2) is the distance to the nearer endpoint."""
     if p <= 1.0:
         raise OutOfRangeError("the Rellich constants need p > 1")
     f1 = d - gamma - 2.0 * p
@@ -199,53 +187,29 @@ def rellich_mitidieri(d, p, gamma=0.0):
     return ConstantValue(value, "rellich_mitidieri", residual > 0.0, residual)
 
 
-@_refuse_overflow
-def rellich_antisymmetric(d, p, gamma=0.0):
-    """Antisymmetric-class Rellich constant, (N / p^2)^p with
+_ODD = (" At p != 2 it covers u odd under the reflection in the hyperplane"
+        " sum x_k = 0, so u = 0 there.")
+hardy_antisymmetric = _in_lam(
+    "hardy_antisymmetric", Functional.HARDY, FunctionClass.ANTISYMMETRIC,
+    "Antisymmetric-class Hardy constant, lam = d(d-1)/2; needs d >= 2.")
+hardy_odd = _in_lam("hardy_odd", Functional.HARDY, FunctionClass.ODD,
+                    "Odd-class Hardy constant, lam = 1." + _ODD)
+rellich_antisymmetric = _in_lam(
+    "rellich_antisymmetric", Functional.RELLICH, FunctionClass.ANTISYMMETRIC,
+    "Antisymmetric-class Rellich constant, lam = d(d-1)/2.")
+rellich_odd = _in_lam("rellich_odd", Functional.RELLICH, FunctionClass.ODD,
+                      "Odd-class Rellich constant, lam = 1." + _ODD)
 
-    N = (gamma + 2p - 2) (2 (p-1) d (d-1) + p (d - gamma - 2p))
-        + (p-1) (d^2 - gamma - 2p)^2,
-
-    admissible while N >= 0 (and d >= 2).
-    """
-    _check_args(d, p, gamma)
-    if p <= 1.0:
-        raise OutOfRangeError("the Rellich constants need p > 1")
-    N = (gamma + 2.0 * p - 2.0) * (
-        2.0 * (p - 1.0) * d * (d - 1.0) + p * (d - gamma - 2.0 * p)
-    ) + (p - 1.0) * (d * d - gamma - 2.0 * p) ** 2
-    value = _real_power(N / p**2, p)
-    return ConstantValue(value, "rellich_antisymmetric", d >= 2 and N >= 0.0, N)
-
-
-@_refuse_overflow
-def rellich_odd(d, p, gamma=0.0):
-    """Odd-class Rellich constant, (N / p^2)^p with
-
-    N = (gamma + 2p - 2) (4 (p-1) + p (d - gamma - 2p))
-        + (p-1) (d - gamma - 2p + 2)^2.
-    """
-    _check_args(d, p, gamma)
-    if p <= 1.0:
-        raise OutOfRangeError("the Rellich constants need p > 1")
-    N = (gamma + 2.0 * p - 2.0) * (
-        4.0 * (p - 1.0) + p * (d - gamma - 2.0 * p)
-    ) + (p - 1.0) * (d - gamma - 2.0 * p + 2.0) ** 2
-    value = _real_power(N / p**2, p)
-    return ConstantValue(value, "rellich_odd", N >= 0.0, N)
+_TABLE = {
+    (Functional.HARDY, FunctionClass.GENERAL): classical_hardy,
+    (Functional.HARDY, FunctionClass.ODD): hardy_odd,
+    (Functional.HARDY, FunctionClass.ANTISYMMETRIC): hardy_antisymmetric,
+    (Functional.RELLICH, FunctionClass.GENERAL): rellich_mitidieri,
+    (Functional.RELLICH, FunctionClass.ODD): rellich_odd,
+    (Functional.RELLICH, FunctionClass.ANTISYMMETRIC): rellich_antisymmetric,
+}
 
 
 def reference_constant(params: Params, functional: Functional) -> ConstantValue:
     """The constant a Rayleigh quotient in this class is compared against."""
-    d, p, gamma = params.d, params.p, params.gamma
-    if functional is Functional.HARDY:
-        if params.klass is FunctionClass.ANTISYMMETRIC:
-            return hardy_antisymmetric(d, p, gamma)
-        if params.klass is FunctionClass.ODD:
-            return hardy_odd(d, p, gamma)
-        return classical_hardy(d, p, gamma)
-    if params.klass is FunctionClass.ANTISYMMETRIC:
-        return rellich_antisymmetric(d, p, gamma)
-    if params.klass is FunctionClass.ODD:
-        return rellich_odd(d, p, gamma)
-    return rellich_mitidieri(d, p, gamma)
+    return _TABLE[functional, params.klass](params.d, params.p, params.gamma)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -441,6 +442,10 @@ class TestBadInput:
             (["verify", "--samples", "0.9"], "UsageError"),
             (["verify", "--method", "product", "--samples", "2.5"],
              "UsageError"),
+            # A fractional dimension is not parsed as "not a finite number".
+            (["constants", "--d", "2.5"], "UsageError"),
+            (["constants", "--d", "2..3.5"], "UsageError"),
+            (["verify", "--d", "2.5"], "UsageError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
@@ -469,6 +474,17 @@ class TestBadInput:
     @pytest.mark.parametrize("text", ["2.5", "0.9"])
     def test_fractional_sample_count_is_named(self, capsys, text):
         assert run(["verify", "--samples", text]) == 2
+        assert f"error: not a whole number: '{text}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["constants", "--d", "2.5"], "2.5"),
+         (["constants", "--d", "2..3.5"], "3.5"),
+         (["verify", "--d", "2.5"], "2.5")],
+        ids=["constants", "constants-range", "verify"],
+    )
+    def test_fractional_dimension_is_named(self, capsys, argv, text):
+        assert run(argv) == 2
         assert f"error: not a whole number: '{text}'" in capsys.readouterr().err
 
     def test_bad_cutoff_is_named(self, capsys):
@@ -571,6 +587,28 @@ class TestManifestBytes:
         report = json.loads((tmp_path / "t.csv.run.json").read_text())
         assert json.dumps(report["manifest"], indent=2) + "\n" == pinned
 
+    def test_constants_table_bytes_pinned(self, tmp_path, capsys):
+        """Every class, functional and formula branch on a dyadic grid,
+        including the signed zeros at d = 1, p = 3, gamma = -2, byte for
+        byte."""
+        out = tmp_path / "t.csv"
+        assert run(["constants", "--class", "all", "--d", "1..8",
+                    "--p", "1.25,1.5,2,2.5,3,3.5,4,5,6,8",
+                    "--gamma=-3,-2,-1,-0.5,0,0.5,1,2,4",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        table = out.read_bytes()
+        assert table.count(b"\n") == 3601
+        assert [row for row in table.splitlines() if b",-0," in row] == [
+            b"1,3,-2,odd,rellich,rellich_odd,0,true,-0,inf",
+            b"1,3,-2,general,rellich,rellich_mitidieri,-0,false,-0,inf",
+        ]
+        assert hashlib.sha256(table).hexdigest() == (
+            "9e89c26150011019af78ce6f65f702b451dcb0f29239c78997349a49595c67eb")
+        manifest = (tmp_path / "t.csv.manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "bb81916d065fb56c5535a1493420adeee9879a4daddfbf9918ce882cdb17f0a7")
+
 
 class TestRepeatedMain:
     """``main`` reuses one parser; no option may carry over between calls."""
@@ -598,6 +636,7 @@ class TestParsing:
     def test_int_grid(self):
         assert cli._parse_int_grid("2..5") == [2, 3, 4, 5]
         assert cli._parse_int_grid("2,4,6") == [2, 4, 6]
+        assert cli._parse_int_grid("2.0..4,1e1") == [2, 3, 4, 10]
 
     def test_float_grid(self):
         assert cli._parse_float_grid("2,2.5") == [2.0, 2.5]
@@ -615,8 +654,9 @@ _LOADED_MODULES_SCRIPT = textwrap.dedent("""
     from contextlib import redirect_stderr, redirect_stdout
 
     def loaded(*also):
+        # sympy is a test dependency only: no step may load it.
         return sorted(m for m in ("scipy", "scipy.special", "scipy.integrate",
-                                  *also)
+                                  "sympy", *also)
                       if m in sys.modules)
 
     def main(*argv):

@@ -1,0 +1,131 @@
+"""Symbolic derivations of the constant formulas (sympy).
+
+Every constant in ``symhardy.constants`` is the Hardy base B or the
+Rellich numerator N evaluated at the class's homogeneity order lam.  The
+tests below take B and N as the package computes them, on sympy symbols,
+and check that:
+
+- at lam = d(d-1)/2, 1 and 0 they are the antisymmetric, odd and
+  classical (Mitidieri) forms, each written out here in full;
+- N follows Mitidieri's chain ("A simple approach to Hardy inequalities",
+  Math. Notes 67, 2000): with m = gamma + 2p - 2,
+  N / p^2 = 4 (p-1) / p^2 H2(d, m, lam) - m (m + 2 - d) / p, where H2 is
+  the p = 2 Hardy base at weight m;
+- both grow with lam for d >= 2, which is why every class constant beats
+  the classical one.
+
+Each public constant is then evaluated at rational points with p != 2 and
+compared with the exact value of the chain (Rellich) or of the written-out
+form (Hardy), so that a Rellich formula off by 1 % fails here.
+"""
+
+import pytest
+import sympy as sp
+
+from symhardy import constants as cn
+
+d, p, gamma, lam = sp.symbols("d p gamma lam")
+B = cn._hardy_base(d, p, gamma, lam)
+N = cn._rellich_numerator(d, p, gamma, lam)
+M = gamma + 2 * p - 2
+
+LAM = {"general": 0, "odd": 1, "antisym": d * (d - 1) / 2}
+
+# The class forms as the per-class formulas wrote them before B and N.
+HARDY_FORMS = {
+    "antisym": 2 * (p - 2 + gamma) * d * (d - 1) / p**2
+    + ((d**2 - p - gamma) / p) ** 2,
+    "odd": 4 * (p - 2 + gamma) / p**2 + ((d - p - gamma + 2) / p) ** 2,
+    "general": ((d - p - gamma) / p) ** 2,  # the classical constant^(2/p)
+}
+RELLICH_FORMS = {
+    "antisym": (gamma + 2 * p - 2)
+    * (2 * (p - 1) * d * (d - 1) + p * (d - gamma - 2 * p))
+    + (p - 1) * (d**2 - gamma - 2 * p) ** 2,
+    "odd": (gamma + 2 * p - 2) * (4 * (p - 1) + p * (d - gamma - 2 * p))
+    + (p - 1) * (d - gamma - 2 * p + 2) ** 2,
+    # Mitidieri's f1 f2
+    "general": (d - gamma - 2 * p) * ((p - 1) * d + gamma),
+}
+
+
+def h2(dim, weight, order):
+    """The p = 2 Hardy base at weight ``weight``, written out."""
+    return order * weight + ((dim + 2 * order - 2 - weight) / 2) ** 2
+
+
+def chain(dim, exponent, weight, order):
+    """N / p^2 by Mitidieri's chain."""
+    m = weight + 2 * exponent - 2
+    return (4 * (exponent - 1) / exponent**2 * h2(dim, m, order)
+            - m * (m + 2 - dim) / exponent)
+
+
+def is_zero(expr):
+    return sp.cancel(sp.expand(expr)) == 0
+
+
+@pytest.mark.parametrize("klass", sorted(LAM))
+def test_hardy_base_gives_the_class_form(klass):
+    assert is_zero(B.subs(lam, LAM[klass]) - HARDY_FORMS[klass])
+
+
+@pytest.mark.parametrize("klass", sorted(LAM))
+def test_rellich_numerator_gives_the_class_form(klass):
+    assert is_zero(N.subs(lam, LAM[klass]) - RELLICH_FORMS[klass])
+
+
+def test_hardy_base_at_p2_is_h2():
+    assert is_zero(cn._hardy_base(d, 2, gamma, lam) - h2(d, gamma, lam))
+
+
+def test_rellich_numerator_is_mitidieris_chain():
+    # Identically in lam, so for every class at once.
+    assert is_zero(N / p**2 - chain(d, p, gamma, lam))
+    assert is_zero(
+        N / p**2
+        - (4 * (p - 1) / p**2 * cn._hardy_base(d, 2, M, lam)
+           - M * (M + 2 - d) / p)
+    )
+
+
+def test_both_formulas_grow_with_lam():
+    # d + 2 lam - 2 >= 0 for d >= 2 and lam >= 0, and p > 1.
+    assert is_zero(sp.diff(p**2 * B, lam) - 4 * (d + 2 * lam - 2))
+    assert is_zero(sp.diff(N, lam) - 4 * (p - 1) * (d + 2 * lam - 2))
+
+
+# (d, p, gamma) with p != 2 where every constant is admissible.
+POINTS = [(7, 2.5, 0.0), (8, 3.0, -0.5), (9, 7 / 3, 0.5), (6, 2.25, -1.0),
+          (10, 3.75, 1.25)]
+
+PUBLIC = {
+    "classical_hardy": ("hardy", "general"),
+    "hardy_antisymmetric": ("hardy", "antisym"),
+    "hardy_odd": ("hardy", "odd"),
+    "rellich_mitidieri": ("rellich", "general"),
+    "rellich_antisymmetric": ("rellich", "antisym"),
+    "rellich_odd": ("rellich", "odd"),
+}
+
+
+def exact_value(functional, klass, dim, exponent, weight):
+    """The constant at exact rationals, never through B or N."""
+    at = {d: dim, p: exponent, gamma: weight}
+    if functional == "hardy":
+        base = HARDY_FORMS[klass].subs(at)
+        return sp.N(base ** (exponent / 2), 40)
+    order = sp.sympify(LAM[klass]).subs(d, dim)
+    return sp.N(chain(dim, exponent, weight, order) ** exponent, 40)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+@pytest.mark.parametrize("point", POINTS, ids=lambda pt: "d%d-p%g-g%g" % pt)
+def test_public_constant_matches_exact_value(name, point):
+    dim, exponent, weight = point
+    result = getattr(cn, name)(dim, exponent, weight)
+    assert result.formula_id == name and result.admissible
+    # The exact rationals of the float arguments: only the formula rounds.
+    exact = exact_value(*PUBLIC[name], sp.Integer(dim),
+                        sp.Rational(exponent), sp.Rational(weight))
+    assert float(abs(result.value - exact) / exact) < 1e-12
