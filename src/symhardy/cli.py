@@ -50,7 +50,7 @@ from .constants import (
 )
 from .errors import SymHardyError, UsageError
 from .minimax import numeric_minimax
-from .polynomials import ConstantFactor, odd_linear, vandermonde
+from .polynomials import class_factor
 from .quadrature import (
     QuadratureConfig,
     rayleigh_quotient,
@@ -60,19 +60,6 @@ from .quadrature import (
 from .trials import gaussian_trial, sharpness_family
 
 SCHEMA_VERSION = 1
-
-_CLASSES = {
-    "antisym": FunctionClass.ANTISYMMETRIC,
-    "odd": FunctionClass.ODD,
-    "general": FunctionClass.GENERAL,
-}
-
-# The angular factor that carries each class in trial functions.
-_FACTORS = {
-    FunctionClass.ANTISYMMETRIC: vandermonde,
-    FunctionClass.ODD: odd_linear,
-    FunctionClass.GENERAL: ConstantFactor,
-}
 
 
 @dataclass
@@ -243,21 +230,20 @@ def _constants_row(d, p, gamma, klass):
 def cmd_constants(args):
     params, grid = _dpg_grid(args)
     classes = (
-        list(_CLASSES.values())
+        [FunctionClass.ANTISYMMETRIC, FunctionClass.ODD, FunctionClass.GENERAL]
         if args.klass == "all"
-        else [_CLASSES[args.klass]]
+        else [FunctionClass(args.klass)]
     )
     points = [
         (d, p, gamma, klass)
         for (d, p, gamma), klass in itertools.product(grid, classes)
-        if not (klass is FunctionClass.ANTISYMMETRIC and d < 2)
-        and not (p < 2.0 and klass is not FunctionClass.GENERAL)
+        if klass.tabulated(d, p)
     ]
     return Sweep(params, points, _constants_row)
 
 
 def cmd_verify(args):
-    klass = _CLASSES[args.klass]
+    klass = FunctionClass(args.klass)
     functional = Functional(args.functional)
     config = QuadratureConfig(
         method=args.method,
@@ -272,7 +258,7 @@ def cmd_verify(args):
 
     def row(d, p, gamma):
         problem = Params(d, p, gamma, klass)
-        u = gaussian_trial(_FACTORS[klass](d), args.sigma)
+        u = gaussian_trial(class_factor(klass, d), args.sigma)
         report = rayleigh_quotient(u, functional, problem, config)
         check = (f"{functional.value} d={d} p={p} gamma={gamma}",
                  not report.violation)
@@ -303,7 +289,7 @@ def cmd_verify(args):
 
 
 def cmd_minimax(args):
-    klass = _CLASSES[args.klass]
+    klass = FunctionClass(args.klass)
     gap_tol = _number(args.gap_tol)
     if gap_tol <= 0.0:
         raise UsageError(f"--gap-tol must be positive, got {args.gap_tol!r}")
@@ -346,34 +332,26 @@ def _sharpness_bracket(d, lam, epsilon):
 
 
 def cmd_sharpness(args):
-    klass = _CLASSES[args.klass]
-    d = args.d
+    klass = FunctionClass(args.klass)
+    d = _whole_number(args.d)
     rellich = args.functional == "rellich"
-    factor = _FACTORS[klass](d)
+    factor = class_factor(klass, d)
     problem = Params(d, 2.0, 0.0, klass)
-    if not rellich:
-        # One-sided Hardy check: the exponent family here is a heuristic
-        # construction, so only quotient >= constant and the eps trend
-        # (pure two-sided value is constant + eps^2) are claimed.
-        hardy = (
-            hardy_antisymmetric(d, 2.0).value
-            if klass is FunctionClass.ANTISYMMETRIC
-            else hardy_odd(d, 2.0).value
-        )
     epsilons = _parse_float_grid(args.epsilon)
     deltas = _parse_float_grid(args.delta)
 
     def row(eps, delta):
+        u = sharpness_family(factor, eps, delta, functional=args.functional)
         if rellich:
+            report = separable_rellich_quotient(u, problem)
             lo, hi, limit, pure = _sharpness_bracket(d, factor.homogeneity, eps)
         else:
+            # One-sided Hardy check: the exponent family here is a heuristic
+            # construction, so only quotient >= constant and the eps trend
+            # (pure two-sided value is constant + eps^2) are claimed.
+            report = separable_hardy_quotient(u, problem)
+            hardy = report.reference_constant
             lo, hi, limit, pure = hardy, math.inf, hardy, hardy + eps * eps
-        u = sharpness_family(factor, eps, delta, functional=args.functional)
-        report = (
-            separable_rellich_quotient(u, problem)
-            if rellich
-            else separable_hardy_quotient(u, problem)
-        )
         width = hi - lo if math.isfinite(hi) else limit
         allowance = delta * width
         in_bracket = lo - allowance <= report.quotient <= hi + allowance
@@ -464,7 +442,7 @@ def build_parser():
     pm.set_defaults(func=cmd_minimax, format="json")
 
     ps = sub.add_parser("sharpness", help="near-extremal family sweep")
-    ps.add_argument("--d", type=int, default=3)
+    ps.add_argument("--d", default="3")
     symmetry(ps, ["antisym", "odd"], "antisym")
     ps.add_argument("--functional", choices=["hardy", "rellich"],
                     default="rellich")

@@ -9,10 +9,10 @@ homogeneity order of the class's angular factor, each is one of
     Rellich  (N/p^2)^p,  N = (gamma+2p-2) (4 (p-1) lam + p (d-gamma-2p))
                              + (p-1) (d + 2 lam - gamma - 2p)^2
 
-    class     lam        Hardy                Rellich
-    general   0          classical_hardy      rellich_mitidieri
-    odd       1          hardy_odd            rellich_odd
-    antisym   d(d-1)/2   hardy_antisymmetric  rellich_antisymmetric
+    class     least d  lam        Hardy                Rellich
+    general   1        0          classical_hardy      rellich_mitidieri
+    odd       1        1          hardy_odd            rellich_odd
+    antisym   2        d(d-1)/2   hardy_antisymmetric  rellich_antisymmetric
 
 At p != 2 the odd class is u odd under the reflection in the hyperplane
 sum x_k = 0, so u = 0 there.  N follows from B at p = 2 by Mitidieri's
@@ -38,21 +38,43 @@ __all__ = [
 
 
 class FunctionClass(Enum):
+    """A symmetry class, the one key of every class fact: its least
+    dimension and the homogeneity lam of its angular factor here, the
+    factor in ``polynomials`` and the sector in ``fields``."""
+
     GENERAL = "general"
     ANTISYMMETRIC = "antisym"
     ODD = "odd"
+
+    @property
+    def least_dimension(self):
+        """The least d with a nonzero function of the class."""
+        return 2 if self is FunctionClass.ANTISYMMETRIC else 1
+
+    def lam(self, d):
+        """Homogeneity order of the class's angular factor in dimension d."""
+        if self is FunctionClass.ANTISYMMETRIC:
+            return d * (d - 1) / 2.0
+        return 1.0 if self is FunctionClass.ODD else 0.0
+
+    def check_dimension(self, d):
+        if d < self.least_dimension:
+            raise InvalidDimensionError(
+                f"the {self.name.lower()} class needs d >= {self.least_dimension}"
+            )
+
+    def tabulated(self, d, p):
+        """Whether the constants table has a row of the class at (d, p):
+        d is at least the least dimension, and p >= 2 unless the class is
+        general, as the certificate method gives the other Hardy constants."""
+        return d >= self.least_dimension and not (
+            p < 2.0 and self is not FunctionClass.GENERAL
+        )
 
 
 class Functional(Enum):
     HARDY = "hardy"
     RELLICH = "rellich"
-
-
-_LAM = {
-    FunctionClass.GENERAL: lambda d: 0.0,
-    FunctionClass.ODD: lambda d: 1.0,
-    FunctionClass.ANTISYMMETRIC: lambda d: d * (d - 1) / 2.0,
-}
 
 
 @dataclass(frozen=True)
@@ -69,13 +91,12 @@ class Params:
         object.__setattr__(self, "d", int(self.d))
         if self.p < 1.0:
             raise OutOfRangeError("p must be >= 1")
-        if self.klass is FunctionClass.ANTISYMMETRIC and self.d < 2:
-            raise InvalidDimensionError("the antisymmetric class needs d >= 2")
+        self.klass.check_dimension(self.d)
 
     @property
     def lam(self):
         """Homogeneity order of the class's angular factor."""
-        return _LAM[self.klass](self.d)
+        return self.klass.lam(self.d)
 
 
 @dataclass(frozen=True)
@@ -142,11 +163,10 @@ def _guarded(formula):
 
 def _in_lam(name, functional, klass, doc):
     """``functional``'s formula at ``klass``'s lam, admissible while B or N
-    (the residual) is >= 0 and, for antisym, d >= 2."""
-    min_d = 2 if klass is FunctionClass.ANTISYMMETRIC else 1
+    (the residual) is >= 0 and d is at least the class's least dimension."""
 
     def constant(d, p, gamma=0.0):
-        lam = _LAM[klass](d)
+        lam = klass.lam(d)
         if functional is Functional.HARDY:
             if p < 2.0:
                 raise OutOfRangeError("the certificate method needs p >= 2")
@@ -157,7 +177,8 @@ def _in_lam(name, functional, klass, doc):
                 raise OutOfRangeError("the Rellich constants need p > 1")
             bracket = residual = _rellich_numerator(d, p, gamma, lam)
             value = _real_power(bracket / p**2, p)
-        return ConstantValue(value, name, d >= min_d and bracket >= 0.0, residual)
+        admissible = d >= klass.least_dimension and bracket >= 0.0
+        return ConstantValue(value, name, admissible, residual)
 
     constant.__name__ = constant.__qualname__ = name
     constant.__doc__ = doc

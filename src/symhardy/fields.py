@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,10 +35,9 @@ from .errors import (
     SingularPointError,
     SymmetryClassError,
 )
-from .polynomials import AngularFactor, odd_linear, row_dot, row_sum, vandermonde
+from .polynomials import AngularFactor, class_factor, row_dot, row_sum
 
 __all__ = [
-    "SectorKind",
     "SectorDomain",
     "field_T",
     "divergence_T",
@@ -48,57 +46,44 @@ __all__ = [
 ]
 
 
-class SectorKind(Enum):
-    ORDERED_SECTOR = "ordered_sector"
-    POSITIVE_HALF = "positive_half"
-
-
-_SECTOR_CLASS = {
-    SectorKind.ORDERED_SECTOR: FunctionClass.ANTISYMMETRIC,
-    SectorKind.POSITIVE_HALF: FunctionClass.ODD,
-}
-
-
 @dataclass(frozen=True)
 class SectorDomain:
-    """A fundamental domain of the symmetry class.
+    """The fundamental domain of the factor's symmetry class.
 
-    ORDERED_SECTOR is the open cone x_1 < x_2 < ... < x_d on which the
-    Vandermonde factor is positive; POSITIVE_HALF is the half-space where
-    the odd linear form is positive.  Interior membership implies a
-    positive factor value; for the half-space (and for d = 2) the two are
-    equivalent.  So the ordered sector takes an antisymmetric factor and
-    the half-space an odd one; other pairs raise ``SymmetryClassError``.
+    An antisymmetric factor's domain is the ordered sector, the open cone
+    x_1 < x_2 < ... < x_d on which the Vandermonde factor is positive; an
+    odd factor's is the half-space where the odd linear form is positive.
+    Interior membership implies a positive factor value; for the
+    half-space (and for d = 2) the two are equivalent.  A general-class
+    factor has no sector and raises ``OutOfRangeError``.
     """
 
-    kind: SectorKind
     factor: AngularFactor
 
     def __post_init__(self):
-        need = _SECTOR_CLASS[self.kind]
-        if self.factor.function_class is not need:
-            raise SymmetryClassError(
-                f"{self.kind.value} needs a factor of class {need.value}, "
-                f"got class {self.factor.function_class.value}"
+        if self.factor.function_class is FunctionClass.GENERAL:
+            raise OutOfRangeError(
+                "sector domains exist for the antisym and odd classes"
             )
 
     @classmethod
     def for_params(cls, params: Params):
-        if params.klass is FunctionClass.ANTISYMMETRIC:
-            return cls(SectorKind.ORDERED_SECTOR, vandermonde(params.d))
-        if params.klass is FunctionClass.ODD:
-            return cls(SectorKind.POSITIVE_HALF, odd_linear(params.d))
-        raise OutOfRangeError("sector domains exist for the antisym and odd classes")
+        return cls(class_factor(params.klass, params.d))
 
     @property
     def dimension(self):
         return self.factor.dimension
 
+    @property
+    def _ordered(self):
+        """True for the ordered sector, False for the half-space."""
+        return self.factor.function_class is FunctionClass.ANTISYMMETRIC
+
     def contains(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dimension:
             raise InvalidDimensionError("point dimension mismatch")
-        if self.kind is SectorKind.ORDERED_SECTOR:
+        if self._ordered:
             d = np.diff(np.atleast_2d(x), axis=-1)
             out = np.all(d > 0.0, axis=-1)
         else:
@@ -114,7 +99,7 @@ class SectorDomain:
         other pair has a smaller rounded gap.  Rows are sorted first.
         """
         X = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.kind is SectorKind.ORDERED_SECTOR:
+        if self._ordered:
             dist = _ordered_distance(_sort_rows(X))
         else:
             dist = np.abs(row_sum(X.T)) / np.sqrt(self.dimension)
@@ -136,7 +121,7 @@ class SectorDomain:
         for name, value in (("tube", tube), ("origin_ball", origin_ball)):
             if not 0.0 <= value < np.inf:
                 raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-        d = self.dimension
+        d, ordered = self.dimension, self._ordered
         kept, count, draws = [], 0, 0
         while count < n:
             if draws == 200:
@@ -146,7 +131,7 @@ class SectorDomain:
                 )
             draws += 1
             X = rng.standard_normal((max(n, 128), d))
-            if self.kind is SectorKind.ORDERED_SECTOR:
+            if ordered:
                 X = _sort_rows(X)
                 dist = _ordered_distance(X)
             else:
@@ -199,6 +184,11 @@ def _prepare(x, params, factor):
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.shape[1] != factor.dimension or factor.dimension != params.d:
         raise InvalidDimensionError("dimension mismatch between point, factor, params")
+    if factor.function_class is not params.klass:
+        raise SymmetryClassError(
+            f"factor is of class {factor.function_class.value}, params "
+            f"declare {params.klass.value}"
+        )
     r2 = row_dot(X, X)
     F, G = factor.value_and_gradient(X)
     # Comparisons with NaN are false, so NaN coordinates are refused too.

@@ -4,8 +4,10 @@ Two polynomial families carry the symmetry classes used throughout the
 package: the Vandermonde product ``prod_{i<j} (x_j - x_i)`` for
 antisymmetric functions and the linear form ``sum_k x_k`` for odd
 functions; ``ConstantFactor``, F = 1, is the angular part of general-class
-trials.  Each factor class carries the ``FunctionClass`` it gives a trial.
-All three are harmonic, homogeneous polynomials, so they satisfy
+trials.  Each factor class carries the ``FunctionClass`` it gives a trial,
+and takes its least dimension and its homogeneity order lam from that
+class; ``class_factor`` maps each class to its factor.  All three are
+harmonic, homogeneous polynomials, so they satisfy
 the Euler relation ``<x, grad F(x)> = lam * F(x)`` with ``lam`` the
 homogeneity order, and the Schwarz ratio
 
@@ -35,6 +37,7 @@ __all__ = [
     "ConstantFactor",
     "vandermonde",
     "odd_linear",
+    "class_factor",
 ]
 
 
@@ -97,12 +100,15 @@ class AngularFactor:
     ``_gradient`` and ``_laplacian`` on (n, d) arrays; the public methods
     accept either a single point or a batch and unwrap accordingly.
     ``function_class`` is the symmetry class of F, and so of every trial
-    F psi(|x|) built on it.
+    F psi(|x|) built on it; it sets the least dimension and ``homogeneity``.
     """
 
     function_class: FunctionClass
-    dimension: int
-    homogeneity: float
+
+    def __init__(self, dimension):
+        self.function_class.check_dimension(dimension)
+        self.dimension = int(dimension)
+        self.homogeneity = self.function_class.lam(self.dimension)
 
     def value(self, x):
         X, single = _as_batch(x)
@@ -183,13 +189,9 @@ class Vandermonde(AngularFactor):
     function_class = FunctionClass.ANTISYMMETRIC
 
     def __init__(self, dimension):
-        if dimension < 2:
-            raise InvalidDimensionError("the Vandermonde factor needs d >= 2")
-        self.dimension = int(dimension)
-        self.homogeneity = dimension * (dimension - 1) / 2.0
-        self._pairs = [
-            (i, j) for i in range(dimension) for j in range(i + 1, dimension)
-        ]
+        super().__init__(dimension)
+        d = self.dimension
+        self._pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         self._pair_index = {pair: q for q, pair in enumerate(self._pairs)}
 
     def _value(self, X):
@@ -297,12 +299,6 @@ class OddLinear(AngularFactor):
 
     function_class = FunctionClass.ODD
 
-    def __init__(self, dimension):
-        if dimension < 1:
-            raise InvalidDimensionError("the odd linear factor needs d >= 1")
-        self.dimension = int(dimension)
-        self.homogeneity = 1.0
-
     def _value(self, X):
         return row_sum(X.T)
 
@@ -317,12 +313,6 @@ class ConstantFactor(AngularFactor):
     """F = 1, the angular part of general-class trials; harmonic of order 0."""
 
     function_class = FunctionClass.GENERAL
-
-    def __init__(self, dimension):
-        if dimension < 1:
-            raise InvalidDimensionError("the constant factor needs d >= 1")
-        self.dimension = int(dimension)
-        self.homogeneity = 0.0
 
     def _value(self, X):
         return np.ones(len(X))
@@ -342,3 +332,16 @@ def vandermonde(dimension):
 @lru_cache(maxsize=None)
 def odd_linear(dimension):
     return OddLinear(dimension)
+
+
+# The angular factor that carries each class in trial functions.
+_CLASS_FACTORS = {
+    FunctionClass.ANTISYMMETRIC: vandermonde,
+    FunctionClass.ODD: odd_linear,
+    FunctionClass.GENERAL: ConstantFactor,
+}
+
+
+def class_factor(klass: FunctionClass, dimension) -> AngularFactor:
+    """The angular factor of class ``klass`` in ``dimension``."""
+    return _CLASS_FACTORS[klass](dimension)

@@ -209,12 +209,10 @@ class TrialFunction:
     """Separable trial u = F(x) psi(|x|) with analytic derivatives; its
     symmetry class is that of F."""
 
-    def __init__(self, angular: AngularFactor, radial: RadialProfile,
-                 heuristic=False):
+    def __init__(self, angular: AngularFactor, radial: RadialProfile):
         self.angular = angular
         self.radial = radial
         self.class_tag = angular.function_class
-        self.heuristic = bool(heuristic)
 
     @property
     def dimension(self):
@@ -297,7 +295,8 @@ def sharpness_family(
     radial integrands behave like r^(-1 +/- 2 eps), so the quotient is a
     weighted mean of the two pure-power coefficient values and converges
     to the sharp constant as epsilon -> 0.  The Hardy variant is a
-    heuristic construction by analogy and is flagged as such.
+    heuristic construction by analogy, and the sharpness CLI flags its
+    rows as such.
 
     The cutoff radius R solves R^(-2 eps) / 2 = tail_rel, which keeps the
     truncated tail mass below ``tail_rel`` relative.
@@ -316,10 +315,8 @@ def sharpness_family(
                 "the second-order sharpness check needs d >= 3"
             )
         base = d / 2.0 + lam - 2.0
-        heuristic = False
     elif functional == "hardy":
         base = d / 2.0 + lam - 1.0
-        heuristic = True
     else:
         raise ValueError("functional must be 'hardy' or 'rellich'")
     R = max(2.0, (2.0 * tail_rel) ** (-1.0 / (2.0 * epsilon)))
@@ -327,5 +324,5 @@ def sharpness_family(
                                       smoothing_delta, R)
     profile.meta.update({"base": base, "epsilon": float(epsilon),
                          "functional": functional})
-    return TrialFunction(factor, profile, heuristic=heuristic)
+    return TrialFunction(factor, profile)
 

@@ -385,6 +385,26 @@ class TestSharpnessCommand:
             ("0.01", "4.0104165975135553"),
         ]
 
+    def test_antisym_rellich_d3_bytes_pinned(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["sharpness", "--class", "antisym", "--functional",
+                    "rellich", "--d", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "794a6cd8b4b4d70c427de8390c9712ca4d663f4741079c8ff86eb9df6fe77b0d")
+        manifest = (tmp_path / "s.csv.manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "aceb9d627fa5c8a63981e44a53bd0ba3a33c334a41b7072ae650b56f3bd65e76")
+
+    def test_dimension_in_float_notation(self, tmp_path):
+        argv = ["sharpness", "--class", "odd", "--epsilon", "0.2",
+                "--delta", "0.05", "--out"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(argv + [str(a), "--d", "3"]) == 0
+        assert run(argv + [str(b), "--d", "3.0"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert ((tmp_path / "a.csv.manifest.json").read_bytes()
+                == (tmp_path / "b.csv.manifest.json").read_bytes())
+
     def test_degenerate_smoothing_is_usage_error(self):
         assert run(["sharpness", "--d", "3", "--epsilon", "0.1",
                     "--delta", "0"]) == 2
@@ -446,6 +466,7 @@ class TestBadInput:
             (["constants", "--d", "2.5"], "UsageError"),
             (["constants", "--d", "2..3.5"], "UsageError"),
             (["verify", "--d", "2.5"], "UsageError"),
+            (["sharpness", "--d", "2.5"], "UsageError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
@@ -480,8 +501,9 @@ class TestBadInput:
         "argv, text",
         [(["constants", "--d", "2.5"], "2.5"),
          (["constants", "--d", "2..3.5"], "3.5"),
-         (["verify", "--d", "2.5"], "2.5")],
-        ids=["constants", "constants-range", "verify"],
+         (["verify", "--d", "2.5"], "2.5"),
+         (["sharpness", "--d", "2.5"], "2.5")],
+        ids=["constants", "constants-range", "verify", "sharpness"],
     )
     def test_fractional_dimension_is_named(self, capsys, argv, text):
         assert run(argv) == 2

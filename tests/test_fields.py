@@ -11,7 +11,13 @@ from symhardy.errors import (
     SingularPointError,
     SymmetryClassError,
 )
-from symhardy.polynomials import odd_linear, row_dot, row_sum, vandermonde
+from symhardy.polynomials import (
+    ConstantFactor,
+    odd_linear,
+    row_dot,
+    row_sum,
+    vandermonde,
+)
 
 ANTI = FunctionClass.ANTISYMMETRIC
 ODD = FunctionClass.ODD
@@ -80,12 +86,7 @@ class TestDivergence:
         else:
             factor, klass = odd_linear(3), ODD
         pr = Params(3, 2.5, 0.0, klass)
-        dom = fd.SectorDomain(
-            fd.SectorKind.ORDERED_SECTOR
-            if factor_name == "vandermonde"
-            else fd.SectorKind.POSITIVE_HALF,
-            factor,
-        )
+        dom = fd.SectorDomain(factor)
         rng = np.random.default_rng(21)
         X = dom.sample_interior(50, rng, tube=0.1)
         for x in X:
@@ -205,21 +206,28 @@ class TestSectorDomain:
         with pytest.raises(OutOfRangeError):
             fd.SectorDomain.for_params(Params(3, 2, 0.0, FunctionClass.GENERAL))
 
-    @pytest.mark.parametrize("kind, factor, message", [
-        # Half of the sampled points would have F <= 0.
-        (fd.SectorKind.ORDERED_SECTOR, odd_linear(3),
-         "ordered_sector needs a factor of class antisym, got class odd"),
-        # boundary_distance raised a bare IndexError.
-        (fd.SectorKind.ORDERED_SECTOR, odd_linear(1),
-         "ordered_sector needs a factor of class antisym, got class odd"),
-        (fd.SectorKind.POSITIVE_HALF, vandermonde(3),
-         "positive_half needs a factor of class odd, got class antisym"),
-        (fd.SectorKind.POSITIVE_HALF, vandermonde(2),
-         "positive_half needs a factor of class odd, got class antisym"),
+    def test_general_factor_has_no_sector(self):
+        with pytest.raises(OutOfRangeError, match="antisym and odd classes"):
+            fd.SectorDomain(ConstantFactor(3))
+
+
+class TestFactorClassMatchesParams:
+    @pytest.mark.parametrize("klass, factor", [
+        (ODD, vandermonde(3)), (ANTI, odd_linear(3)),
+        (FunctionClass.GENERAL, odd_linear(3)),
     ])
-    def test_mismatched_factor_refused(self, kind, factor, message):
-        with pytest.raises(SymmetryClassError, match=f"^{message}$"):
-            fd.SectorDomain(kind, factor)
+    @pytest.mark.parametrize("fn", [
+        fd.field_T, fd.divergence_T, fd.certificate_many,
+    ], ids=["field_T", "divergence_T", "certificate_many"])
+    def test_mismatch_refused(self, klass, factor, fn):
+        # An odd-class certificate on the Vandermonde factor returned a
+        # plausible 6.317 instead of refusing.
+        X = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 2.0]])
+        pr = Params(3, 3.0, 0.0, klass)
+        message = (f"^factor is of class {factor.function_class.value}, "
+                   f"params declare {klass.value}$")
+        with pytest.raises(SymmetryClassError, match=message):
+            fn(X, 1.0, 1.0, pr, factor)
 
 
 class TestSamplingArguments:
@@ -280,7 +288,7 @@ class TestNonFinitePoints:
 
 def ref_boundary_distance(dom, x):
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    if dom.kind is fd.SectorKind.ORDERED_SECTOR:
+    if dom.factor.function_class is ANTI:
         D = X[:, :, None] - X[:, None, :]
         iu = np.triu_indices(dom.dimension, k=1)
         gaps = np.abs(D[:, iu[0], iu[1]])
@@ -295,7 +303,7 @@ def ref_sample_interior(dom, n, rng, tube, origin_ball):
     out = np.empty((0, d))
     while len(out) < n:
         X = rng.standard_normal((max(n, 128), d))
-        if dom.kind is fd.SectorKind.ORDERED_SECTOR:
+        if dom.factor.function_class is ANTI:
             X = np.sort(X, axis=1)
         else:
             s = np.sign(row_sum(X.T))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symhardy import polynomials as poly
-from symhardy.constants import FunctionClass
+from symhardy.constants import FunctionClass, Params
 from symhardy.errors import (
     InvalidDimensionError,
     OnBoundaryError,
@@ -275,6 +275,24 @@ class TestConstantFactor:
     def test_dimension_guard(self):
         with pytest.raises(InvalidDimensionError):
             poly.ConstantFactor(0)
+
+
+class TestClassFactor:
+    @pytest.mark.parametrize("klass", list(FunctionClass))
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_class_and_homogeneity_from_constants(self, klass, d):
+        factor = poly.class_factor(klass, d)
+        assert factor.function_class is klass
+        assert factor.dimension == d
+        assert factor.homogeneity == Params(d, 2, 0.0, klass).lam
+
+    @pytest.mark.parametrize("klass", list(FunctionClass))
+    def test_least_dimension_from_constants(self, klass):
+        least = klass.least_dimension
+        assert poly.class_factor(klass, least).dimension == least
+        with pytest.raises(InvalidDimensionError,
+                           match=f"class needs d >= {least}$"):
+            poly.class_factor(klass, least - 1)
 
 
 # Each factor's symmetry class, checked once here instead of at every

@@ -149,7 +149,6 @@ class TestSharpnessFamily:
     def test_class_tags(self):
         ua = tr.sharpness_family(vandermonde(3), 0.1, 0.02)
         assert ua.class_tag is ANTI
-        assert not ua.heuristic
         uo = tr.sharpness_family(odd_linear(3), 0.1, 0.02)
         assert uo.class_tag is ODD
 
@@ -162,7 +161,6 @@ class TestSharpnessFamily:
         assert uo.radial.meta["alpha_in"] == pytest.approx(d / 2.0 - 1.0 - 0.1)
         uh = tr.sharpness_family(vandermonde(d), 0.1, 0.02, functional="hardy")
         assert uh.radial.meta["alpha_in"] == pytest.approx((d * d - 2) / 2.0 - 0.1)
-        assert uh.heuristic
 
     def test_guards(self):
         with pytest.raises(DomainError):
