@@ -57,7 +57,7 @@ from .quadrature import (
     separable_hardy_quotient,
     separable_rellich_quotient,
 )
-from .trials import gaussian_trial, sharpness_family
+from .trials import exponent_base, gaussian_trial, sharpness_family
 
 SCHEMA_VERSION = 1
 
@@ -317,9 +317,9 @@ def cmd_minimax(args):
     return Sweep(params, points, row)
 
 
-def _sharpness_bracket(d, lam, epsilon):
-    s = d / 2.0 + lam
-    base = s - 2.0
+def _sharpness_bracket(factor, epsilon):
+    s = exponent_base(factor, 0)
+    base = exponent_base(factor, 2)
     lo = ((base - epsilon) * (s - epsilon)) ** 2
     hi = ((base + epsilon) * (s + epsilon)) ** 2
     limit = (base * s) ** 2
@@ -344,7 +344,7 @@ def cmd_sharpness(args):
         u = sharpness_family(factor, eps, delta, functional=args.functional)
         if rellich:
             report = separable_rellich_quotient(u, problem)
-            lo, hi, limit, pure = _sharpness_bracket(d, factor.homogeneity, eps)
+            lo, hi, limit, pure = _sharpness_bracket(factor, eps)
         else:
             # One-sided Hardy check: the exponent family here is a heuristic
             # construction, so only quotient >= constant and the eps trend

@@ -135,11 +135,12 @@ def f_certificate(t, alpha, beta, params: Params):
     )
 
 
-def t_minimizer(alpha, beta, params: Params, clamp=True):
-    """Closed-form minimizer of t -> f(t; alpha, beta) for p > 2.
+def t_minimizer(alpha, beta, params: Params):
+    """Closed-form minimizer of t -> f(t; alpha, beta) over t >= lam^2, p > 2.
 
-    t0 = ((p beta / 2)^(2(p-1)/(p-2)) - alpha^2 + 2 alpha beta lam) / beta^2;
-    with ``clamp`` the result is projected onto the admissible t >= lam^2.
+    The unconstrained stationary point is
+    t0 = ((p beta / 2)^(2(p-1)/(p-2)) - alpha^2 + 2 alpha beta lam) / beta^2,
+    and f is convex in t, so the minimizer is max(t0, lam^2).
     """
     p, lam = params.p, params.lam
     if abs(p - 2.0) < _P2_TOL or p < 2.0:
@@ -154,8 +155,6 @@ def t_minimizer(alpha, beta, params: Params, clamp=True):
         - alpha * alpha
         + 2.0 * alpha * beta * lam
     ) / (beta * beta)
-    if not clamp:
-        return t0
     return max(t0, lam * lam)
 
 
@@ -176,7 +175,7 @@ def min_over_t(alpha, beta, params: Params):
         )
         return lam2, value
     try:
-        t_star = t_minimizer(alpha, beta, params, clamp=True)
+        t_star = t_minimizer(alpha, beta, params)
     except OverflowError:
         # (p beta / 2)^(2(p-1)/(p-2)) exceeds the float range, and so does
         # the depth of the minimum below zero.

@@ -177,8 +177,6 @@ class QuotientReport:
     quotient_error: float
     reference_constant: float
     margin: float
-    functional: str
-    formula_id: str
 
     @property
     def conclusive(self):
@@ -463,8 +461,11 @@ def product_integral(fn, d, config: QuadratureConfig):
 
 
 def _origin_shift(u: TrialFunction):
-    if u.radial.kind == "piecewise_power":
-        return -u.radial.meta["alpha_in"]
+    """psi's power at the origin: -rho of a first ("power", 0.0, lo, rho)
+    segment, and 0 for any other profile."""
+    segments = u.radial.segments
+    if segments and segments[0][0] == "power":
+        return -segments[0][3]
     return 0.0
 
 
@@ -561,7 +562,7 @@ def _check_tag(u: TrialFunction, params: Params):
 
 
 def _report(num: Estimate, den: Estimate, quotient, q_err,
-            ref: ConstantValue, functional):
+            ref: ConstantValue):
     """The report, with margin (quotient - constant) / q_err.  Without an
     error bar the comparison is exact: infinitely many sigmas on the side
     where the quotient lies, or 0 when it equals the constant."""
@@ -570,17 +571,16 @@ def _report(num: Estimate, den: Estimate, quotient, q_err,
         margin = diff / q_err
     else:
         margin = math.copysign(math.inf, diff) if diff else 0.0
-    return QuotientReport(num, den, quotient, q_err, ref.value, margin,
-                          functional.value, ref.formula_id)
+    return QuotientReport(num, den, quotient, q_err, ref.value, margin)
 
 
-def _build_report(num: Estimate, den: Estimate, ref: ConstantValue, functional):
+def _build_report(num: Estimate, den: Estimate, ref: ConstantValue):
     if den.value <= 0.0:
         raise DomainError("denominator estimate is not positive")
     quotient = num.value / den.value
     rel = math.hypot(num.error / num.value if num.value else 0.0,
                      den.error / den.value)
-    return _report(num, den, quotient, abs(quotient) * rel, ref, functional)
+    return _report(num, den, quotient, abs(quotient) * rel, ref)
 
 
 def rayleigh_quotient(
@@ -604,7 +604,7 @@ def rayleigh_quotient(
             f"condition residual {ref.condition_residual}"
         )
     num, den = _estimates(u, params, config, _INTEGRANDS[functional])
-    return _build_report(num, den, ref, functional)
+    return _build_report(num, den, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -722,15 +722,27 @@ def separable_mass(u: TrialFunction, params: Params, weight_exponent):
     return Estimate(mom.value * rad, err, mom.n, 0, "separable")
 
 
-def _separable_homogeneity(u: TrialFunction, params: Params):
-    """The degree of u's angular factor, once the reduction applies."""
+def _separable_front(u: TrialFunction, params: Params, functional):
+    """What both separable quotients check and read before integrating.
+
+    Refuses a trial whose class is not the params' and the general class
+    (F = 1), and a denominator that is not integrable at the origin.
+    Returns F's degree lam, the radial power p lam + d - 1 - w p - gamma
+    of the numerator and of the denominator (``_INTEGRANDS`` gives w), and
+    the reference constant.
+    """
     _check_tag(u, params)
     if u.class_tag is FunctionClass.GENERAL:
         raise DomainError(
             "the separable reduction is offered for the antisymmetric and "
             "odd classes"
         )
-    return u.angular.homogeneity
+    (_, w_num), (_, w_den) = _INTEGRANDS[functional]
+    _radial_shape(u, params, w_den)
+    p, lam = params.p, u.angular.homogeneity
+    powers = [p * lam + params.d - 1.0 - w * p - params.gamma
+              for w in (w_num, w_den)]
+    return lam, powers, reference_constant(params, functional)
 
 
 def separable_hardy_quotient(u: TrialFunction, params: Params):
@@ -742,24 +754,20 @@ def separable_hardy_quotient(u: TrialFunction, params: Params):
     report carries them, without the moment, as its numerator and
     denominator.
     """
-    d, gamma = params.d, params.gamma
     if abs(params.p - 2.0) > 1e-12:
         raise DomainError("the radial reduction of the gradient needs p = 2")
-    lam = _separable_homogeneity(u, params)
-    _radial_shape(u, params, 1)
-    q0 = 2.0 * lam + d - 3.0 - gamma
+    lam, (_, q0), ref = _separable_front(u, params, Functional.HARDY)
     (i1, i2, i3), err = _radial_integrals(u.radial, _hardy_terms(u.radial, q0))
     if i1 <= 0.0:
         raise DomainError("degenerate radial mass")
-    g2_over_m2 = lam * (2.0 * lam + d - 2.0)
+    g2_over_m2 = lam * (2.0 * lam + params.d - 2.0)
     # Not num / den: the division rounds differently.
     quotient = g2_over_m2 + (2.0 * lam * i2 + i3) / i1
     num = Estimate(g2_over_m2 * i1 + 2.0 * lam * i2 + i3, err, 0, 0,
                    "separable")
     den = Estimate(i1, err, 0, 0, "separable")
-    ref = reference_constant(params, Functional.HARDY)
     q_err = max(err * (1.0 + abs(quotient)) / i1, 1e-14 * abs(quotient))
-    return _report(num, den, quotient, q_err, ref, Functional.HARDY)
+    return _report(num, den, quotient, q_err, ref)
 
 
 def separable_rellich_quotient(u: TrialFunction, params: Params):
@@ -770,12 +778,9 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
     and the quotient is a ratio of radial integrals; the report carries
     those radial integrals as its numerator and denominator.
     """
-    p, d, gamma = params.p, params.d, params.gamma
-    lam = _separable_homogeneity(u, params)
-    _radial_shape(u, params, 2)
-    c = d - 1.0 + 2.0 * lam
-    m_num = p * lam + d - 1.0 - gamma
-    m_den = p * lam + d - 1.0 - 2.0 * p - gamma
+    p = params.p
+    lam, (m_num, m_den), ref = _separable_front(u, params, Functional.RELLICH)
+    c = params.d - 1.0 + 2.0 * lam
     num_term = _second_order_term(u.radial, m_num, p, c)
     (num_rad,), num_err = _radial_integrals(u.radial, [num_term])
     den_term = _mass_term(u.radial, m_den, p)
@@ -785,7 +790,6 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
     quotient = num_rad / den_rad
     num = Estimate(num_rad, num_err, 0, 0, "separable")
     den = Estimate(den_rad, den_err, 0, 0, "separable")
-    ref = reference_constant(params, Functional.RELLICH)
     rel = num_err / num_rad + den_err / den_rad
     q_err = max(abs(quotient) * rel, 1e-14 * abs(quotient))
-    return _report(num, den, quotient, q_err, ref, Functional.RELLICH)
+    return _report(num, den, quotient, q_err, ref)

@@ -13,13 +13,17 @@ Two profile families ship: Gaussian profiles as smooth, well-conditioned
 class representatives, and piecewise-power profiles (inner exponent
 base - eps, outer base + eps, blended over a collar of width 2 delta and
 truncated by a smooth cutoff) whose quotients approach the sharp
-constants as eps shrinks.
+constants as eps shrinks.  A profile's ``segments`` are its one
+description beyond the callables: the separable integrators read their
+closed forms from them, and the engines read psi's power at the origin
+from them.  ``exponent_base`` is the one home of the family's base
+d/2 + lam - order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,28 +38,34 @@ __all__ = [
     "piecewise_power_profile",
     "gaussian_trial",
     "sharpness_family",
+    "exponent_base",
 ]
+
+# The sharpness family's cutoff radius R solves R^(-2 eps) / 2 = TAIL_REL,
+# which keeps the truncated tail mass below TAIL_REL relative.
+TAIL_REL = 1e-3
 
 
 @dataclass(frozen=True)
 class RadialProfile:
     """A radial profile with vectorized psi, psi' and psi''.
 
-    ``segments`` is optional metadata used by the separable integrators:
-    a tuple of ("power", lo, hi, rho), ("numeric", lo, hi) and
-    ("zero", lo, hi) entries that partition (0, inf).  Profiles without
-    segments are integrated numerically end to end.  ``joint(r, order)``,
-    when given, returns psi up to its ``order``-th derivative from one
-    pass over r; see ``derivatives``.
+    ``segments``, when given, is the profile's one description: a tuple of
+    ("power", lo, hi, rho), ("numeric", lo, hi) and ("zero", lo, hi)
+    entries that partition (0, inf), with psi = r^(-rho) on a power
+    segment.  The separable integrators use closed forms on power segments,
+    and psi's power at the origin is -rho of a first ("power", 0.0, lo,
+    rho) segment.  A profile without segments is integrated numerically end
+    to end and has power 0 at the origin.  ``joint(r, order)``, when given,
+    returns psi up to its ``order``-th derivative from one pass over r; see
+    ``derivatives``.
     """
 
-    kind: str
     psi: callable
     dpsi: callable
     d2psi: callable
     sigma: float | None = None
     segments: tuple | None = None
-    meta: dict = field(default_factory=dict)
     joint: callable | None = None
 
     def derivatives(self, r, order):
@@ -95,8 +105,7 @@ def gaussian_profile(sigma=1.0):
         lambda t: -(t[0] / s2) * t[1],
         lambda t: (t[0] * t[0] / (s2 * s2) - 1.0 / s2) * t[1],
     ))
-    return RadialProfile("gaussian", psi, dpsi, d2psi, sigma=float(sigma),
-                         joint=joint)
+    return RadialProfile(psi, dpsi, d2psi, sigma=float(sigma), joint=joint)
 
 
 def _smoothstep(u):
@@ -111,6 +120,29 @@ def _smoothstep_d2(u):
     return 120.0 * u**3 - 180.0 * u * u + 60.0 * u
 
 
+def _quintic_step(r, lo, hi, start, end):
+    """start below lo and end above hi, joined by the quintic smoothstep on
+    [lo, hi]: the value and its first two derivatives in r, the derivatives
+    zero off (lo, hi)."""
+    width = hi - lo
+    u = np.clip((r - lo) / width, 0.0, 1.0)
+    rise = end - start
+    inside = (r > lo) & (r < hi)
+    return (
+        start + rise * _smoothstep(u),
+        np.where(inside, rise * _smoothstep_d1(u) / width, 0.0),
+        np.where(inside, rise * _smoothstep_d2(u) / (width * width), 0.0),
+    )
+
+
+def _check_smoothing(delta):
+    if not 0.0 < delta < 0.5:
+        raise DomainError(
+            "smoothing_delta must lie in (0, 0.5); delta = 0 leaves a "
+            "gradient kink on the unit sphere"
+        )
+
+
 def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
     """r^(-alpha_in) inside, r^(-beta_out) outside, C^2 throughout.
 
@@ -118,49 +150,24 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
     [1 - delta, 1 + delta], and a quintic cutoff takes the profile to zero
     on [R, 2R], so the function is C^2 and compactly supported.
     """
-    if delta <= 0.0:
-        raise DomainError(
-            "delta must be positive: the unsmoothed profile has a gradient "
-            "jump across |x| = 1 and falls outside the admissible space"
-        )
-    if delta >= 0.5:
-        raise DomainError("delta must be below 0.5")
+    _check_smoothing(delta)
     R = float(cutoff_radius)
     if R < 1.0 + 2.0 * delta:
         raise DomainError("the cutoff radius must sit beyond the collar")
     a, b = float(alpha_in), float(beta_out)
     lo, hi = 1.0 - delta, 1.0 + delta
-    width = hi - lo
-
-    def rho_terms(r):
-        u = np.clip((r - lo) / width, 0.0, 1.0)
-        rho = a + (b - a) * _smoothstep(u)
-        drho = (b - a) * _smoothstep_d1(u) / width
-        d2rho = (b - a) * _smoothstep_d2(u) / width**2
-        inside = (r > lo) & (r < hi)
-        drho = np.where(inside, drho, 0.0)
-        d2rho = np.where(inside, d2rho, 0.0)
-        return rho, drho, d2rho
-
-    def cut_terms(r):
-        v = np.clip((r - R) / R, 0.0, 1.0)
-        c = 1.0 - _smoothstep(v)
-        dc = -_smoothstep_d1(v) / R
-        d2c = -_smoothstep_d2(v) / (R * R)
-        inside = (r > R) & (r < 2.0 * R)
-        dc = np.where(inside, dc, 0.0)
-        d2c = np.where(inside, d2c, 0.0)
-        return c, dc, d2c
 
     def array_parts(r):
         r = np.asarray(r, dtype=float)
         rs = np.where(r > 0.0, r, 1.0)  # placeholder; psi(0) handled below
         lnr = np.log(rs)
-        rho, drho, d2rho = rho_terms(rs)
+        # The exponent rho steps from a to b over the collar, and the
+        # cutoff c from 1 to 0 over [R, 2R].
+        rho, drho, d2rho = _quintic_step(rs, lo, hi, a, b)
         w1 = -drho * lnr - rho / rs
         w2 = -d2rho * lnr - 2.0 * drho / rs + rho / (rs * rs)
         psi0 = np.exp(-rho * lnr)
-        c, dc, d2c = cut_terms(rs)
+        c, dc, d2c = _quintic_step(rs, R, 2.0 * R, 1.0, 0.0)
         return r, rs, psi0, w1, w2, c, dc, d2c
 
     # quad asks psi, dpsi and d2psi for the same scalar nodes; build each
@@ -194,15 +201,7 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
         ("numeric", R, 2.0 * R),
         ("zero", 2.0 * R, math.inf),
     )
-    return RadialProfile(
-        "piecewise_power",
-        psi,
-        dpsi,
-        d2psi,
-        segments=segments,
-        meta={"alpha_in": a, "beta_out": b, "delta": float(delta), "cutoff": R},
-        joint=joint,
-    )
+    return RadialProfile(psi, dpsi, d2psi, segments=segments, joint=joint)
 
 
 class TrialFunction:
@@ -280,49 +279,39 @@ def gaussian_trial(factor: AngularFactor, sigma=1.0):
     return TrialFunction(factor, gaussian_profile(sigma))
 
 
-def sharpness_family(
-    factor: AngularFactor,
-    epsilon,
-    smoothing_delta,
-    functional="rellich",
-    tail_rel=1e-3,
-):
+def exponent_base(factor: AngularFactor, order):
+    """d/2 + lam - order for the factor's d and lam: the sharpness family's
+    exponent base for a functional of derivative order 1 (Hardy) or 2
+    (Rellich); order 0 gives d/2 + lam itself."""
+    return factor.dimension / 2.0 + factor.homogeneity - order
+
+
+def sharpness_family(factor: AngularFactor, epsilon, smoothing_delta,
+                     functional="rellich"):
     """Near-extremal piecewise-power trial for the given functional.
 
-    The exponent base is d/2 + lam - 2 for the second-order (Rellich)
-    functional and d/2 + lam - 1 for the first-order (Hardy) one; the
-    inner/outer exponents are base -/+ epsilon.  Both choices make the
-    radial integrands behave like r^(-1 +/- 2 eps), so the quotient is a
-    weighted mean of the two pure-power coefficient values and converges
-    to the sharp constant as epsilon -> 0.  The Hardy variant is a
-    heuristic construction by analogy, and the sharpness CLI flags its
-    rows as such.
-
-    The cutoff radius R solves R^(-2 eps) / 2 = tail_rel, which keeps the
-    truncated tail mass below ``tail_rel`` relative.
+    The exponent base is ``exponent_base`` of the functional's order, 2
+    for the second-order (Rellich) functional and 1 for the first-order
+    (Hardy) one; the inner/outer exponents are base -/+ epsilon.  Both
+    choices make the radial integrands behave like r^(-1 +/- 2 eps), so
+    the quotient is a weighted mean of the two pure-power coefficient
+    values and converges to the sharp constant as epsilon -> 0.  The Hardy
+    variant is a heuristic construction by analogy, and the sharpness CLI
+    flags its rows as such.  The cutoff radius is set by ``TAIL_REL``.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
-    if not 0.0 < smoothing_delta < 0.5:
-        raise DomainError(
-            "smoothing_delta must lie in (0, 0.5); delta = 0 leaves a "
-            "gradient kink on the unit sphere"
-        )
-    d, lam = factor.dimension, factor.homogeneity
+    _check_smoothing(smoothing_delta)
     if functional == "rellich":
-        if d < 3:
+        if factor.dimension < 3:
             raise InvalidDimensionError(
                 "the second-order sharpness check needs d >= 3"
             )
-        base = d / 2.0 + lam - 2.0
+        base = exponent_base(factor, 2)
     elif functional == "hardy":
-        base = d / 2.0 + lam - 1.0
+        base = exponent_base(factor, 1)
     else:
         raise ValueError("functional must be 'hardy' or 'rellich'")
-    R = max(2.0, (2.0 * tail_rel) ** (-1.0 / (2.0 * epsilon)))
-    profile = piecewise_power_profile(base - epsilon, base + epsilon,
-                                      smoothing_delta, R)
-    profile.meta.update({"base": base, "epsilon": float(epsilon),
-                         "functional": functional})
-    return TrialFunction(factor, profile)
-
+    R = max(2.0, (2.0 * TAIL_REL) ** (-1.0 / (2.0 * epsilon)))
+    return TrialFunction(factor, piecewise_power_profile(
+        base - epsilon, base + epsilon, smoothing_delta, R))

@@ -11,6 +11,8 @@ route to a value the package computes another way.
   homogeneous of order lam.
 * ``vandermonde_sphere_moment_p2``: the closed form of the squared
   Vandermonde moment over the sphere, against ``angular_moment``.
+* ``t_stationary``: the unclamped stationary point t0 of the certificate
+  function in t, against ``t_minimizer`` (which returns max(t0, lam^2)).
 * ``g_envelope``: the certificate function at its unclamped inner
   minimizer in explicit envelope form, against ``min_over_t``.
 """
@@ -121,6 +123,15 @@ def vandermonde_sphere_moment_p2(d):
         - math.lgamma(lam + d / 2.0)
     )
     return math.exp(log_m)
+
+
+def t_stationary(alpha, beta, params):
+    """The root t0 of df/dt = beta - (p/2) beta^2 rad^((2-p)/(2(p-1))),
+    rad = alpha^2 - 2 alpha beta lam + beta^2 t, for p > 2 and beta > 0;
+    t0 may lie below the admissible t >= lam^2."""
+    p, lam = params.p, params.lam
+    rad = (p * beta / 2.0) ** (2.0 * (p - 1.0) / (p - 2.0))
+    return (rad - alpha * alpha + 2.0 * alpha * beta * lam) / (beta * beta)
 
 
 def g_envelope(alpha, beta, params):

@@ -395,6 +395,17 @@ class TestSharpnessCommand:
         assert hashlib.sha256(manifest).hexdigest() == (
             "aceb9d627fa5c8a63981e44a53bd0ba3a33c334a41b7072ae650b56f3bd65e76")
 
+    def test_odd_hardy_d4_bytes_pinned(self, tmp_path):
+        # The separable Hardy quotient end to end.
+        out = tmp_path / "s.csv"
+        assert run(["sharpness", "--class", "odd", "--functional", "hardy",
+                    "--d", "4", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "28df60d04adba21704cdbd8196f4870a40ad16ef09693f45e024c3a2d2b59748")
+        manifest = (tmp_path / "s.csv.manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "4d16b5f3f6f45e9b17cd09aba91d16e9644ccad075d406f4c3f98f91a0ed2980")
+
     def test_dimension_in_float_notation(self, tmp_path):
         argv = ["sharpness", "--class", "odd", "--epsilon", "0.2",
                 "--delta", "0.05", "--out"]

@@ -7,7 +7,7 @@ from symhardy import minimax as mm
 from symhardy.constants import FunctionClass, Params, hardy_antisymmetric, hardy_odd
 from symhardy.errors import DomainError, OutOfRangeError
 
-from oracles import g_envelope
+from oracles import g_envelope, t_stationary
 
 ANTI = FunctionClass.ANTISYMMETRIC
 ODD = FunctionClass.ODD
@@ -99,7 +99,10 @@ class TestCertificateFunction:
 
 class TestTMinimizer:
     def test_hand_value(self):
-        assert mm.t_minimizer(0.0, 0.25, params(2, 4), clamp=False) == pytest.approx(
+        assert t_stationary(0.0, 0.25, params(2, 4)) == pytest.approx(
+            2.0, rel=1e-14
+        )
+        assert mm.t_minimizer(0.0, 0.25, params(2, 4)) == pytest.approx(
             2.0, rel=1e-14
         )
 
@@ -109,8 +112,10 @@ class TestTMinimizer:
         beta = 0.7
         edge = (pr.p * beta / 2.0) ** ((pr.p - 1.0) / (pr.p - 2.0))
         alpha = lam * beta + edge
-        t0 = mm.t_minimizer(alpha, beta, pr, clamp=False)
+        t0 = t_stationary(alpha, beta, pr)
         assert t0 == pytest.approx(lam * lam, rel=1e-9)
+        assert mm.t_minimizer(alpha, beta, pr) == pytest.approx(
+            max(t0, lam * lam), rel=1e-14)
         cert = mm.CertificateParams(alpha, beta, lam, pr.d, pr.p, pr.gamma)
         assert abs(cert.albe_residual) < 1e-9
 
@@ -118,8 +123,10 @@ class TestTMinimizer:
         pr = params(3, 3)
         lam = pr.lam
         for beta in (0.1, 1.0, 4.0):
-            t0 = mm.t_minimizer(lam * beta, beta, pr, clamp=False)
+            t0 = t_stationary(lam * beta, beta, pr)
             assert t0 >= lam * lam
+            assert mm.t_minimizer(lam * beta, beta, pr) == pytest.approx(
+                t0, rel=1e-14)
 
     def test_p2_redirects(self):
         with pytest.raises(DomainError):
@@ -178,7 +185,7 @@ class TestClosedForm:
             beta = rng.uniform(0.05, 2.0)
             band = (pr.p * beta / 2.0) ** ((pr.p - 1.0) / (pr.p - 2.0))
             alpha = lam * beta + rng.uniform(-band, band)
-            t0 = mm.t_minimizer(alpha, beta, pr, clamp=False)
+            t0 = t_stationary(alpha, beta, pr)
             if t0 < lam * lam:
                 continue
             t_star, value = mm.min_over_t(alpha, beta, pr)

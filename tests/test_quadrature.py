@@ -18,7 +18,12 @@ from symhardy.errors import (
 )
 from symhardy.fields import SectorDomain
 from symhardy.polynomials import ConstantFactor, odd_linear, vandermonde
-from symhardy.trials import gaussian_trial, sharpness_family
+from symhardy.trials import (
+    TrialFunction,
+    gaussian_trial,
+    piecewise_power_profile,
+    sharpness_family,
+)
 
 from oracles import vandermonde_sphere_moment_p2
 
@@ -97,7 +102,7 @@ class TestOneDimensionalOracles:
 
         zeros = lambda r: np.zeros_like(np.asarray(r, dtype=float))
         u = TrialFunction(
-            odd_linear(1), RadialProfile("custom", zeros, zeros, zeros)
+            odd_linear(1), RadialProfile(zeros, zeros, zeros)
         )
         est = integral(u, Functional.HARDY, 1, self.params, CFG)
         assert est.value == 0.0
@@ -717,11 +722,11 @@ class TestSharpnessQuotients:
         pr = Params(3, 2.0, 0.0, ANTI)
         base = qd.QuadratureConfig(
             method="product", radial_nodes=240, angular_nodes=32,
-            r_min=1e-6, r_max=u.radial.meta["cutoff"] * 2.0,
+            r_min=1e-6, r_max=u.radial.segments[3][1] * 2.0,
         )
         halved = qd.QuadratureConfig(
             method="product", radial_nodes=240, angular_nodes=32,
-            r_min=5e-7, r_max=u.radial.meta["cutoff"] * 2.0,
+            r_min=5e-7, r_max=u.radial.segments[3][1] * 2.0,
         )
         a = integral(u, Functional.RELLICH, 1, pr, base)
         b = integral(u, Functional.RELLICH, 1, pr, halved)
@@ -831,6 +836,27 @@ class TestEngineGuards:
         with pytest.raises(DomainError, match="non-positive radial shape"):
             quotient(gaussian_trial(factor(2), 1.0), pr)
 
+    @pytest.mark.parametrize("route", ["separable", "mc", "product"])
+    def test_origin_power_of_a_segment_profile(self, route):
+        # psi = r^(-alpha) near the origin: d = 3, p = 2, lam = 3, so the
+        # Rellich mass ~ r^(2 (lam - alpha) - 2) is integrable for the
+        # family's alpha = 2.4 and not for alpha = 2.6.
+        pr = Params(3, 2.0, 0.0, ANTI)
+        if route == "separable":
+            quotient = qd.separable_rellich_quotient
+        else:
+            cfg = qd.QuadratureConfig(method=route, samples=1000,
+                                      radial_nodes=16, angular_nodes=8)
+            quotient = lambda u, pr: qd.rayleigh_quotient(
+                u, Functional.RELLICH, pr, cfg)
+        steep = TrialFunction(vandermonde(3),
+                              piecewise_power_profile(2.6, 2.7, 0.05, 40.0))
+        with pytest.raises(DomainError, match="non-positive radial shape"):
+            quotient(steep, pr)
+        family = sharpness_family(vandermonde(3), 0.1, 0.05)
+        assert family.radial.segments[0][3] == pytest.approx(2.4)
+        assert math.isfinite(quotient(family, pr).quotient)
+
     def test_radial_overflow_is_named(self):
         u = sharpness_family(vandermonde(4), 0.05, 0.05)
         with pytest.raises(DomainError, match="overflows"):
@@ -851,8 +877,6 @@ class TestEngineGuards:
             quotient_error=0.5,
             reference_constant=1.5,
             margin=-1.0,
-            functional="hardy",
-            formula_id="x",
         )
         assert not rep.conclusive
         assert not rep.violation
@@ -1029,7 +1053,7 @@ class TestExactErrorBars:
         assert ref.value == 1.0
         num = qd.Estimate(quotient * 4.0, 0.0, 10)
         den = qd.Estimate(4.0, 0.0, 10)
-        rep = qd._build_report(num, den, ref, Functional.HARDY)
+        rep = qd._build_report(num, den, ref)
         assert rep.quotient_error == 0.0
         assert rep.margin == margin
         assert rep.violation is (margin < 0.0)

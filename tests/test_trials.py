@@ -94,7 +94,7 @@ class TestGaussianTrial:
         zeros = lambda r: np.zeros_like(np.asarray(r, dtype=float))
         u = tr.TrialFunction(
             vandermonde(3),
-            tr.RadialProfile("custom", ones, zeros, zeros),
+            tr.RadialProfile(ones, zeros, zeros),
         )
         rng = np.random.default_rng(37)
         X = rng.standard_normal((50, 3))
@@ -109,8 +109,8 @@ class TestSharpnessFamily:
         factor = vandermonde(d)
         lam = factor.homogeneity
         u = tr.sharpness_family(factor, 0.1, 0.05)
-        a_in = u.radial.meta["alpha_in"]
-        b_out = u.radial.meta["beta_out"]
+        a_in = u.radial.segments[0][3]
+        b_out = u.radial.segments[2][3]
         rng = np.random.default_rng(33)
         for rho, rlo, rhi in [(a_in, 0.2, 0.9), (b_out, 1.1, 3.0)]:
             for _ in range(50):
@@ -155,12 +155,12 @@ class TestSharpnessFamily:
     def test_exponent_choices(self):
         d = 3
         ua = tr.sharpness_family(vandermonde(d), 0.1, 0.02)
-        assert ua.radial.meta["alpha_in"] == pytest.approx((d * d - 4) / 2.0 - 0.1)
-        assert ua.radial.meta["beta_out"] == pytest.approx((d * d - 4) / 2.0 + 0.1)
+        assert ua.radial.segments[0][3] == pytest.approx((d * d - 4) / 2.0 - 0.1)
+        assert ua.radial.segments[2][3] == pytest.approx((d * d - 4) / 2.0 + 0.1)
         uo = tr.sharpness_family(odd_linear(d), 0.1, 0.02)
-        assert uo.radial.meta["alpha_in"] == pytest.approx(d / 2.0 - 1.0 - 0.1)
+        assert uo.radial.segments[0][3] == pytest.approx(d / 2.0 - 1.0 - 0.1)
         uh = tr.sharpness_family(vandermonde(d), 0.1, 0.02, functional="hardy")
-        assert uh.radial.meta["alpha_in"] == pytest.approx((d * d - 2) / 2.0 - 0.1)
+        assert uh.radial.segments[0][3] == pytest.approx((d * d - 2) / 2.0 - 0.1)
 
     def test_guards(self):
         with pytest.raises(DomainError):
@@ -172,7 +172,7 @@ class TestSharpnessFamily:
 
     def test_cutoff_radius_from_tail_budget(self):
         u = tr.sharpness_family(vandermonde(3), 0.5, 0.01)
-        assert u.radial.meta["cutoff"] == pytest.approx(500.0, rel=1e-12)
+        assert u.radial.segments[3][1] == pytest.approx(500.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("make", [vandermonde, odd_linear, ConstantFactor])
