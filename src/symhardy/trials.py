@@ -18,6 +18,13 @@ description beyond the callables: the separable integrators read their
 closed forms from them, and the engines read psi's power at the origin
 from them.  ``exponent_base`` is the one home of the family's base
 d/2 + lam - order.
+
+``quad`` calls a profile's psi, dpsi and d2psi with one Python float at a
+time.  A piecewise-power profile computes a float radius on Python floats
+(min/max and an if where arrays use np.clip and np.where; np.log and
+np.exp, whose rounding libm's math.log and math.exp do not share), bit for
+bit the 0-d array result, and memoizes each radius's (psi, psi', psi'')
+triple; every call still returns a fresh 0-d float64 array.
 """
 
 from __future__ import annotations
@@ -123,10 +130,19 @@ def _smoothstep_d2(u):
 def _quintic_step(r, lo, hi, start, end):
     """start below lo and end above hi, joined by the quintic smoothstep on
     [lo, hi]: the value and its first two derivatives in r, the derivatives
-    zero off (lo, hi)."""
+    zero off (lo, hi).  A float r takes the same arithmetic on Python
+    floats, with min/max and an if for np.clip and np.where, so each of
+    the three rounds as it does on a 0-d array."""
     width = hi - lo
-    u = np.clip((r - lo) / width, 0.0, 1.0)
     rise = end - start
+    if isinstance(r, float):
+        u = min(max((r - lo) / width, 0.0), 1.0)
+        value = start + rise * _smoothstep(u)
+        if not lo < r < hi:
+            return value, 0.0, 0.0
+        return (value, rise * _smoothstep_d1(u) / width,
+                rise * _smoothstep_d2(u) / (width * width))
+    u = np.clip((r - lo) / width, 0.0, 1.0)
     inside = (r > lo) & (r < hi)
     return (
         start + rise * _smoothstep(u),
@@ -157,43 +173,65 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
     a, b = float(alpha_in), float(beta_out)
     lo, hi = 1.0 - delta, 1.0 + delta
 
-    def array_parts(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.where(r > 0.0, r, 1.0)  # placeholder; psi(0) handled below
-        lnr = np.log(rs)
+    origin = np.inf if a > 0.0 else (0.0 if a < 0.0 else 1.0)
+
+    def blend(rs, lnr, exp):
         # The exponent rho steps from a to b over the collar, and the
-        # cutoff c from 1 to 0 over [R, 2R].
+        # cutoff c from 1 to 0 over [R, 2R]; psi = exp(-rho ln r) c.
         rho, drho, d2rho = _quintic_step(rs, lo, hi, a, b)
         w1 = -drho * lnr - rho / rs
         w2 = -d2rho * lnr - 2.0 * drho / rs + rho / (rs * rs)
-        psi0 = np.exp(-rho * lnr)
+        psi0 = exp(-rho * lnr)
         c, dc, d2c = _quintic_step(rs, R, 2.0 * R, 1.0, 0.0)
-        return r, rs, psi0, w1, w2, c, dc, d2c
-
-    # quad asks psi, dpsi and d2psi for the same scalar nodes; build each
-    # node's terms once.  Arrays bypass the memo.
-    scalar_parts = lru_cache(maxsize=4096)(array_parts)
-
-    def parts(r):
-        return scalar_parts(r) if isinstance(r, float) else array_parts(r)
+        return psi0, w1, w2, c, dc, d2c
 
     def psi_of(t):
-        r, _, psi0, _, _, c, _, _ = t
-        out = psi0 * c
-        return np.where(r > 0.0, out, np.inf if a > 0.0 else (0.0 if a < 0.0 else 1.0))
+        psi0, _, _, c, _, _ = t
+        return psi0 * c
 
     def dpsi_of(t):
-        r, _, psi0, w1, _, c, dc, _ = t
-        out = psi0 * (w1 * c + dc)
-        return np.where(r > 0.0, out, 0.0)
+        psi0, w1, _, c, dc, _ = t
+        return psi0 * (w1 * c + dc)
 
     def d2psi_of(t):
-        r, _, psi0, w1, w2, c, dc, d2c = t
-        out = psi0 * ((w2 + w1 * w1) * c + 2.0 * w1 * dc + d2c)
-        return np.where(r > 0.0, out, 0.0)
+        psi0, w1, w2, c, dc, d2c = t
+        return psi0 * ((w2 + w1 * w1) * c + 2.0 * w1 * dc + d2c)
 
-    psi, dpsi, d2psi, joint = _shared_derivatives(
-        parts, (psi_of, dpsi_of, d2psi_of))
+    formulas = (psi_of, dpsi_of, d2psi_of)
+
+    def array_parts(r):
+        r = np.asarray(r, dtype=float)
+        rs = np.where(r > 0.0, r, 1.0)  # placeholder; psi(0) handled below
+        return r > 0.0, blend(rs, np.log(rs), np.exp)
+
+    def masked(f, at_origin):
+        return lambda t: np.where(t[0], f(t[1]), at_origin)
+
+    array_psi, array_dpsi, array_d2psi, joint = _shared_derivatives(
+        array_parts, (masked(psi_of, origin), masked(dpsi_of, 0.0),
+                      masked(d2psi_of, 0.0)))
+
+    # quad calls psi, dpsi and d2psi with the same float nodes, one at a
+    # time.  A float node runs blend on Python floats, bit for bit the 0-d
+    # array result (log and exp stay numpy's, as libm's round
+    # differently), and its (psi, psi', psi'') triple is built once.
+    @lru_cache(maxsize=4096)
+    def at_float(r):
+        if not r > 0.0:
+            return origin, 0.0, 0.0
+        rs = float(r)
+        if rs * rs == 0.0:  # rho / r^2 divides by zero; numpy gives inf
+            return tuple(float(v) for v in joint(np.array(rs), 2))
+        t = blend(rs, float(np.log(rs)), lambda x: float(np.exp(x)))
+        return tuple(f(t) for f in formulas)
+
+    def with_float_path(k, array_fn):
+        return lambda r: (np.array(at_float(r)[k]) if isinstance(r, float)
+                          else array_fn(r))
+
+    psi, dpsi, d2psi = (with_float_path(k, f) for k, f in
+                        enumerate((array_psi, array_dpsi, array_d2psi)))
+
     segments = (
         ("power", 0.0, lo, a),
         ("numeric", lo, hi),
@@ -297,7 +335,8 @@ def sharpness_family(factor: AngularFactor, epsilon, smoothing_delta,
     the quotient is a weighted mean of the two pure-power coefficient
     values and converges to the sharp constant as epsilon -> 0.  The Hardy
     variant is a heuristic construction by analogy, and the sharpness CLI
-    flags its rows as such.  The cutoff radius is set by ``TAIL_REL``.
+    flags its rows as such.  The cutoff radius is set by ``TAIL_REL``; an
+    epsilon below about 0.0044 makes it overflow a float, a DomainError.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -312,6 +351,12 @@ def sharpness_family(factor: AngularFactor, epsilon, smoothing_delta,
         base = exponent_base(factor, 1)
     else:
         raise ValueError("functional must be 'hardy' or 'rellich'")
-    R = max(2.0, (2.0 * TAIL_REL) ** (-1.0 / (2.0 * epsilon)))
+    try:
+        R = max(2.0, (2.0 * TAIL_REL) ** (-1.0 / (2.0 * epsilon)))
+    except OverflowError as exc:
+        raise DomainError(
+            f"epsilon = {epsilon:g} is too small: the cutoff radius "
+            "(2 TAIL_REL)^(-1/(2 epsilon)) overflows a float"
+        ) from exc
     return TrialFunction(factor, piecewise_power_profile(
         base - epsilon, base + epsilon, smoothing_delta, R))

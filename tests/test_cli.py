@@ -478,6 +478,13 @@ class TestBadInput:
             (["constants", "--d", "2..3.5"], "UsageError"),
             (["verify", "--d", "2.5"], "UsageError"),
             (["sharpness", "--d", "2.5"], "UsageError"),
+            # The cutoff radius (2 TAIL_REL)^(-1/(2 eps)) overflows a float.
+            (["sharpness", "--epsilon", "0.001"], "DomainError"),
+            (["sharpness", "--epsilon", "0.004"], "DomainError"),
+            (["sharpness", "--functional", "hardy", "--epsilon", "0.001"],
+             "DomainError"),
+            (["sharpness", "--functional", "hardy", "--epsilon", "0.004"],
+             "DomainError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,

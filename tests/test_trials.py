@@ -174,6 +174,13 @@ class TestSharpnessFamily:
         u = tr.sharpness_family(vandermonde(3), 0.5, 0.01)
         assert u.radial.segments[3][1] == pytest.approx(500.0, rel=1e-12)
 
+    @pytest.mark.parametrize("functional", ["hardy", "rellich"])
+    @pytest.mark.parametrize("epsilon", [0.001, 0.004])
+    def test_cutoff_overflow_is_named(self, epsilon, functional):
+        # R = (2 TAIL_REL)^(-1/(2 eps)) is past the largest float.
+        with pytest.raises(DomainError, match="epsilon = .* is too small"):
+            tr.sharpness_family(vandermonde(3), epsilon, 0.05, functional)
+
 
 @pytest.mark.parametrize("make", [vandermonde, odd_linear, ConstantFactor])
 @pytest.mark.parametrize("d", range(3, 11))
@@ -217,6 +224,48 @@ class TestProfileMemo:
         first = profile.psi(1.02)
         first[...] = -1.0
         assert float(profile.psi(1.02)) > 0.0
+
+
+class TestFloatPath:
+    """A float radius takes the profile's Python-float path.  Its psi, dpsi
+    and d2psi must be 0-d float64 arrays equal, byte for byte, to the 0-d
+    array call that a scalar radius went through before that path
+    existed, on shapes of the sharpness sweep and one whose exponent step
+    rounds: 10^4 radii in each numeric segment, and radii in every other
+    segment, r = 0 and the segment ends included."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: tr.sharpness_family(vandermonde(5), 0.05, 0.01).radial,
+         lambda: tr.sharpness_family(odd_linear(3), 0.1, 0.02,
+                                     "hardy").radial,
+         # a + (b - a) is not b, so past the collar rho is not b either.
+         lambda: tr.piecewise_power_profile(-0.24, 0.04, 0.05, 40.0)],
+        ids=["antisym-rellich-d5-R9.8e26", "odd-hardy-d3", "rise-rounds"],
+    )
+    def test_bytes_equal_0d_array_path(self, make):
+        profile = make()
+        rng = np.random.default_rng(0)
+        radii = [0.0, 5e-324, 1e-200, 1e300]
+        for kind, lo, hi, *_ in profile.segments:
+            radii += [lo, hi]
+            if kind == "numeric":
+                radii += list(rng.uniform(lo, hi, 10_000))
+            else:
+                radii += list(np.geomspace(max(lo, 1e-30), min(hi, 1e300), 200))
+
+        def as_bytes(values):
+            return [(type(v), v.shape, v.dtype, v.tobytes()) for v in values]
+
+        mismatched = []
+        with np.errstate(all="ignore"):
+            for r in map(float, radii):
+                want = profile.derivatives(np.array(r), 2)
+                got = (profile.psi(r), profile.dpsi(r), profile.d2psi(r))
+                if as_bytes(got) != as_bytes(want):
+                    mismatched.append(r)
+        assert len(radii) > 20_000
+        assert mismatched == []
 
 
 def _profiles():
