@@ -42,13 +42,11 @@ power-law tails defeat the gamma importance density.
 ``separable_mass`` multiplies the moment back in where the absolute
 weighted mass is wanted.
 
-scipy is imported on first use, not with this module, so the constants
-tables, the certificate solve and the field checks never load it:
-``scipy.integrate.quad`` when a radial integral first needs ``quad``,
-and ``scipy.special.gammaln`` when the Monte Carlo sampler first
-normalizes its radial density.  ``gammaln`` is not swapped for
-``math.lgamma``: the two differ in the last bits for many arguments, which
-would change the Monte Carlo estimates and the CLI bytes.
+``quad`` is a numpy double-exponential rule, so scipy is imported only
+for ``scipy.special.gammaln``, when the Monte Carlo sampler first
+normalizes its radial density; nothing else loads it.  ``gammaln`` is not
+swapped for ``math.lgamma``: the two differ in the last bits for many
+arguments, which would change the Monte Carlo estimates and the CLI bytes.
 """
 
 from __future__ import annotations
@@ -99,6 +97,13 @@ DEGENERATE_FRACTION = 1e-3
 # maps 128 KiB and up).  The product rule groups whole radii until a block
 # would exceed it.
 _BLOCK = 10_000
+# Most doubles in one stream's direction draw, samples / n_streams by d.
+_STREAM_BUDGET = 2**27
+# quad's first step, t-ranges (multiples of 2 _DE_STEP: tanh-sinh weights
+# < 1e-58 at |t| = 4.5; exp-sinh x - lo from 1e-226 to 4e18), tolerance
+# and most halvings.
+_DE_STEP, _DE_T, _DE_T_EXP = 1.0 / 32.0, (-4.5, 4.5), (-6.5, 4.0)
+_DE_REL, _DE_LEVELS = 1e-14, 6
 _NON_INTEGRABLE = (
     "non-positive radial shape: the integrand is not integrable near the "
     "origin for these parameters"
@@ -296,7 +301,8 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
     i gets exactly the points of ``mc_integral`` with its own proposal.
     ``evaluate(X, members)`` returns the integrand values at X, one block
     of a stream, of the integrals listed in ``members``, which all drew X.
-    One stream's draws are held at a time.
+    One stream's draws are held at a time; a stream whose directions exceed
+    ``_STREAM_BUDGET`` doubles (1 GiB) is refused before any draw.
     """
     # scipy's gammaln, not math.lgamma: they differ in the last bits.
     from scipy.special import gammaln
@@ -314,7 +320,7 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
         for k, s in groups
     }
     sizes = _chunk_sizes(config.samples, config.n_streams)
-    if sizes[0] * d * 8 > np.iinfo(np.intp).max:  # numpy's largest array
+    if sizes[0] * d > _STREAM_BUDGET:
         raise DomainError(f"samples={config.samples} is too large to draw")
     children = np.random.SeedSequence(config.seed).spawn(config.n_streams)
     stats = [[] for _ in proposals]
@@ -635,51 +641,94 @@ def _power_primitive(lo, hi, q):
     return (hi ** (q + 1.0) - lo ** (q + 1.0)) / (q + 1.0)
 
 
-def quad(fn, lo, hi, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call."""
-    from scipy.integrate import quad as scipy_quad
+@lru_cache(maxsize=256)
+def _de_nodes(lo, hi, level):
+    """Read-only ascending nodes and weights (step included) of the rule on
+    [lo, hi] at step _DE_STEP / 2^level: all of them at level 0, only
+    the new odd multiples of the step after it."""
+    h = _DE_STEP / 2**level
+    t_lo, t_hi = _DE_T if hi < math.inf else _DE_T_EXP
+    k = np.arange(math.ceil(t_lo / h), math.floor(t_hi / h) + 1)
+    t = h * (k if level == 0 else k[k % 2 == 1])
+    u, dudt = 0.5 * math.pi * np.sinh(t), 0.5 * math.pi * np.cosh(t)
+    if hi < math.inf:  # tanh-sinh: x = lo + (hi - lo) (1 + tanh u) / 2
+        e = np.exp(-2.0 * np.abs(u))
+        x = lo + (hi - lo) * (np.where(u < 0.0, e, 1.0) / (1.0 + e))
+        w = h * ((hi - lo) * 2.0 * dudt * e / (1.0 + e)**2)
+    else:  # exp-sinh: x = lo + exp(u)
+        x, w = lo + np.exp(u), h * (dudt * np.exp(u))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
-    return scipy_quad(fn, lo, hi, **kwargs)
 
+def quad(fn, lo, hi):
+    """Integral of ``fn`` over [lo, hi] and its error |I_h - I_2h| by a
+    nested double-exponential rule (Takahasi and Mori, 1974): tanh-sinh on
+    a finite segment, exp-sinh on [lo, inf).
 
-def _quad(fn, lo, hi):
-    # Looks ``quad`` up as a module global on every call, so patching
-    # ``quadrature.quad`` reaches every radial integral.
-    try:
-        return quad(fn, lo, hi, limit=200)
-    except OverflowError as exc:
-        raise DomainError(
-            f"radial integral overflows on [{lo:g}, {hi:g}]"
-        ) from exc
-
-
-def _radial_integrals(profile, terms):
-    """Integrals over (0, inf) of each term, and their summed quad error.
-
-    A term is (integrand, closed): ``integrand(r)`` is integrated by
-    ``quad`` on "numeric" segments, ``closed(lo, hi, rho)`` gives the
-    integral over a "power" segment where psi = r^(-rho), and "zero"
-    segments add nothing.  A profile without segments is one numeric
-    segment on (0, inf).
+    ``fn`` is called on each level's new nodes, a cached read-only 1-d
+    array shared by a segment's integrands.  The first call gives the rule
+    at h = _DE_STEP and 2h; h halves until two levels agree to _DE_REL
+    relative, at most _DE_LEVELS times.  On [lo, inf) nodes from the first
+    non-finite value on (r^m overflowing where psi underflowed) are
+    dropped; the value is nan unless the last term kept is negligible.
     """
-    totals = [0.0] * len(terms)
-    err = 0.0
-    segments = profile.segments or (("numeric", 0.0, math.inf),)
+    with np.errstate(all="ignore"):
+        x, w = _de_nodes(lo, hi, 0)
+        terms = w * fn(x)
+        cut = math.inf
+        if hi == math.inf and not np.isfinite(terms).all():
+            first = np.flatnonzero(~np.isfinite(terms))[0]
+            if not (first and abs(terms[first - 1])
+                    <= _DE_REL * abs(terms[:first].sum())):
+                return math.nan, math.nan
+            cut = x[first - 1]
+            terms[first:] = 0.0
+        # Level 0 starts at an even multiple of h: every other node is 2h.
+        value, coarse = float(terms.sum()), 2.0 * float(terms[::2].sum())
+        for level in range(1, _DE_LEVELS + 1):
+            if not abs(value - coarse) > _DE_REL * abs(value):
+                break  # agreed, or not finite
+            x, w = _de_nodes(lo, hi, level)
+            terms = w * fn(x)
+            if cut < math.inf:
+                terms[x > cut] = 0.0
+            value, coarse = 0.5 * value + float(terms.sum()), value
+    return value, abs(value - coarse)
+
+
+def _radial_integrals(profile, terms, segments=None):
+    """Integrals over (0, inf) of each term, and the quad error of each.
+
+    A term is (integrand, closed): ``integrand(r)``, on an array of radii,
+    is integrated by ``quad`` on "numeric" segments, ``closed(lo, hi,
+    rho)`` gives the integral over a "power" segment where psi = r^(-rho),
+    and "zero" segments add nothing.  ``segments`` defaults to the
+    profile's, and a profile without segments is one numeric segment on
+    (0, inf).
+    """
+    totals, errs = [0.0] * len(terms), [0.0] * len(terms)
+    segments = segments or profile.segments or (("numeric", 0.0, math.inf),)
     for kind, lo, hi, *rho in segments:
         if kind == "power":
             for i, (_, closed) in enumerate(terms):
                 totals[i] += closed(lo, hi, *rho)
         elif kind == "numeric":
-            results = [_quad(integrand, lo, hi) for integrand, _ in terms]
+            # ``quad`` is looked up on every call, so patching
+            # ``quadrature.quad`` reaches every radial integral.
+            results = [quad(integrand, lo, hi) for integrand, _ in terms]
+            if not all(math.isfinite(value) for value, _ in results):
+                raise DomainError(
+                    f"radial integral overflows on [{lo:g}, {hi:g}]")
             totals = [t + value for t, (value, _) in zip(totals, results)]
-            err += sum(error for _, error in results)
-    return totals, err
+            errs = [e + error for e, (_, error) in zip(errs, results)]
+    return totals, errs
 
 
 def _mass_term(profile, m, p):
     """r^m psi^p."""
     return (
-        lambda r: r**m * float(profile.psi(r)) ** p,
+        lambda r: r**m * profile.psi(r) ** p,
         lambda lo, hi, rho: _power_primitive(lo, hi, m - p * rho),
     )
 
@@ -688,7 +737,7 @@ def _second_order_term(profile, m, p, c):
     """r^m |psi'' + c psi'/r|^p."""
     dpsi, d2psi = profile.dpsi, profile.d2psi
     return (
-        lambda r: r**m * abs(float(d2psi(r)) + c * float(dpsi(r)) / r) ** p,
+        lambda r: r**m * np.abs(d2psi(r) + c * dpsi(r) / r) ** p,
         lambda lo, hi, rho: (abs(rho * (rho + 1.0 - c)) ** p
                              * _power_primitive(lo, hi, m - p * (rho + 2.0))),
     )
@@ -700,9 +749,9 @@ def _hardy_terms(profile, q0):
     mass, base = _mass_term(profile, q0, 2.0)
     return (
         (mass, base),
-        (lambda r: r ** (q0 + 1.0) * float(psi(r)) * float(dpsi(r)),
+        (lambda r: r ** (q0 + 1.0) * psi(r) * dpsi(r),
          lambda lo, hi, rho: -rho * base(lo, hi, rho)),
-        (lambda r: r ** (q0 + 2.0) * float(dpsi(r)) ** 2,
+        (lambda r: r ** (q0 + 2.0) * dpsi(r) ** 2,
          lambda lo, hi, rho: rho * rho * base(lo, hi, rho)),
     )
 
@@ -717,7 +766,8 @@ def separable_mass(u: TrialFunction, params: Params, weight_exponent):
     lam = u.angular.homogeneity
     mom = angular_moment(u.angular, p)
     m = p * lam + d - 1.0 - weight_exponent
-    (rad,), rad_err = _radial_integrals(u.radial, [_mass_term(u.radial, m, p)])
+    (rad,), (rad_err,) = _radial_integrals(u.radial,
+                                           [_mass_term(u.radial, m, p)])
     err = abs(rad) * mom.error + mom.value * rad_err
     return Estimate(mom.value * rad, err, mom.n, 0, "separable")
 
@@ -757,7 +807,9 @@ def separable_hardy_quotient(u: TrialFunction, params: Params):
     if abs(params.p - 2.0) > 1e-12:
         raise DomainError("the radial reduction of the gradient needs p = 2")
     lam, (_, q0), ref = _separable_front(u, params, Functional.HARDY)
-    (i1, i2, i3), err = _radial_integrals(u.radial, _hardy_terms(u.radial, q0))
+    (i1, i2, i3), errs = _radial_integrals(u.radial,
+                                           _hardy_terms(u.radial, q0))
+    err = sum(errs)
     if i1 <= 0.0:
         raise DomainError("degenerate radial mass")
     g2_over_m2 = lam * (2.0 * lam + params.d - 2.0)
@@ -781,10 +833,13 @@ def separable_rellich_quotient(u: TrialFunction, params: Params):
     p = params.p
     lam, (m_num, m_den), ref = _separable_front(u, params, Functional.RELLICH)
     c = params.d - 1.0 + 2.0 * lam
-    num_term = _second_order_term(u.radial, m_num, p, c)
-    (num_rad,), num_err = _radial_integrals(u.radial, [num_term])
-    den_term = _mass_term(u.radial, m_den, p)
-    (den_rad,), den_err = _radial_integrals(u.radial, [den_term])
+    # For a Gaussian psi, psi'' + c psi'/r changes sign at sigma sqrt(1 + c):
+    # a kink in |.|^p that the rule must not straddle.
+    kink = u.radial.sigma and u.radial.sigma * math.sqrt(1.0 + c)
+    split = kink and (("numeric", 0.0, kink), ("numeric", kink, math.inf))
+    (num_rad, den_rad), (num_err, den_err) = _radial_integrals(
+        u.radial, [_second_order_term(u.radial, m_num, p, c),
+                   _mass_term(u.radial, m_den, p)], split)
     if den_rad <= 0.0:
         raise DomainError("degenerate radial mass")
     quotient = num_rad / den_rad

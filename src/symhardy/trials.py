@@ -19,19 +19,15 @@ closed forms from them, and the engines read psi's power at the origin
 from them.  ``exponent_base`` is the one home of the family's base
 d/2 + lam - order.
 
-``quad`` calls a profile's psi, dpsi and d2psi with one Python float at a
-time.  A piecewise-power profile computes a float radius on Python floats
-(min/max and an if where arrays use np.clip and np.where; np.log and
-np.exp, whose rounding libm's math.log and math.exp do not share), bit for
-bit the 0-d array result, and memoizes each radius's (psi, psi', psi'')
-triple; every call still returns a fresh 0-d float64 array.
+The radial rule ``quadrature.quad`` calls a profile's psi, dpsi and d2psi
+on 1-d read-only node arrays, the array code the engines run too; the
+work the three share is done once per such array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,9 +59,7 @@ class RadialProfile:
     segment.  The separable integrators use closed forms on power segments,
     and psi's power at the origin is -rho of a first ("power", 0.0, lo,
     rho) segment.  A profile without segments is integrated numerically end
-    to end and has power 0 at the origin.  ``joint(r, order)``, when given,
-    returns psi up to its ``order``-th derivative from one pass over r; see
-    ``derivatives``.
+    to end and has power 0 at the origin.
     """
 
     psi: callable
@@ -73,28 +67,30 @@ class RadialProfile:
     d2psi: callable
     sigma: float | None = None
     segments: tuple | None = None
-    joint: callable | None = None
 
     def derivatives(self, r, order):
-        """(psi, psi', psi'')[:order + 1] at r, bit for bit those of the
-        three callables, with the work they share done once."""
-        if self.joint is not None:
-            return self.joint(r, order)
+        """(psi, psi', psi'')[:order + 1] at r."""
         return tuple(f(r) for f in (self.psi, self.dpsi, self.d2psi)[:order + 1])
 
 
 def _shared_derivatives(shared, formulas):
-    """psi, psi', psi'' and ``joint`` from ``shared(r)``, the work the
-    three have in common, and ``formulas[k](parts)``, the k-th derivative
-    from that work."""
-    def single(k):
-        return lambda r: formulas[k](shared(r))
+    """psi, psi' and psi'' from ``shared(r)``, the work the three have in
+    common, and ``formulas[k](parts)``, the k-th derivative from that work,
+    a new array.  The parts of the last read-only 1-d r owning its data are
+    kept, so the three, called on one radial-rule node array or one array
+    of ``TrialFunction.evaluate``'s radii in turn, share them."""
+    last = [None, None]
 
-    def joint(r, order):
-        parts = shared(r)
-        return tuple(f(parts) for f in formulas[:order + 1])
+    def parts(r):
+        if r is last[0]:
+            return last[1]
+        out = shared(r)
+        if (isinstance(r, np.ndarray) and r.ndim == 1 and r.flags.owndata
+                and not r.flags.writeable):
+            last[:] = r, out
+        return out
 
-    return single(0), single(1), single(2), joint
+    return tuple((lambda f: lambda r: f(parts(r)))(f) for f in formulas)
 
 
 def gaussian_profile(sigma=1.0):
@@ -106,49 +102,30 @@ def gaussian_profile(sigma=1.0):
         r = np.asarray(r, dtype=float)
         return r, np.exp(-0.5 * r * r / s2)
 
-    # t = (r, exp(-r^2 / (2 sigma^2))): the exponential is formed once.
-    psi, dpsi, d2psi, joint = _shared_derivatives(shared, (
-        lambda t: t[1],
+    # t = (r, exp(-r^2 / (2 sigma^2))).
+    psi, dpsi, d2psi = _shared_derivatives(shared, (
+        lambda t: t[1].copy(),
         lambda t: -(t[0] / s2) * t[1],
         lambda t: (t[0] * t[0] / (s2 * s2) - 1.0 / s2) * t[1],
     ))
-    return RadialProfile(psi, dpsi, d2psi, sigma=float(sigma), joint=joint)
-
-
-def _smoothstep(u):
-    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-
-
-def _smoothstep_d1(u):
-    return 30.0 * u * u * (1.0 - u) ** 2
-
-
-def _smoothstep_d2(u):
-    return 120.0 * u**3 - 180.0 * u * u + 60.0 * u
+    return RadialProfile(psi, dpsi, d2psi, sigma=float(sigma))
 
 
 def _quintic_step(r, lo, hi, start, end):
-    """start below lo and end above hi, joined by the quintic smoothstep on
-    [lo, hi]: the value and its first two derivatives in r, the derivatives
-    zero off (lo, hi).  A float r takes the same arithmetic on Python
-    floats, with min/max and an if for np.clip and np.where, so each of
-    the three rounds as it does on a 0-d array."""
+    """start below lo and end above hi, joined on [lo, hi] by the smoothstep
+    10 u^3 - 15 u^4 + 6 u^5, u = (r - lo) / (hi - lo): the value and its
+    first two derivatives in r, the derivatives zero off (lo, hi)."""
     width = hi - lo
     rise = end - start
-    if isinstance(r, float):
-        u = min(max((r - lo) / width, 0.0), 1.0)
-        value = start + rise * _smoothstep(u)
-        if not lo < r < hi:
-            return value, 0.0, 0.0
-        return (value, rise * _smoothstep_d1(u) / width,
-                rise * _smoothstep_d2(u) / (width * width))
+    if r.max() <= lo or r.min() >= hi:  # constant on r, as below
+        return start + rise * float(r.min() >= hi), 0.0, 0.0
     u = np.clip((r - lo) / width, 0.0, 1.0)
     inside = (r > lo) & (r < hi)
-    return (
-        start + rise * _smoothstep(u),
-        np.where(inside, rise * _smoothstep_d1(u) / width, 0.0),
-        np.where(inside, rise * _smoothstep_d2(u) / (width * width), 0.0),
-    )
+    d1 = 30.0 * u * u * (1.0 - u) ** 2
+    d2 = 120.0 * u**3 - 180.0 * u * u + 60.0 * u
+    return (start + rise * (u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)),
+            np.where(inside, rise * d1 / width, 0.0),
+            np.where(inside, rise * d2 / (width * width), 0.0))
 
 
 def _check_smoothing(delta):
@@ -175,62 +152,29 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
 
     origin = np.inf if a > 0.0 else (0.0 if a < 0.0 else 1.0)
 
-    def blend(rs, lnr, exp):
+    def shared(r):
         # The exponent rho steps from a to b over the collar, and the
-        # cutoff c from 1 to 0 over [R, 2R]; psi = exp(-rho ln r) c.
+        # cutoff c from 1 to 0 over [R, 2R]; psi = exp(-rho ln r) c.  rs
+        # has a placeholder 1 where r = 0, where psi is set by ``masked``.
+        r = np.asarray(r, dtype=float)
+        rs = np.where(r > 0.0, r, 1.0)
+        lnr = np.log(rs)
         rho, drho, d2rho = _quintic_step(rs, lo, hi, a, b)
         w1 = -drho * lnr - rho / rs
         w2 = -d2rho * lnr - 2.0 * drho / rs + rho / (rs * rs)
-        psi0 = exp(-rho * lnr)
+        psi0 = np.exp(-rho * lnr)
         c, dc, d2c = _quintic_step(rs, R, 2.0 * R, 1.0, 0.0)
-        return psi0, w1, w2, c, dc, d2c
-
-    def psi_of(t):
-        psi0, _, _, c, _, _ = t
-        return psi0 * c
-
-    def dpsi_of(t):
-        psi0, w1, _, c, dc, _ = t
-        return psi0 * (w1 * c + dc)
-
-    def d2psi_of(t):
-        psi0, w1, w2, c, dc, d2c = t
-        return psi0 * ((w2 + w1 * w1) * c + 2.0 * w1 * dc + d2c)
-
-    formulas = (psi_of, dpsi_of, d2psi_of)
-
-    def array_parts(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.where(r > 0.0, r, 1.0)  # placeholder; psi(0) handled below
-        return r > 0.0, blend(rs, np.log(rs), np.exp)
+        return r > 0.0, psi0, w1, w2, c, dc, d2c
 
     def masked(f, at_origin):
-        return lambda t: np.where(t[0], f(t[1]), at_origin)
+        return lambda t: np.where(t[0], f(*t[1:]), at_origin)
 
-    array_psi, array_dpsi, array_d2psi, joint = _shared_derivatives(
-        array_parts, (masked(psi_of, origin), masked(dpsi_of, 0.0),
-                      masked(d2psi_of, 0.0)))
-
-    # quad calls psi, dpsi and d2psi with the same float nodes, one at a
-    # time.  A float node runs blend on Python floats, bit for bit the 0-d
-    # array result (log and exp stay numpy's, as libm's round
-    # differently), and its (psi, psi', psi'') triple is built once.
-    @lru_cache(maxsize=4096)
-    def at_float(r):
-        if not r > 0.0:
-            return origin, 0.0, 0.0
-        rs = float(r)
-        if rs * rs == 0.0:  # rho / r^2 divides by zero; numpy gives inf
-            return tuple(float(v) for v in joint(np.array(rs), 2))
-        t = blend(rs, float(np.log(rs)), lambda x: float(np.exp(x)))
-        return tuple(f(t) for f in formulas)
-
-    def with_float_path(k, array_fn):
-        return lambda r: (np.array(at_float(r)[k]) if isinstance(r, float)
-                          else array_fn(r))
-
-    psi, dpsi, d2psi = (with_float_path(k, f) for k, f in
-                        enumerate((array_psi, array_dpsi, array_d2psi)))
+    psi, dpsi, d2psi = _shared_derivatives(shared, (
+        masked(lambda psi0, w1, w2, c, dc, d2c: psi0 * c, origin),
+        masked(lambda psi0, w1, w2, c, dc, d2c: psi0 * (w1 * c + dc), 0.0),
+        masked(lambda psi0, w1, w2, c, dc, d2c:
+               psi0 * ((w2 + w1 * w1) * c + 2.0 * w1 * dc + d2c), 0.0),
+    ))
 
     segments = (
         ("power", 0.0, lo, a),
@@ -239,7 +183,7 @@ def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
         ("numeric", R, 2.0 * R),
         ("zero", 2.0 * R, math.inf),
     )
-    return RadialProfile(psi, dpsi, d2psi, segments=segments, joint=joint)
+    return RadialProfile(psi, dpsi, d2psi, segments=segments)
 
 
 class TrialFunction:
@@ -272,11 +216,12 @@ class TrialFunction:
         integrands call it once per block for all their terms.  |x|^2, r
         and F (F and grad F from one ``value_and_gradient`` call) are
         formed once, and psi and its derivatives come from one
-        ``derivatives`` call.
+        ``derivatives`` call on a read-only r.
         """
         X, _ = self._batch(x)
         sq = row_dot(X, X)
         r = np.sqrt(sq)
+        r.flags.writeable = False  # psi and its derivatives share its work
         derivs = self.radial.derivatives(r, 2 if laplacian else int(gradient))
         psi = derivs[0]
         grad = lap = None

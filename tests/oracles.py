@@ -15,11 +15,15 @@ route to a value the package computes another way.
   function in t, against ``t_minimizer`` (which returns max(t0, lam^2)).
 * ``g_envelope``: the certificate function at its unclamped inner
   minimizer in explicit envelope form, against ``min_over_t``.
+* ``piecewise_power_psi_mp``: the piecewise-power profile written out
+  from its definition in mpmath, whose derivatives ``mpmath.diff`` takes,
+  against the radial rule's integrals.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from symhardy.errors import (
@@ -151,3 +155,22 @@ def g_envelope(alpha, beta, params):
         - alpha * alpha / beta
         - beta ** (p / (p - 2.0)) * (p / 2.0) ** (p / (p - 2.0)) * (p / 2.0 - 1.0)
     )
+
+
+def piecewise_power_psi_mp(alpha_in, beta_out, delta, cutoff_radius):
+    """psi(r) = r^(-rho(r)) c(r) in mpmath: rho steps from alpha_in to
+    beta_out over [1 - delta, 1 + delta] and the cutoff c from 1 to 0 over
+    [R, 2R], each by the quintic smoothstep 10 u^3 - 15 u^4 + 6 u^5.  The
+    collar ends are the floats 1 - delta and 1 + delta, as in the profile."""
+    def step(r, lo, hi, start, end):
+        u = min(max((r - lo) / (hi - lo), 0), 1)
+        return start + (end - start) * u**3 * (10 - 15 * u + 6 * u * u)
+
+    a, b, R, lo, hi = (mpmath.mpf(v) for v in (
+        alpha_in, beta_out, cutoff_radius, 1.0 - delta, 1.0 + delta))
+
+    def psi(r):
+        rho = step(r, lo, hi, a, b)
+        return r ** -rho * step(r, R, 2 * R, 1, 0)
+
+    return psi

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,12 +22,13 @@ from symhardy.fields import SectorDomain
 from symhardy.polynomials import ConstantFactor, odd_linear, vandermonde
 from symhardy.trials import (
     TrialFunction,
+    gaussian_profile,
     gaussian_trial,
     piecewise_power_profile,
     sharpness_family,
 )
 
-from oracles import vandermonde_sphere_moment_p2
+from oracles import piecewise_power_psi_mp, vandermonde_sphere_moment_p2
 
 ANTI = FunctionClass.ANTISYMMETRIC
 ODD = FunctionClass.ODD
@@ -640,41 +643,66 @@ class TestSeparableReports:
             )
             assert rep.quotient >= rep.reference_constant
 
+    @pytest.mark.parametrize("functional", ["hardy", "rellich"])
+    @pytest.mark.parametrize("family", ["gaussian", "sharpness"])
+    def test_profile_sees_only_node_arrays(self, family, functional):
+        # The separable rule and the engines evaluate the same array code:
+        # psi, dpsi and d2psi get the rule's 1-d read-only nodes, no scalar.
+        seen = set()
+
+        def recording(fn):
+            def recorded(r):
+                seen.add((type(r), np.ndim(r), r.flags.writeable))
+                return fn(r)
+            return recorded
+
+        if family == "gaussian":
+            u = gaussian_trial(vandermonde(3), 1.0)
+        else:
+            u = sharpness_family(vandermonde(3), 0.2, 0.05, functional)
+        radial = dataclasses.replace(u.radial, **{
+            part: recording(getattr(u.radial, part))
+            for part in ("psi", "dpsi", "d2psi")})
+        quotient = (qd.separable_hardy_quotient if functional == "hardy"
+                    else qd.separable_rellich_quotient)
+        quotient(TrialFunction(u.angular, radial), Params(3, 2.0, 0.0, ANTI))
+        assert seen == {(np.ndarray, 1, False)}
+
     @pytest.mark.parametrize(
         "quotient, trial, params, pinned",
         [
             (qd.separable_rellich_quotient,
              lambda: sharpness_family(vandermonde(3), 0.2, 0.05),
              Params(3, 2.0, 0.0, ANTI),
-             (129.03582904603272, 1.0139001892821528e-09,
-              644.63024504079488, 5.0650438116192531e-09,
-              4.9957461412583868, 1.1171052976171229e-15)),
+             (129.03582904603272, 1.2903582904603271e-12,
+              644.6302450407949, 2.142730437526552e-14,
+              4.995746141258387, 2.168404344971009e-19)),
             (qd.separable_hardy_quotient,
              lambda: sharpness_family(odd_linear(3), 0.1, 0.02,
                                       functional="hardy"),
              Params(3, 2.0, 0.0, ODD),
-             (2.260419177286193, 2.2604191772861931e-14,
-              22.583028026793688, 2.2338061338705529e-15,
-              9.9906372471615423, 2.2338061338705529e-15)),
+             (2.260419177286193, 2.260419177286193e-14,
+              22.583028026793688, 3.252606517456513e-17,
+              9.990637247161542, 3.252606517456513e-17)),
             (qd.separable_hardy_quotient,
              lambda: sharpness_family(odd_linear(4), 0.1, 0.01,
                                       functional="hardy"),
              Params(4, 2.0, 0.0, ODD),
-             (4.0104165975135553, 4.0104165975135554e-14,
-              40.066583105329762, 1.7061837129222825e-15,
-              9.990628686847872, 1.7061837129222825e-15)),
+             (4.010416597513555, 4.0104165975135554e-14,
+              40.06658310532976, 3.176712365382528e-17,
+              9.990628686847872, 3.176712365382528e-17)),
             (qd.separable_hardy_quotient,
              lambda: gaussian_trial(odd_linear(3), 1.0),
              Params(3, 2.0, 1.0, ODD),
-             (2.9999999999999982, 1.2727848606887082e-07,
-              1.4999999999999996, 1.5909810758608862e-08,
-              0.50000000000000011, 1.5909810758608862e-08)),
+             (3.0, 3e-14,
+              1.5, 3.219646771412954e-15,
+              0.5, 3.219646771412954e-15)),
             (qd.separable_rellich_quotient,
              lambda: gaussian_trial(vandermonde(3), 1.0),
              Params(3, 2.5, 1.0, ANTI),
-             (618.69249236480232, 1.0338066888414505e-05,
-              212.14285918471901, 2.7668271738723801e-06,
-              0.34288901482197442, 1.2574621581168621e-09)),
+             (618.6924923682183, 6.186924923682183e-12,
+              212.1428591858841, 1.3877787807814457e-17,
+              0.34288901482196443, 1.3552527156068805e-20)),
         ],
         ids=["collar-rellich", "collar-hardy", "collar-hardy-d4",
              "gaussian-hardy", "gaussian-rellich"],
@@ -682,8 +710,9 @@ class TestSeparableReports:
     def test_reports_pinned(self, quotient, trial, params, pinned):
         # Exact 17-digit quotients, error bars and radial factors.  The d = 4
         # collar moves if the segment loop adds the quad errors of a
-        # segment in another order, the Gaussian Hardy row if its quotient
-        # becomes numerator / denominator.
+        # segment in another order.  The Gaussian rows' exact values are 3,
+        # 1.5 and 0.5, and 618.69249236821826, 212.14285918588410 and
+        # 0.34288901482196442 (mpmath).
         rep = quotient(trial(), params)
         assert (rep.quotient, rep.quotient_error,
                 rep.numerator.value, rep.numerator.error,
@@ -751,16 +780,150 @@ class TestQuadPatchPoint:
         monkeypatch.setattr(qd, "quad", counting)
         assert qd.separable_rellich_quotient(u, pr) == expected
         assert calls
-        assert all(kwargs == {"limit": 200} for _, _, kwargs in calls)
+        assert all(kwargs == {} for _, _, kwargs in calls)
 
     def test_patched_overflow_is_named(self, monkeypatch):
         def overflowing(fn, lo, hi, **kwargs):
-            raise OverflowError("(34, 'Numerical result out of range')")
+            return math.inf, 0.0
 
         monkeypatch.setattr(qd, "quad", overflowing)
         u = sharpness_family(vandermonde(3), 0.2, 0.05)
         with pytest.raises(DomainError, match="overflows"):
             qd.separable_rellich_quotient(u, Params(3, 2.0, 0.0, ANTI))
+
+
+class TestRadialRuleOracle:
+    """The double-exponential radial rule against mpmath at 30 digits: each
+    radial integral lies within max(1e-12 relative, its reported error) of
+    the reference, and each Gaussian Rellich quotient within its reported
+    error and within 1e-12 relative (QUADPACK's were within 2e-9)."""
+
+    @pytest.fixture(autouse=True)
+    def digits(self):
+        with mpmath.workdps(30):
+            yield
+
+    @staticmethod
+    def assert_within(value, error, ref):
+        assert abs(mpmath.mpf(value) - ref) <= max(1e-12 * abs(ref), error)
+
+    @staticmethod
+    def moment(k, a):
+        """int_0^inf r^k exp(-a r^2) dr."""
+        k = mpmath.mpf(k)
+        return mpmath.gamma((k + 1) / 2) / (2 * mpmath.mpf(a) ** ((k + 1) / 2))
+
+    @pytest.mark.parametrize("lo, hi, centre", [(0.0, 1.0, 0.5),
+                                                 (0.0, math.inf, 50.0)])
+    def test_step_halves_until_a_narrow_peak_is_resolved(self, lo, hi,
+                                                         centre):
+        # The first level's nodes straddle a bump of width 0.01 (tanh-sinh)
+        # or 0.5 (exp-sinh), so only the halvings can find its area.
+        width = 0.01 if hi < math.inf else 0.5
+        value, err = qd.quad(
+            lambda r: np.exp(-((r - centre) / width) ** 2), lo, hi)
+        self.assert_within(value, err, mpmath.sqrt(mpmath.pi) * width)
+        assert abs(value / (math.sqrt(math.pi) * width) - 1.0) <= 1e-12
+
+    def test_overflowing_tail_is_dropped_only_where_negligible(self):
+        # r^200 overflows from r = 10^1.54 on, where exp(-r^2) is 0; r^400
+        # overflows from r = 5.9 on, short of its peak at r = 14.
+        value, err = qd.quad(lambda r: r**200 * np.exp(-r * r), 0.0, math.inf)
+        self.assert_within(value, err, self.moment(200, 1))
+        value, _ = qd.quad(lambda r: r**400 * np.exp(-r * r), 0.0, math.inf)
+        assert math.isnan(value)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 5.5])
+    def test_gaussian_mass(self, p, sigma):
+        # psi^p = exp(-p r^2 / (2 sigma^2)).
+        profile = gaussian_profile(sigma)
+        a = mpmath.mpf(p) / (2 * mpmath.mpf(sigma) ** 2)
+        for m in (-0.5, 2.0, 11.0, 64.0):
+            (value,), (err,) = qd._radial_integrals(
+                profile, [qd._mass_term(profile, m, p)])
+            self.assert_within(value, err, self.moment(m, a))
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_gaussian_hardy_terms(self, sigma):
+        # psi psi' = -r psi^2 / sigma^2 and psi'^2 = r^2 psi^2 / sigma^4.
+        profile = gaussian_profile(sigma)
+        s2 = mpmath.mpf(sigma) ** 2
+        for q0 in (1.0, 2.0, 5.5, 33.0):
+            values, errs = qd._radial_integrals(
+                profile, qd._hardy_terms(profile, q0))
+            refs = (self.moment(q0, 1 / s2), -self.moment(q0 + 2, 1 / s2) / s2,
+                    self.moment(q0 + 4, 1 / s2) / s2**2)
+            for value, err, ref in zip(values, errs, refs):
+                self.assert_within(value, err, ref)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 5.5])
+    @pytest.mark.parametrize(
+        "factor, klass, d, sigma, gamma",
+        [(vandermonde, ANTI, 6, 3.0, 0.0), (vandermonde, ANTI, 3, 0.5, 1.0),
+         (odd_linear, ODD, 6, 1.0, 0.0)],
+        ids=["antisym-d6-sigma3", "antisym-d3-sigma0.5", "odd-d6"],
+    )
+    def test_gaussian_rellich_quotients(self, factor, klass, d, sigma, gamma,
+                                        p):
+        # psi'' + c psi'/r = (r^2 - sigma^2 (1 + c)) psi / sigma^4.
+        params = Params(d, p, gamma, klass)
+        lam, (m_num, m_den), _ = qd._separable_front(
+            gaussian_trial(factor(d), sigma), params, Functional.RELLICH)
+        rep = qd.separable_rellich_quotient(gaussian_trial(factor(d), sigma),
+                                            params)
+        s2, c = mpmath.mpf(sigma) ** 2, d - 1 + 2 * lam
+        a = p / (2 * s2)
+        num = mpmath.quad(
+            lambda r: r**m_num * abs(r * r - s2 * (1 + c)) ** p
+            * mpmath.exp(-a * r * r),
+            [0, mpmath.sqrt(s2 * (1 + c)), mpmath.inf]) / s2 ** (2 * p)
+        den = self.moment(m_den, a)
+        self.assert_within(rep.numerator.value, rep.numerator.error, num)
+        self.assert_within(rep.denominator.value, rep.denominator.error, den)
+        # Its error bar covers the true error, which is within 1e-12.
+        assert abs(rep.quotient - num / den) <= rep.quotient_error
+        assert abs(rep.quotient - num / den) <= 1e-12 * num / den
+
+    @pytest.mark.parametrize(
+        "factor, functional, d, eps, delta",
+        [(vandermonde, "rellich", 3, 0.2, 0.05),
+         (odd_linear, "hardy", 4, 0.1, 0.01),
+         (vandermonde, "hardy", 2, 0.3, 0.001),
+         (odd_linear, "rellich", 5, 0.1, 0.02)],
+        ids=["antisym-rellich-d3", "odd-hardy-d4", "antisym-hardy-d2",
+             "odd-rellich-d5"],
+    )
+    def test_sharpness_segments(self, factor, functional, d, eps, delta):
+        # Each term on the collar and the cutoff segment against mpmath's
+        # quadrature of the profile written out from its definition.
+        u = sharpness_family(factor(d), eps, delta, functional)
+        klass = factor(d).function_class
+        lam, (m_num, m_den), _ = qd._separable_front(
+            u, Params(d, 2.0, 0.0, klass), Functional(functional))
+        segments = u.radial.segments
+        psi = piecewise_power_psi_mp(segments[0][3], segments[2][3], delta,
+                                     segments[3][1])
+
+        def diff(r, k):
+            return mpmath.diff(psi, r, k)
+
+        if functional == "rellich":
+            c = d - 1 + 2 * lam
+            terms = [qd._second_order_term(u.radial, m_num, 2.0, c),
+                     qd._mass_term(u.radial, m_den, 2.0)]
+            refs = [lambda r: r**m_num * (diff(r, 2) + c * diff(r, 1) / r)**2,
+                    lambda r: r**m_den * psi(r) ** 2]
+        else:
+            terms = qd._hardy_terms(u.radial, m_den)
+            refs = [lambda r: r**m_den * psi(r) ** 2,
+                    lambda r: r ** (m_den + 1) * psi(r) * diff(r, 1),
+                    lambda r: r ** (m_den + 2) * diff(r, 1) ** 2]
+        for kind, lo, hi, *_ in segments:
+            if kind == "numeric":
+                for (integrand, _), ref in zip(terms, refs):
+                    value, err = qd.quad(integrand, lo, hi)
+                    self.assert_within(value, err, mpmath.quad(ref, [lo, hi]))
 
 
 class TestEngineGuards:

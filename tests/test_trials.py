@@ -192,80 +192,78 @@ def test_trial_class_is_the_factors(make, d):
         assert u.class_tag is factor.function_class
 
 
+@pytest.mark.parametrize("start, end", [(0.3, 0.7), (-0.24, 0.04), (1.0, 0.0)])
+def test_quintic_step_off_the_ramp_is_the_array_result(start, end):
+    # Radii wholly below or wholly above the ramp take the constant
+    # shortcut; it must give the bits of radii that straddle the ramp.
+    lo, hi = 0.95, 1.05
+    straddling = np.array([0.1, 0.5, 0.95, 1.0, 1.05, 2.0, 40.0])
+    full = tr._quintic_step(straddling, lo, hi, start, end)
+    for part in (slice(0, 3), slice(4, 7)):
+        got = tr._quintic_step(straddling[part], lo, hi, start, end)
+        for g, f in zip(got, full):
+            assert np.broadcast_to(g, 3).tobytes() == f[part].tobytes()
+
+
 class TestProfileMemo:
-    """Scalar calls of a piecewise-power profile share one memo of the
-    per-radius terms; it must not change a bit of psi, dpsi or d2psi."""
+    """A profile's psi, dpsi and d2psi share one memo of their common work,
+    keyed on the last read-only 1-d array of radii they were passed (the
+    radial rule's nodes, or ``TrialFunction.evaluate``'s radii); it must
+    not change a bit of any of them, and must never serve an array that
+    can still change."""
 
     ARGS = (0.3, 0.7, 0.05, 40.0)
-    RADII = [0.0, 1e-3, 0.5, 0.95, 0.9512345678, 0.999, 1.0, 1.0376543219,
-             1.05, 2.0, 40.0, 55.5, 63.258719, 80.0, 120.0]
+
+    @staticmethod
+    def nodes(values):
+        r = np.array(values, dtype=float)
+        r.flags.writeable = False
+        return r
 
     @pytest.mark.parametrize("part", ["psi", "dpsi", "d2psi"])
-    def test_scalar_values_match_fresh_profile_and_array_path(self, part):
+    def test_values_match_fresh_profile(self, part):
         memo = tr.piecewise_power_profile(*self.ARGS)
-        array_values = getattr(memo, part)(np.array(self.RADII))
-        # Three sweeps, the second reversed, with float and numpy-scalar
-        # arguments, so later calls hit the memo that earlier ones filled.
-        for radii in (self.RADII, self.RADII[::-1], self.RADII):
-            for r in radii:
-                fresh = tr.piecewise_power_profile(*self.ARGS)
-                want = getattr(fresh, part)(r)
-                for arg in (r, np.float64(r)):
-                    got = getattr(memo, part)(arg)
-                    assert got.tobytes() == want.tobytes()
-                    # The array path rounds the collar terms in another
-                    # order (d2psi differs by ~1e-15 there, memo or not).
-                    index = self.RADII.index(r)
-                    assert np.isclose(got, array_values[index], rtol=1e-13,
-                                      atol=0.0)
+        nodes = self.nodes(PROFILE_RADII)
+        want = getattr(tr.piecewise_power_profile(*self.ARGS), part)(
+            PROFILE_RADII.copy())
+        for first in ("psi", "dpsi", "d2psi"):
+            getattr(memo, first)(nodes)
+            assert getattr(memo, part)(nodes).tobytes() == want.tobytes()
 
-    def test_memo_results_are_independent_arrays(self):
+    def test_common_work_done_once_per_node_array(self, monkeypatch):
+        calls = []
+        original = tr._quintic_step
+        monkeypatch.setattr(tr, "_quintic_step",
+                            lambda *args: calls.append(1) or original(*args))
         profile = tr.piecewise_power_profile(*self.ARGS)
-        first = profile.psi(1.02)
-        first[...] = -1.0
-        assert float(profile.psi(1.02)) > 0.0
+        nodes = self.nodes(PROFILE_RADII)
+        for part in ("psi", "dpsi", "d2psi", "psi"):
+            getattr(profile, part)(nodes)
+        # One pass of the shared work: the exponent step and the cutoff.
+        assert len(calls) == 2
+        profile.psi(self.nodes(PROFILE_RADII))
+        assert len(calls) == 4
 
+    def test_changeable_arrays_are_not_memoized(self):
+        profile = tr.piecewise_power_profile(*self.ARGS)
+        writeable = PROFILE_RADII.copy()
+        view = writeable.view()
+        view.flags.writeable = False
+        for r in (writeable, view):
+            profile.psi(r)
+            writeable *= 1.5
+            fresh = tr.piecewise_power_profile(*self.ARGS).psi(r.copy())
+            assert profile.psi(r).tobytes() == fresh.tobytes()
 
-class TestFloatPath:
-    """A float radius takes the profile's Python-float path.  Its psi, dpsi
-    and d2psi must be 0-d float64 arrays equal, byte for byte, to the 0-d
-    array call that a scalar radius went through before that path
-    existed, on shapes of the sharpness sweep and one whose exponent step
-    rounds: 10^4 radii in each numeric segment, and radii in every other
-    segment, r = 0 and the segment ends included."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: tr.sharpness_family(vandermonde(5), 0.05, 0.01).radial,
-         lambda: tr.sharpness_family(odd_linear(3), 0.1, 0.02,
-                                     "hardy").radial,
-         # a + (b - a) is not b, so past the collar rho is not b either.
-         lambda: tr.piecewise_power_profile(-0.24, 0.04, 0.05, 40.0)],
-        ids=["antisym-rellich-d5-R9.8e26", "odd-hardy-d3", "rise-rounds"],
-    )
-    def test_bytes_equal_0d_array_path(self, make):
+    @pytest.mark.parametrize("make", [
+        lambda: tr.piecewise_power_profile(*TestProfileMemo.ARGS),
+        lambda: tr.gaussian_profile(1.0)], ids=["piecewise", "gaussian"])
+    def test_memo_results_are_independent_arrays(self, make):
         profile = make()
-        rng = np.random.default_rng(0)
-        radii = [0.0, 5e-324, 1e-200, 1e300]
-        for kind, lo, hi, *_ in profile.segments:
-            radii += [lo, hi]
-            if kind == "numeric":
-                radii += list(rng.uniform(lo, hi, 10_000))
-            else:
-                radii += list(np.geomspace(max(lo, 1e-30), min(hi, 1e300), 200))
-
-        def as_bytes(values):
-            return [(type(v), v.shape, v.dtype, v.tobytes()) for v in values]
-
-        mismatched = []
-        with np.errstate(all="ignore"):
-            for r in map(float, radii):
-                want = profile.derivatives(np.array(r), 2)
-                got = (profile.psi(r), profile.dpsi(r), profile.d2psi(r))
-                if as_bytes(got) != as_bytes(want):
-                    mismatched.append(r)
-        assert len(radii) > 20_000
-        assert mismatched == []
+        nodes = self.nodes([1.02, 2.0])
+        first = profile.psi(nodes)
+        first[...] = -1.0
+        assert (profile.psi(nodes) > 0.0).all()
 
 
 def _profiles():
