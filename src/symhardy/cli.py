@@ -324,7 +324,7 @@ def _sharpness_bracket(factor, epsilon):
     hi = ((base + epsilon) * (s + epsilon)) ** 2
     limit = (base * s) ** 2
     # Pure two-sided power quotient: equal-weight mean of the two
-    # coefficient values (the delta -> 0, no-cutoff limit).
+    # coefficient values (the family's delta -> 0 limit).
     a_in = abs((base - epsilon) * (s + epsilon)) ** 2
     b_out = abs((base + epsilon) * (s - epsilon)) ** 2
     pure = 0.5 * (a_in + b_out)
@@ -347,8 +347,10 @@ def cmd_sharpness(args):
             lo, hi, limit, pure = _sharpness_bracket(factor, eps)
         else:
             # One-sided Hardy check: the exponent family here is a heuristic
-            # construction, so only quotient >= constant and the eps trend
-            # (pure two-sided value is constant + eps^2) are claimed.
+            # construction, so the row claims only quotient >= constant.
+            # The pure two-sided value is constant + eps^2, so
+            # collar_correction is the collar's share alone, below
+            # eps^2 delta.
             report = separable_hardy_quotient(u, problem)
             hardy = report.reference_constant
             lo, hi, limit, pure = hardy, math.inf, hardy, hardy + eps * eps

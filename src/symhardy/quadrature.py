@@ -35,10 +35,11 @@ radial-reduction path: the sphere moment of |F|^p is a common factor of
 numerator and denominator, so the separable quotients cancel it without
 computing it and report the radial factors alone.  Every radial integral
 is one loop over the profile's segments: closed forms on "power"
-segments, one-dimensional ``quad`` on "numeric" (collar and cutoff)
-segments, nothing on "zero" ones; a profile without segments is one
-numeric segment.  This is the route the sharpness sweeps use, since
-power-law tails defeat the gamma importance density.
+segments, out to infinity for the sharpness family's outer power, and
+one-dimensional ``quad`` on "numeric" ones (the family's collar); a
+profile without segments is one numeric segment.  This is the route the
+sharpness sweeps use, since power-law tails defeat the gamma importance
+density.
 ``separable_mass`` multiplies the moment back in where the absolute
 weighted mass is wanted.
 
@@ -700,10 +701,10 @@ def quad(fn, lo, hi):
 def _radial_integrals(profile, terms, segments=None):
     """Integrals over (0, inf) of each term, and the quad error of each.
 
-    A term is (integrand, closed): ``integrand(r)``, on an array of radii,
-    is integrated by ``quad`` on "numeric" segments, ``closed(lo, hi,
-    rho)`` gives the integral over a "power" segment where psi = r^(-rho),
-    and "zero" segments add nothing.  ``segments`` defaults to the
+    A term is (integrand, closed): ``closed(lo, hi, rho)`` gives the
+    integral over a "power" segment where psi = r^(-rho), and
+    ``integrand(r)``, on an array of radii, is integrated by ``quad`` on
+    every other ("numeric") segment.  ``segments`` defaults to the
     profile's, and a profile without segments is one numeric segment on
     (0, inf).
     """
@@ -713,7 +714,7 @@ def _radial_integrals(profile, terms, segments=None):
         if kind == "power":
             for i, (_, closed) in enumerate(terms):
                 totals[i] += closed(lo, hi, *rho)
-        elif kind == "numeric":
+        else:
             # ``quad`` is looked up on every call, so patching
             # ``quadrature.quad`` reaches every radial integral.
             results = [quad(integrand, lo, hi) for integrand, _ in terms]

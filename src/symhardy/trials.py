@@ -11,9 +11,9 @@ Every factor in ``polynomials`` is harmonic, and a trial's symmetry
 class is its factor's ``function_class``.
 Two profile families ship: Gaussian profiles as smooth, well-conditioned
 class representatives, and piecewise-power profiles (inner exponent
-base - eps, outer base + eps, blended over a collar of width 2 delta and
-truncated by a smooth cutoff) whose quotients approach the sharp
-constants as eps shrinks.  A profile's ``segments`` are its one
+base - eps, outer base + eps, blended over a collar of width 2 delta,
+and a pure power out to infinity beyond it) whose quotients approach the
+sharp constants as eps shrinks.  A profile's ``segments`` are its one
 description beyond the callables: the separable integrators read their
 closed forms from them, and the engines read psi's power at the origin
 from them.  ``exponent_base`` is the one home of the family's base
@@ -44,22 +44,17 @@ __all__ = [
     "exponent_base",
 ]
 
-# The sharpness family's cutoff radius R solves R^(-2 eps) / 2 = TAIL_REL,
-# which keeps the truncated tail mass below TAIL_REL relative.
-TAIL_REL = 1e-3
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """A radial profile with vectorized psi, psi' and psi''.
 
     ``segments``, when given, is the profile's one description: a tuple of
-    ("power", lo, hi, rho), ("numeric", lo, hi) and ("zero", lo, hi)
-    entries that partition (0, inf), with psi = r^(-rho) on a power
-    segment.  The separable integrators use closed forms on power segments,
-    and psi's power at the origin is -rho of a first ("power", 0.0, lo,
-    rho) segment.  A profile without segments is integrated numerically end
-    to end and has power 0 at the origin.
+    ("power", lo, hi, rho) and ("numeric", lo, hi) entries that partition
+    (0, inf), with psi = r^(-rho) on a power segment.  The separable
+    integrators use closed forms on power segments, and psi's power at the
+    origin is -rho of a first ("power", 0.0, lo, rho) segment.  A profile
+    without segments is integrated numerically end to end and has power 0
+    at the origin.
     """
 
     psi: callable
@@ -117,8 +112,6 @@ def _quintic_step(r, lo, hi, start, end):
     first two derivatives in r, the derivatives zero off (lo, hi)."""
     width = hi - lo
     rise = end - start
-    if r.max() <= lo or r.min() >= hi:  # constant on r, as below
-        return start + rise * float(r.min() >= hi), 0.0, 0.0
     u = np.clip((r - lo) / width, 0.0, 1.0)
     inside = (r > lo) & (r < hi)
     d1 = 30.0 * u * u * (1.0 - u) ** 2
@@ -131,57 +124,49 @@ def _quintic_step(r, lo, hi, start, end):
 def _check_smoothing(delta):
     if not 0.0 < delta < 0.5:
         raise DomainError(
-            "smoothing_delta must lie in (0, 0.5); delta = 0 leaves a "
-            "gradient kink on the unit sphere"
+            "delta must lie in (0, 0.5); delta = 0 leaves a gradient kink "
+            "on the unit sphere"
         )
 
 
-def piecewise_power_profile(alpha_in, beta_out, delta, cutoff_radius):
+def piecewise_power_profile(alpha_in, beta_out, delta):
     """r^(-alpha_in) inside, r^(-beta_out) outside, C^2 throughout.
 
     The exponent is blended by a quintic Hermite step over the collar
-    [1 - delta, 1 + delta], and a quintic cutoff takes the profile to zero
-    on [R, 2R], so the function is C^2 and compactly supported.
+    [1 - delta, 1 + delta]; beyond it the profile is the pure power out to
+    infinity, so a quotient's tail integral is a closed form.
     """
     _check_smoothing(delta)
-    R = float(cutoff_radius)
-    if R < 1.0 + 2.0 * delta:
-        raise DomainError("the cutoff radius must sit beyond the collar")
     a, b = float(alpha_in), float(beta_out)
     lo, hi = 1.0 - delta, 1.0 + delta
 
     origin = np.inf if a > 0.0 else (0.0 if a < 0.0 else 1.0)
 
     def shared(r):
-        # The exponent rho steps from a to b over the collar, and the
-        # cutoff c from 1 to 0 over [R, 2R]; psi = exp(-rho ln r) c.  rs
-        # has a placeholder 1 where r = 0, where psi is set by ``masked``.
+        # The exponent rho steps from a to b over the collar; psi =
+        # exp(-rho ln r).  rs has a placeholder 1 where r = 0, where psi is
+        # set by ``masked``.
         r = np.asarray(r, dtype=float)
         rs = np.where(r > 0.0, r, 1.0)
         lnr = np.log(rs)
         rho, drho, d2rho = _quintic_step(rs, lo, hi, a, b)
         w1 = -drho * lnr - rho / rs
         w2 = -d2rho * lnr - 2.0 * drho / rs + rho / (rs * rs)
-        psi0 = np.exp(-rho * lnr)
-        c, dc, d2c = _quintic_step(rs, R, 2.0 * R, 1.0, 0.0)
-        return r > 0.0, psi0, w1, w2, c, dc, d2c
+        return r > 0.0, np.exp(-rho * lnr), w1, w2
 
     def masked(f, at_origin):
         return lambda t: np.where(t[0], f(*t[1:]), at_origin)
 
     psi, dpsi, d2psi = _shared_derivatives(shared, (
-        masked(lambda psi0, w1, w2, c, dc, d2c: psi0 * c, origin),
-        masked(lambda psi0, w1, w2, c, dc, d2c: psi0 * (w1 * c + dc), 0.0),
-        masked(lambda psi0, w1, w2, c, dc, d2c:
-               psi0 * ((w2 + w1 * w1) * c + 2.0 * w1 * dc + d2c), 0.0),
+        masked(lambda psi0, w1, w2: psi0, origin),
+        masked(lambda psi0, w1, w2: psi0 * w1, 0.0),
+        masked(lambda psi0, w1, w2: psi0 * (w2 + w1 * w1), 0.0),
     ))
 
     segments = (
         ("power", 0.0, lo, a),
         ("numeric", lo, hi),
-        ("power", hi, R, b),
-        ("numeric", R, 2.0 * R),
-        ("zero", 2.0 * R, math.inf),
+        ("power", hi, math.inf, b),
     )
     return RadialProfile(psi, dpsi, d2psi, segments=segments)
 
@@ -278,10 +263,10 @@ def sharpness_family(factor: AngularFactor, epsilon, smoothing_delta,
     (Hardy) one; the inner/outer exponents are base -/+ epsilon.  Both
     choices make the radial integrands behave like r^(-1 +/- 2 eps), so
     the quotient is a weighted mean of the two pure-power coefficient
-    values and converges to the sharp constant as epsilon -> 0.  The Hardy
-    variant is a heuristic construction by analogy, and the sharpness CLI
-    flags its rows as such.  The cutoff radius is set by ``TAIL_REL``; an
-    epsilon below about 0.0044 makes it overflow a float, a DomainError.
+    values and converges to the sharp constant as epsilon -> 0.  The outer
+    power runs to infinity, so every epsilon in (0, 1) has a finite
+    quotient.  The Hardy variant is a heuristic construction by analogy,
+    and the sharpness CLI flags its rows as such.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -296,12 +281,5 @@ def sharpness_family(factor: AngularFactor, epsilon, smoothing_delta,
         base = exponent_base(factor, 1)
     else:
         raise ValueError("functional must be 'hardy' or 'rellich'")
-    try:
-        R = max(2.0, (2.0 * TAIL_REL) ** (-1.0 / (2.0 * epsilon)))
-    except OverflowError as exc:
-        raise DomainError(
-            f"epsilon = {epsilon:g} is too small: the cutoff radius "
-            "(2 TAIL_REL)^(-1/(2 epsilon)) overflows a float"
-        ) from exc
     return TrialFunction(factor, piecewise_power_profile(
-        base - epsilon, base + epsilon, smoothing_delta, R))
+        base - epsilon, base + epsilon, smoothing_delta))

@@ -157,20 +157,17 @@ def g_envelope(alpha, beta, params):
     )
 
 
-def piecewise_power_psi_mp(alpha_in, beta_out, delta, cutoff_radius):
-    """psi(r) = r^(-rho(r)) c(r) in mpmath: rho steps from alpha_in to
-    beta_out over [1 - delta, 1 + delta] and the cutoff c from 1 to 0 over
-    [R, 2R], each by the quintic smoothstep 10 u^3 - 15 u^4 + 6 u^5.  The
-    collar ends are the floats 1 - delta and 1 + delta, as in the profile."""
-    def step(r, lo, hi, start, end):
-        u = min(max((r - lo) / (hi - lo), 0), 1)
-        return start + (end - start) * u**3 * (10 - 15 * u + 6 * u * u)
-
-    a, b, R, lo, hi = (mpmath.mpf(v) for v in (
-        alpha_in, beta_out, cutoff_radius, 1.0 - delta, 1.0 + delta))
+def piecewise_power_psi_mp(alpha_in, beta_out, delta):
+    """psi(r) = r^(-rho(r)) in mpmath: rho steps from alpha_in to beta_out
+    over [1 - delta, 1 + delta] by the quintic smoothstep
+    10 u^3 - 15 u^4 + 6 u^5, and stays beta_out out to infinity.  The
+    collar ends are the floats 1 - delta and 1 + delta, as in the
+    profile."""
+    a, b, lo, hi = (mpmath.mpf(v) for v in (
+        alpha_in, beta_out, 1.0 - delta, 1.0 + delta))
 
     def psi(r):
-        rho = step(r, lo, hi, a, b)
-        return r ** -rho * step(r, R, 2 * R, 1, 0)
+        u = min(max((r - lo) / (hi - lo), 0), 1)
+        return r ** -(a + (b - a) * u**3 * (10 - 15 * u + 6 * u * u))
 
     return psi

@@ -374,28 +374,31 @@ class TestSharpnessCommand:
 
     def test_odd_hardy_d4_quotients_pinned(self, tmp_path):
         # Exact 17-digit quotients: cancelling the angular moment instead of
-        # computing it must not move a single bit.
+        # computing it must not move a single bit.  mpmath gives
+        # 4.01001282269599792, 4.01000516854969416 and 4.01000259084097359.
         out = tmp_path / "s.csv"
         assert run(["sharpness", "--d", "4", "--class", "odd",
                     "--functional", "hardy", "--epsilon", "0.1",
                     "--out", str(out)]) == 0
         assert [(r["delta"], r["quotient"]) for r in read_csv(out)] == [
-            ("0.050000000000000003", "4.0104268361343411"),
-            ("0.02", "4.0104191772861926"),
-            ("0.01", "4.0104165975135553"),
+            ("0.050000000000000003", "4.0100128226959981"),
+            ("0.02", "4.0100051685496947"),
+            ("0.01", "4.0100025908409744"),
         ]
 
     def test_antisym_rellich_d3_bytes_pinned(self, tmp_path):
-        # Two quotients differ from QUADPACK's in the last digits:
-        # 131.09304456332234 (eps 0.2, delta 0.02) and 127.70758819029069
-        # (eps 0.1, delta 0.01), where mpmath gives 131.093044563322391 and
-        # 127.707588190290153.  Both rules sit at the noise floor that
-        # rounding radii near 1 to floats sets, about 1e-15 relative.
+        # mpmath gives 128.992737846846263, 131.048143665527385 and
+        # 134.476124898920538 at eps 0.2 (delta 0.05, 0.02, 0.01), and
+        # 126.999043865127683, 127.255964338950859 and
+        # 127.684460933634200 at eps 0.1.  The eps 0.2 rows agree to 1e-15
+        # relative; the eps 0.1 rows read about 5e-15 high, because the
+        # power segments' closed forms divide by q + 1 = +-2 eps, formed
+        # from exponents near 9.
         out = tmp_path / "s.csv"
         assert run(["sharpness", "--class", "antisym", "--functional",
                     "rellich", "--d", "3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7c9d6b517d320d23ffae36d090a988b0c9150e6502a03be35fef58603928fc6d")
+            "4117a824dabebb4bead12ba36695a6a185ba9a54663d5448c68816a4ce673db1")
         manifest = (tmp_path / "s.csv.manifest.json").read_bytes()
         assert hashlib.sha256(manifest).hexdigest() == (
             "aceb9d627fa5c8a63981e44a53bd0ba3a33c334a41b7072ae650b56f3bd65e76")
@@ -406,10 +409,24 @@ class TestSharpnessCommand:
         assert run(["sharpness", "--class", "odd", "--functional", "hardy",
                     "--d", "4", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "28df60d04adba21704cdbd8196f4870a40ad16ef09693f45e024c3a2d2b59748")
+            "ecfa847dbf6c3a7658a7751a754f61bcbe19f00705cc41c4169eddcac4fb421a")
         manifest = (tmp_path / "s.csv.manifest.json").read_bytes()
         assert hashlib.sha256(manifest).hexdigest() == (
             "4d16b5f3f6f45e9b17cd09aba91d16e9644ccad075d406f4c3f98f91a0ed2980")
+
+    @pytest.mark.parametrize("functional", ["rellich", "hardy"])
+    @pytest.mark.parametrize("d", ["4", "5"])
+    def test_antisym_small_epsilon_rows_in_bracket(self, tmp_path, d,
+                                                   functional):
+        # The outer power runs to infinity, so nothing overflows and no
+        # epsilon is too small.
+        out = tmp_path / "s.csv"
+        assert run(["sharpness", "--class", "antisym", "--functional",
+                    functional, "--d", d, "--epsilon", "0.1,0.05,0.001",
+                    "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 9
+        assert all(r["in_bracket"] == "true" for r in rows)
 
     def test_dimension_in_float_notation(self, tmp_path):
         argv = ["sharpness", "--class", "odd", "--epsilon", "0.2",
@@ -458,8 +475,6 @@ class TestBadInput:
               "--functional", "rellich", "--d", "2"], "DomainError"),
             (["verify", "--method", "product", "--class", "odd",
               "--functional", "rellich", "--d", "2"], "DomainError"),
-            # r**m overflows on the cutoff segment of the eps = 0.05 trial.
-            (["sharpness", "--d", "4", "--epsilon", "0.05"], "DomainError"),
             # One sample has variance 0, which would read as an exact value.
             (["verify", "--samples", "1", "--d", "3"], "DomainError"),
             (["verify", "--sigma", "nan"], "DomainError"),
@@ -486,13 +501,6 @@ class TestBadInput:
             (["constants", "--d", "2..3.5"], "UsageError"),
             (["verify", "--d", "2.5"], "UsageError"),
             (["sharpness", "--d", "2.5"], "UsageError"),
-            # The cutoff radius (2 TAIL_REL)^(-1/(2 eps)) overflows a float.
-            (["sharpness", "--epsilon", "0.001"], "DomainError"),
-            (["sharpness", "--epsilon", "0.004"], "DomainError"),
-            (["sharpness", "--functional", "hardy", "--epsilon", "0.001"],
-             "DomainError"),
-            (["sharpness", "--functional", "hardy", "--epsilon", "0.004"],
-             "DomainError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
@@ -534,6 +542,13 @@ class TestBadInput:
     def test_fractional_dimension_is_named(self, capsys, argv, text):
         assert run(argv) == 2
         assert f"error: not a whole number: '{text}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["0", "0.5", "0.6"])
+    def test_bad_delta_names_the_flag(self, capsys, delta):
+        assert run(["sharpness", "--delta", delta]) == 2
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("error:")]
+        assert line.startswith("error: delta must lie in (0, 0.5)")
 
     def test_bad_cutoff_is_named(self, capsys):
         # Not the symptom "denominator estimate is not positive".

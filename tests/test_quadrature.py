@@ -674,23 +674,23 @@ class TestSeparableReports:
             (qd.separable_rellich_quotient,
              lambda: sharpness_family(vandermonde(3), 0.2, 0.05),
              Params(3, 2.0, 0.0, ANTI),
-             (129.03582904603272, 1.2903582904603271e-12,
-              644.6302450407949, 2.142730437526552e-14,
-              4.995746141258387, 2.168404344971009e-19)),
+             (128.9927378468462, 1.289927378468462e-12,
+              644.9820165922126, 2.1316282072803006e-14,
+              5.000142080541025, 0.0)),
             (qd.separable_hardy_quotient,
              lambda: sharpness_family(odd_linear(3), 0.1, 0.02,
                                       functional="hardy"),
              Params(3, 2.0, 0.0, ODD),
-             (2.260419177286193, 2.260419177286193e-14,
-              22.583028026793688, 3.252606517456513e-17,
-              9.990637247161542, 3.252606517456513e-17)),
+             (2.2600051685496947, 2.2600051685496947e-14,
+              22.600077485192656, 2.7755575615628914e-17,
+              10.000011415768455, 2.7755575615628914e-17)),
             (qd.separable_hardy_quotient,
              lambda: sharpness_family(odd_linear(4), 0.1, 0.01,
                                       functional="hardy"),
              Params(4, 2.0, 0.0, ODD),
-             (4.010416597513555, 4.0104165975135554e-14,
-              40.06658310532976, 3.176712365382528e-17,
-              9.990628686847872, 3.176712365382528e-17)),
+             (4.010002590840974, 4.010002590840974e-14,
+              40.10003735879083, 1.734723475976807e-17,
+              10.000002855454785, 1.734723475976807e-17)),
             (qd.separable_hardy_quotient,
              lambda: gaussian_trial(odd_linear(3), 1.0),
              Params(3, 2.0, 1.0, ODD),
@@ -710,7 +710,9 @@ class TestSeparableReports:
     def test_reports_pinned(self, quotient, trial, params, pinned):
         # Exact 17-digit quotients, error bars and radial factors.  The d = 4
         # collar moves if the segment loop adds the quad errors of a
-        # segment in another order.  The Gaussian rows' exact values are 3,
+        # segment in another order.  The collar rows' quotients are
+        # 128.99273784684626, 2.2600051685496942 and 4.0100025908409736
+        # (mpmath).  The Gaussian rows' exact values are 3,
         # 1.5 and 0.5, and 618.69249236821826, 212.14285918588410 and
         # 0.34288901482196442 (mpmath).
         rep = quotient(trial(), params)
@@ -744,18 +746,33 @@ class TestSharpnessQuotients:
             assert abs(quotients[-1] - target) <= 0.05 * target
             assert all(q >= target for q in quotients)
 
+    @pytest.mark.parametrize("factor", [vandermonde, odd_linear])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_hardy_rows_are_the_limit_plus_eps_squared(self, factor, d):
+        # The pure two-sided power quotient is C + eps^2; the collar's share
+        # of the excess stays below eps^2 delta.
+        params = Params(d, 2.0, 0.0, factor(d).function_class)
+        C = reference_constant(params, Functional.HARDY).value
+        for eps in (0.3, 0.2, 0.1, 0.05, 0.01, 0.001):
+            for delta in (0.3, 0.05, 0.02, 0.01):
+                u = sharpness_family(factor(d), eps, delta, functional="hardy")
+                q = qd.separable_hardy_quotient(u, params).quotient
+                assert abs(q - (C + eps * eps)) <= eps * eps * delta, (
+                    eps, delta, q)
+
     def test_rmin_cutoff_sensitivity(self):
         # Halving r_min moves the product estimate by less than one error bar,
-        # even for the mildly singular near-extremal integrand.
+        # even for the mildly singular near-extremal integrand.  The product
+        # rule needs a finite r_max; the profile's outer power has none.
         u = sharpness_family(vandermonde(3), 0.2, 0.05)
         pr = Params(3, 2.0, 0.0, ANTI)
         base = qd.QuadratureConfig(
             method="product", radial_nodes=240, angular_nodes=32,
-            r_min=1e-6, r_max=u.radial.segments[3][1] * 2.0,
+            r_min=1e-6, r_max=1e7,
         )
         halved = qd.QuadratureConfig(
             method="product", radial_nodes=240, angular_nodes=32,
-            r_min=5e-7, r_max=u.radial.segments[3][1] * 2.0,
+            r_min=5e-7, r_max=1e7,
         )
         a = integral(u, Functional.RELLICH, 1, pr, base)
         b = integral(u, Functional.RELLICH, 1, pr, halved)
@@ -895,15 +912,17 @@ class TestRadialRuleOracle:
              "odd-rellich-d5"],
     )
     def test_sharpness_segments(self, factor, functional, d, eps, delta):
-        # Each term on the collar and the cutoff segment against mpmath's
-        # quadrature of the profile written out from its definition.
+        # Each term on the collar against mpmath's quadrature, and on the
+        # outer power [1 + delta, inf) against its exact integral, both of
+        # the profile written out from its definition.
         u = sharpness_family(factor(d), eps, delta, functional)
         klass = factor(d).function_class
         lam, (m_num, m_den), _ = qd._separable_front(
             u, Params(d, 2.0, 0.0, klass), Functional(functional))
-        segments = u.radial.segments
-        psi = piecewise_power_psi_mp(segments[0][3], segments[2][3], delta,
-                                     segments[3][1])
+        (_, _, _, a), (collar, lo, hi), (_, tail, top, b) = u.radial.segments
+        assert (collar, lo, tail, top) == ("numeric", 1.0 - delta,
+                                           1.0 + delta, math.inf)
+        psi = piecewise_power_psi_mp(a, b, delta)
 
         def diff(r, k):
             return mpmath.diff(psi, r, k)
@@ -919,11 +938,18 @@ class TestRadialRuleOracle:
             refs = [lambda r: r**m_den * psi(r) ** 2,
                     lambda r: r ** (m_den + 1) * psi(r) * diff(r, 1),
                     lambda r: r ** (m_den + 2) * diff(r, 1) ** 2]
-        for kind, lo, hi, *_ in segments:
-            if kind == "numeric":
-                for (integrand, _), ref in zip(terms, refs):
-                    value, err = qd.quad(integrand, lo, hi)
-                    self.assert_within(value, err, mpmath.quad(ref, [lo, hi]))
+        for (integrand, closed), ref in zip(terms, refs):
+            value, err = qd.quad(integrand, lo, hi)
+            self.assert_within(value, err, mpmath.quad(ref, [lo, hi]))
+            # Beyond the collar ref = K r^q exactly: K and q from two radii
+            # clear of the collar, and the integral over [hi, inf) is
+            # -K hi^(q + 1) / (q + 1).
+            far = 4 * mpmath.mpf(hi)
+            q = mpmath.log(ref(2 * far) / ref(far)) / mpmath.log(2)
+            assert q < -1
+            K = ref(far) / far**q
+            self.assert_within(closed(hi, math.inf, b), 0.0,
+                               -K * mpmath.mpf(hi) ** (q + 1) / (q + 1))
 
 
 class TestEngineGuards:
@@ -1013,17 +1039,12 @@ class TestEngineGuards:
             quotient = lambda u, pr: qd.rayleigh_quotient(
                 u, Functional.RELLICH, pr, cfg)
         steep = TrialFunction(vandermonde(3),
-                              piecewise_power_profile(2.6, 2.7, 0.05, 40.0))
+                              piecewise_power_profile(2.6, 2.7, 0.05))
         with pytest.raises(DomainError, match="non-positive radial shape"):
             quotient(steep, pr)
         family = sharpness_family(vandermonde(3), 0.1, 0.05)
         assert family.radial.segments[0][3] == pytest.approx(2.4)
         assert math.isfinite(quotient(family, pr).quotient)
-
-    def test_radial_overflow_is_named(self):
-        u = sharpness_family(vandermonde(4), 0.05, 0.05)
-        with pytest.raises(DomainError, match="overflows"):
-            qd.separable_rellich_quotient(u, Params(4, 2.0, 0.0, ANTI))
 
     def test_product_dimension_cap(self):
         u = gaussian_trial(vandermonde(5), 1.0)

@@ -170,16 +170,20 @@ class TestSharpnessFamily:
         with pytest.raises(InvalidDimensionError):
             tr.sharpness_family(vandermonde(2), 0.1, 0.01, functional="rellich")
 
-    def test_cutoff_radius_from_tail_budget(self):
-        u = tr.sharpness_family(vandermonde(3), 0.5, 0.01)
-        assert u.radial.segments[3][1] == pytest.approx(500.0, rel=1e-12)
-
     @pytest.mark.parametrize("functional", ["hardy", "rellich"])
-    @pytest.mark.parametrize("epsilon", [0.001, 0.004])
-    def test_cutoff_overflow_is_named(self, epsilon, functional):
-        # R = (2 TAIL_REL)^(-1/(2 eps)) is past the largest float.
-        with pytest.raises(DomainError, match="epsilon = .* is too small"):
-            tr.sharpness_family(vandermonde(3), epsilon, 0.05, functional)
+    @pytest.mark.parametrize("epsilon", [0.5, 0.01, 0.001, 1e-6])
+    def test_outer_power_runs_to_infinity(self, epsilon, functional):
+        # No cutoff: beyond the collar the profile is r^(-base - eps) on
+        # [1 + delta, inf), whatever the epsilon.
+        u = tr.sharpness_family(vandermonde(3), epsilon, 0.05, functional)
+        base = tr.exponent_base(vandermonde(3), 2 if functional == "rellich"
+                                else 1)
+        assert u.radial.segments[1:] == (("numeric", 1.0 - 0.05, 1.0 + 0.05),
+                                         ("power", 1.0 + 0.05, math.inf,
+                                          base + epsilon))
+        r = np.array([1.1, 2.0, 1e3, 1e30])
+        assert u.radial.psi(r) == pytest.approx(r ** -(base + epsilon),
+                                                rel=1e-12)
 
 
 @pytest.mark.parametrize("make", [vandermonde, odd_linear, ConstantFactor])
@@ -194,8 +198,8 @@ def test_trial_class_is_the_factors(make, d):
 
 @pytest.mark.parametrize("start, end", [(0.3, 0.7), (-0.24, 0.04), (1.0, 0.0)])
 def test_quintic_step_off_the_ramp_is_the_array_result(start, end):
-    # Radii wholly below or wholly above the ramp take the constant
-    # shortcut; it must give the bits of radii that straddle the ramp.
+    # Radii wholly below or wholly above the ramp get the bits of radii
+    # that straddle it.
     lo, hi = 0.95, 1.05
     straddling = np.array([0.1, 0.5, 0.95, 1.0, 1.05, 2.0, 40.0])
     full = tr._quintic_step(straddling, lo, hi, start, end)
@@ -212,7 +216,7 @@ class TestProfileMemo:
     not change a bit of any of them, and must never serve an array that
     can still change."""
 
-    ARGS = (0.3, 0.7, 0.05, 40.0)
+    ARGS = (0.3, 0.7, 0.05)
 
     @staticmethod
     def nodes(values):
@@ -239,10 +243,10 @@ class TestProfileMemo:
         nodes = self.nodes(PROFILE_RADII)
         for part in ("psi", "dpsi", "d2psi", "psi"):
             getattr(profile, part)(nodes)
-        # One pass of the shared work: the exponent step and the cutoff.
-        assert len(calls) == 2
+        # One pass of the shared work: the exponent step.
+        assert len(calls) == 1
         profile.psi(self.nodes(PROFILE_RADII))
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_changeable_arrays_are_not_memoized(self):
         profile = tr.piecewise_power_profile(*self.ARGS)
@@ -271,12 +275,12 @@ def _profiles():
     and < 0 (psi(0) = inf, 1 and 0)."""
     out = {f"gaussian-{s}": tr.gaussian_profile(s) for s in (0.7, 1.0, 1.3)}
     for a in (0.3, 0.0, -0.4):
-        out[f"piecewise-{a}"] = tr.piecewise_power_profile(a, 0.7, 0.05, 40.0)
+        out[f"piecewise-{a}"] = tr.piecewise_power_profile(a, 0.7, 0.05)
     return out
 
 
-# r = 0, the inner power segment, the collar [0.95, 1.05], the outer power
-# segment, the cutoff [40, 80] and the zero tail beyond.
+# r = 0, the inner power segment, the collar [0.95, 1.05] and the outer
+# power segment, which runs to infinity.
 PROFILE_RADII = np.array([0.0, 1e-3, 0.5, 0.95, 0.9512345678, 0.999, 1.0,
                           1.0376543219, 1.05, 2.0, 40.0, 55.5, 63.258719,
                           80.0, 120.0])
@@ -325,7 +329,7 @@ class TestEvaluate:
 
     @staticmethod
     def _points(d):
-        # Radii from 0 through the collar to the cutoff and beyond.
+        # Radii from 0 through the collar and out along the outer power.
         rng = np.random.default_rng(41)
         dirs = rng.standard_normal((PROFILE_RADII.size, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
