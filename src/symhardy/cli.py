@@ -346,11 +346,11 @@ def cmd_sharpness(args):
             report = separable_rellich_quotient(u, problem)
             lo, hi, limit, pure = _sharpness_bracket(factor, eps)
         else:
-            # One-sided Hardy check: the exponent family here is a heuristic
-            # construction, so the row claims only quotient >= constant.
-            # The pure two-sided value is constant + eps^2, so
-            # collar_correction is the collar's share alone, below
-            # eps^2 delta.
+            # One-sided Hardy check: the quotient is lam gamma plus a 1-D
+            # weighted Hardy quotient whose infimum makes it the constant,
+            # so the row claims only quotient >= constant.  The pure
+            # two-sided value is constant + eps^2, so collar_correction is
+            # the collar's share alone, below eps^2 delta.
             report = separable_hardy_quotient(u, problem)
             hardy = report.reference_constant
             lo, hi, limit, pure = hardy, math.inf, hardy, hardy + eps * eps

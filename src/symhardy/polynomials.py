@@ -16,9 +16,11 @@ homogeneity order, and the Schwarz ratio
 is bounded below by ``lam**2`` wherever ``F`` does not vanish.  These two
 facts are what every certificate computation downstream relies on;
 ``AngularFactor.schwarz_ratio`` asserts the bound wherever it evaluates
-t.  The Euler residual and the exact rational Vandermonde backend that
-anchor the floating-point tolerances are test oracles, in
-``tests/oracles.py``.
+t.  Harmonicity is used, never evaluated: trials take
+Delta(F psi) = F (psi'' + (d - 1 + 2 lam) psi'/r), and the tests check
+Delta F = 0 exactly.  The Euler residual and the exact rational
+Vandermonde backend that anchor the floating-point tolerances are test
+oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -96,9 +98,10 @@ def row_prod(columns):
 class AngularFactor:
     """Shared interface of angular factors.
 
-    Concrete subclasses provide the vectorized internals ``_value``,
-    ``_gradient`` and ``_laplacian`` on (n, d) arrays; the public methods
-    accept either a single point or a batch and unwrap accordingly.
+    Concrete subclasses provide the vectorized internals ``_value`` and
+    ``_gradient`` on (n, d) arrays; the public methods accept either a
+    single point or a batch and unwrap accordingly.  Every factor is
+    harmonic, so none carries a Laplacian.
     ``function_class`` is the symmetry class of F, and so of every trial
     F psi(|x|) built on it; it sets the least dimension and ``homogeneity``.
     """
@@ -132,12 +135,6 @@ class AngularFactor:
 
     def _value_and_gradient(self, X):
         return self._value(X), self._gradient(X)
-
-    def laplacian(self, x):
-        X, single = _as_batch(x)
-        self._check_dim(X)
-        v = self._laplacian(X)
-        return float(v[0]) if single else v
 
     def schwarz_ratio(self, x):
         """Return t = (|x| |grad F| / F)**2, clipped up to lam**2.
@@ -269,30 +266,6 @@ class Vandermonde(AngularFactor):
                 out[..., k] = acc
         return out
 
-    def _laplacian(self, X):
-        # Second derivatives via twofold pair omission; exact polynomial
-        # evaluation, no expansion into monomials needed.
-        d = self.dimension
-        pairs = self._pairs
-        pidx = self._pair_index
-        P = len(pairs)
-        diffs = [X[:, j] - X[:, i] for i, j in pairs]
-        res = np.zeros(len(X))
-        for k in range(d):
-            for j in range(d):
-                if j == k:
-                    continue
-                sj = 1.0 if k > j else -1.0
-                pj = pidx[(min(j, k), max(j, k))]
-                for l in range(d):
-                    if l == k or l == j:
-                        continue
-                    sl = 1.0 if k > l else -1.0
-                    pl = pidx[(min(l, k), max(l, k))]
-                    keep = (diffs[q] for q in range(P) if q != pj and q != pl)
-                    res += sj * sl * row_prod(keep)
-        return res
-
 
 class OddLinear(AngularFactor):
     """The linear form sum_k x_k; odd, harmonic, homogeneous of order one."""
@@ -305,9 +278,6 @@ class OddLinear(AngularFactor):
     def _gradient(self, X):
         return np.ones_like(X)
 
-    def _laplacian(self, X):
-        return np.zeros(len(X))
-
 
 class ConstantFactor(AngularFactor):
     """F = 1, the angular part of general-class trials; harmonic of order 0."""
@@ -319,9 +289,6 @@ class ConstantFactor(AngularFactor):
 
     def _gradient(self, X):
         return np.zeros_like(X)
-
-    def _laplacian(self, X):
-        return np.zeros(len(X))
 
 
 @lru_cache(maxsize=None)

@@ -33,15 +33,15 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
 For separable trials u = F psi(|x|) there is additionally an exact
 radial-reduction path: the sphere moment of |F|^p is a common factor of
 numerator and denominator, so the separable quotients cancel it without
-computing it and report the radial factors alone.  Every radial integral
-is one loop over the profile's segments: closed forms on "power"
-segments, out to infinity for the sharpness family's outer power, and
-one-dimensional ``quad`` on "numeric" ones (the family's collar); a
-profile without segments is one numeric segment.  This is the route the
-sharpness sweeps use, since power-law tails defeat the gamma importance
-density.
-``separable_mass`` multiplies the moment back in where the absolute
-weighted mass is wanted.
+computing it and report the radial factors alone.  They read the same
+``_INTEGRANDS`` rows as the engines, one radial term r^m |D psi|^p per
+row, D of the row's derivative order; the Hardy quotient's cross term
+is integrated by parts.  Every radial integral is one loop over the
+profile's segments: closed forms on "power" segments, out to infinity
+for the sharpness family's outer power, and one-dimensional ``quad`` on
+"numeric" ones (the family's collar); a profile without segments is one
+numeric segment.  This is the route the sharpness sweeps use, since
+power-law tails defeat the gamma importance density.
 
 ``quad`` is a numpy double-exponential rule, so scipy is imported only
 for ``scipy.special.gammaln``, when the Monte Carlo sampler first
@@ -86,7 +86,6 @@ __all__ = [
     "angular_moment",
     "separable_hardy_quotient",
     "separable_rellich_quotient",
-    "separable_mass",
 ]
 
 MAX_PRODUCT_DIM = 4
@@ -726,61 +725,41 @@ def _radial_integrals(profile, terms, segments=None):
     return totals, errs
 
 
-def _mass_term(profile, m, p):
-    """r^m psi^p."""
-    return (
-        lambda r: r**m * profile.psi(r) ** p,
-        lambda lo, hi, rho: _power_primitive(lo, hi, m - p * rho),
-    )
+def _radial_term(profile, order, m, p, c):
+    """(integrand, closed) of r^m |D psi|^p for ``_radial_integrals``, with
+    D psi = psi, psi' or psi'' + c psi'/r for order 0, 1 or 2.
 
-
-def _second_order_term(profile, m, p, c):
-    """r^m |psi'' + c psi'/r|^p."""
-    dpsi, d2psi = profile.dpsi, profile.d2psi
-    return (
-        lambda r: r**m * np.abs(d2psi(r) + c * dpsi(r) / r) ** p,
-        lambda lo, hi, rho: (abs(rho * (rho + 1.0 - c)) ** p
-                             * _power_primitive(lo, hi, m - p * (rho + 2.0))),
-    )
-
-
-def _hardy_terms(profile, q0):
-    """r^q0 psi^2, r^(q0+1) psi psi' and r^(q0+2) psi'^2."""
-    psi, dpsi = profile.psi, profile.dpsi
-    mass, base = _mass_term(profile, q0, 2.0)
-    return (
-        (mass, base),
-        (lambda r: r ** (q0 + 1.0) * psi(r) * dpsi(r),
-         lambda lo, hi, rho: -rho * base(lo, hi, rho)),
-        (lambda r: r ** (q0 + 2.0) * dpsi(r) ** 2,
-         lambda lo, hi, rho: rho * rho * base(lo, hi, rho)),
-    )
-
-
-def separable_mass(u: TrialFunction, params: Params, weight_exponent):
-    """Factorized weighted mass: angular moment times a radial integral.
-
-    ``weight_exponent`` is the power of |x| dividing |u|^p (p + gamma for
-    the Hardy denominator, 2p + gamma for the Rellich one).
+    D r^(-rho) = K r^(-rho - order), so on a power segment the term is
+    |K|^p times the primitive of r^q, q = (m - order p) - p rho.  Formed
+    so, q + 1 = +-2 eps keeps its bits; m - p (rho + order) loses them
+    where rho + order rounds.
     """
-    p, d = params.p, params.d
-    lam = u.angular.homogeneity
-    mom = angular_moment(u.angular, p)
-    m = p * lam + d - 1.0 - weight_exponent
-    (rad,), (rad_err,) = _radial_integrals(u.radial,
-                                           [_mass_term(u.radial, m, p)])
-    err = abs(rad) * mom.error + mom.value * rad_err
-    return Estimate(mom.value * rad, err, mom.n, 0, "separable")
+    dpsi, d2psi = profile.dpsi, profile.d2psi
+    derivative, K = (
+        (profile.psi, lambda rho: 1.0),
+        (dpsi, lambda rho: -rho),
+        (lambda r: d2psi(r) + c * dpsi(r) / r,
+         lambda rho: rho * (rho + 1.0 - c)),
+    )[order]
+    return (
+        lambda r: r**m * np.abs(derivative(r)) ** p,
+        lambda lo, hi, rho: (abs(K(rho)) ** p * _power_primitive(
+            lo, hi, (m - order * p) - p * rho)),
+    )
 
 
-def _separable_front(u: TrialFunction, params: Params, functional):
-    """What both separable quotients check and read before integrating.
+def _separable_quotient(u: TrialFunction, params: Params, functional):
+    """Both separable quotients from the radial terms of ``_INTEGRANDS``.
 
     Refuses a trial whose class is not the params' and the general class
-    (F = 1), and a denominator that is not integrable at the origin.
-    Returns F's degree lam, the radial power p lam + d - 1 - w p - gamma
-    of the numerator and of the denominator (``_INTEGRANDS`` gives w), and
-    the reference constant.
+    (F = 1), and a denominator that is not integrable at the origin.  For
+    harmonic F homogeneous of order lam the sphere moment of |F|^p is a
+    common factor, so the report carries the radial integrals, each with
+    its quad error.  At p = 2 the Hardy numerator's cross term
+    2 lam r^(m+1) psi psi' integrates by parts to -lam (m + 1) times the
+    mass M = int r^m psi^2, since the boundary terms vanish where M
+    converges; with |grad F|^2's share lam (2 lam + d - 2) M that leaves
+    lam gamma M + N, N = int r^(m+2) psi'^2.
     """
     _check_tag(u, params)
     if u.class_tag is FunctionClass.GENERAL:
@@ -788,64 +767,46 @@ def _separable_front(u: TrialFunction, params: Params, functional):
             "the separable reduction is offered for the antisymmetric and "
             "odd classes"
         )
-    (_, w_num), (_, w_den) = _INTEGRANDS[functional]
-    _radial_shape(u, params, w_den)
-    p, lam = params.p, u.angular.homogeneity
-    powers = [p * lam + params.d - 1.0 - w * p - params.gamma
-              for w in (w_num, w_den)]
-    return lam, powers, reference_constant(params, functional)
+    rows = _INTEGRANDS[functional]
+    _radial_shape(u, params, rows[1][1])
+    ref = reference_constant(params, functional)
+    p, lam, profile = params.p, u.angular.homogeneity, u.radial
+    c = params.d - 1.0 + 2.0 * lam
+    terms = [_radial_term(profile, order,
+                          p * lam + params.d - 1.0 - w * p - params.gamma,
+                          p, c)
+             for order, w in rows]
+    # For a Gaussian psi, psi'' + c psi'/r changes sign at sigma sqrt(1 + c):
+    # a kink in |.|^p that the rule must not straddle.
+    sigma = rows[0][0] == 2 and profile.sigma
+    kink = sigma and sigma * math.sqrt(1.0 + c)
+    split = kink and (("numeric", 0.0, kink), ("numeric", kink, math.inf))
+    (num_rad, den_rad), (num_err, den_err) = _radial_integrals(
+        profile, terms, split)
+    if den_rad <= 0.0:
+        raise DomainError("degenerate radial mass")
+    offset = lam * params.gamma if functional is Functional.HARDY else 0.0
+    ratio = num_rad / den_rad
+    quotient = offset + ratio
+    num = Estimate(offset * den_rad + num_rad,
+                   abs(offset) * den_err + num_err, 0, 0, "separable")
+    den = Estimate(den_rad, den_err, 0, 0, "separable")
+    q_err = max((num_err + abs(ratio) * den_err) / den_rad,
+                1e-14 * abs(quotient))
+    return _report(num, den, quotient, q_err, ref)
 
 
 def separable_hardy_quotient(u: TrialFunction, params: Params):
-    """Exact radial reduction of the Hardy quotient for p = 2.
-
-    For u = F psi with F a degree-lam spherical harmonic, the sphere
-    moment of |grad F|^2 equals lam (2 lam + d - 2) times that of F^2, so
-    the quotient reduces to one-dimensional integrals of the profile; the
-    report carries them, without the moment, as its numerator and
-    denominator.
-    """
+    """Exact radial reduction of the Hardy quotient for p = 2: lam gamma
+    plus N / M, a one-dimensional weighted Hardy quotient whose infimum
+    over psi is ((m + 1)/2)^2, m = 2 lam + d - 3 - gamma."""
     if abs(params.p - 2.0) > 1e-12:
         raise DomainError("the radial reduction of the gradient needs p = 2")
-    lam, (_, q0), ref = _separable_front(u, params, Functional.HARDY)
-    (i1, i2, i3), errs = _radial_integrals(u.radial,
-                                           _hardy_terms(u.radial, q0))
-    err = sum(errs)
-    if i1 <= 0.0:
-        raise DomainError("degenerate radial mass")
-    g2_over_m2 = lam * (2.0 * lam + params.d - 2.0)
-    # Not num / den: the division rounds differently.
-    quotient = g2_over_m2 + (2.0 * lam * i2 + i3) / i1
-    num = Estimate(g2_over_m2 * i1 + 2.0 * lam * i2 + i3, err, 0, 0,
-                   "separable")
-    den = Estimate(i1, err, 0, 0, "separable")
-    q_err = max(err * (1.0 + abs(quotient)) / i1, 1e-14 * abs(quotient))
-    return _report(num, den, quotient, q_err, ref)
+    return _separable_quotient(u, params, Functional.HARDY)
 
 
 def separable_rellich_quotient(u: TrialFunction, params: Params):
-    """Radial reduction of the Rellich quotient (any p >= 1).
-
+    """Radial reduction of the Rellich quotient (any p >= 1):
     Delta(F psi) = F (psi'' + (d - 1 + 2 lam) psi'/r) for harmonic
-    homogeneous F, so numerator and denominator share the angular moment
-    and the quotient is a ratio of radial integrals; the report carries
-    those radial integrals as its numerator and denominator.
-    """
-    p = params.p
-    lam, (m_num, m_den), ref = _separable_front(u, params, Functional.RELLICH)
-    c = params.d - 1.0 + 2.0 * lam
-    # For a Gaussian psi, psi'' + c psi'/r changes sign at sigma sqrt(1 + c):
-    # a kink in |.|^p that the rule must not straddle.
-    kink = u.radial.sigma and u.radial.sigma * math.sqrt(1.0 + c)
-    split = kink and (("numeric", 0.0, kink), ("numeric", kink, math.inf))
-    (num_rad, den_rad), (num_err, den_err) = _radial_integrals(
-        u.radial, [_second_order_term(u.radial, m_num, p, c),
-                   _mass_term(u.radial, m_den, p)], split)
-    if den_rad <= 0.0:
-        raise DomainError("degenerate radial mass")
-    quotient = num_rad / den_rad
-    num = Estimate(num_rad, num_err, 0, 0, "separable")
-    den = Estimate(den_rad, den_err, 0, 0, "separable")
-    rel = num_err / num_rad + den_err / den_rad
-    q_err = max(abs(quotient) * rel, 1e-14 * abs(quotient))
-    return _report(num, den, quotient, q_err, ref)
+    homogeneous F."""
+    return _separable_quotient(u, params, Functional.RELLICH)

@@ -265,8 +265,9 @@ def sharpness_family(factor: AngularFactor, epsilon, smoothing_delta,
     the quotient is a weighted mean of the two pure-power coefficient
     values and converges to the sharp constant as epsilon -> 0.  The outer
     power runs to infinity, so every epsilon in (0, 1) has a finite
-    quotient.  The Hardy variant is a heuristic construction by analogy,
-    and the sharpness CLI flags its rows as such.
+    quotient.  The Hardy rows are lam gamma plus a one-dimensional
+    weighted Hardy quotient N / M, whose infimum over psi makes the sum
+    the class constant C; the sharpness CLI still flags them heuristic.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")

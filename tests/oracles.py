@@ -7,6 +7,8 @@ route to a value the package computes another way.
   ``vandermonde_laplacian_exact``: the Vandermonde factor in exact rational
   arithmetic (d <= ``MAX_EXACT_DIM``), which anchors the floating-point
   tolerances.
+* ``vandermonde_laplacian_poly``: the Laplacian of the Vandermonde
+  product expanded in sympy, the zero polynomial at every d.
 * ``euler_residual``: sum_i x_i dF/dx_i - lam F, zero for a factor
   homogeneous of order lam.
 * ``vandermonde_sphere_moment_p2``: the closed form of the squared
@@ -22,6 +24,7 @@ route to a value the package computes another way.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -100,6 +103,19 @@ def vandermonde_laplacian_exact(x):
                     prod *= coords[b] - coords[a]
                 total += sj * sl * prod
     return total
+
+
+@lru_cache(maxsize=None)
+def vandermonde_laplacian_poly(d):
+    """The Laplacian of prod_{i<j} (x_j - x_i) as an expanded sympy
+    ``Poly``.  Cached: on a 2-core host the expansion takes about 1 s at
+    d = 6 and 18 s at d = 7, so the checks stop at d = 6."""
+    import sympy as sp  # test-only, and slow to import
+
+    xs = sp.symbols(f"x0:{d}")
+    V = sp.Poly(sp.prod([xs[j] - xs[i]
+                         for i in range(d) for j in range(i + 1, d)]), *xs)
+    return sum((V.diff(x).diff(x) for x in xs), sp.Poly(0, *xs))
 
 
 def euler_residual(x, factor=None):

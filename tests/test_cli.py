@@ -390,18 +390,27 @@ class TestSharpnessCommand:
         # mpmath gives 128.992737846846263, 131.048143665527385 and
         # 134.476124898920538 at eps 0.2 (delta 0.05, 0.02, 0.01), and
         # 126.999043865127683, 127.255964338950859 and
-        # 127.684460933634200 at eps 0.1.  The eps 0.2 rows agree to 1e-15
-        # relative; the eps 0.1 rows read about 5e-15 high, because the
-        # power segments' closed forms divide by q + 1 = +-2 eps, formed
-        # from exponents near 9.
+        # 127.684460933634200 at eps 0.1.  Every row agrees to 1e-15
+        # relative: the power segments' closed forms divide by
+        # q + 1 = +-2 eps, and q is formed without rounding rho + 2.
         out = tmp_path / "s.csv"
         assert run(["sharpness", "--class", "antisym", "--functional",
                     "rellich", "--d", "3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "4117a824dabebb4bead12ba36695a6a185ba9a54663d5448c68816a4ce673db1")
+            "8f369474e69dcb4067586d12d1649af48daa85ba3be730525ceb34500b2d0fd0")
         manifest = (tmp_path / "s.csv.manifest.json").read_bytes()
         assert hashlib.sha256(manifest).hexdigest() == (
             "aceb9d627fa5c8a63981e44a53bd0ba3a33c334a41b7072ae650b56f3bd65e76")
+
+    def test_antisym_rellich_d3_small_epsilon_quotient(self, tmp_path):
+        # mpmath gives 126.5625266718036456.  The power segments divide by
+        # q + 1 = -+0.002 here, so q must be formed without rounding rho + 2.
+        out = tmp_path / "s.csv"
+        assert run(["sharpness", "--class", "antisym", "--functional",
+                    "rellich", "--d", "3", "--epsilon", "0.001",
+                    "--delta", "0.05", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["quotient"] == "126.56252667180364"
 
     def test_odd_hardy_d4_bytes_pinned(self, tmp_path):
         # The separable Hardy quotient end to end.

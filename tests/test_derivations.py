@@ -12,7 +12,14 @@ and check that:
   N / p^2 = 4 (p-1) / p^2 H2(d, m, lam) - m (m + 2 - d) / p, where H2 is
   the p = 2 Hardy base at weight m;
 - both grow with lam for d >= 2, which is why every class constant beats
-  the classical one.
+  the classical one;
+- at p = 2, B = lam gamma + ((m + 1)/2)^2 with m = 2 lam + d - 3 - gamma:
+  lam gamma plus the sharp constant of the one-dimensional weighted
+  Hardy inequality int r^(m+2) psi'^2 >= ((m + 1)/2)^2 int r^m psi^2,
+  which is what ``separable_hardy_quotient`` reduces to after
+  integrating the cross term by parts;
+- the Vandermonde product is harmonic, which the trials' Laplacian
+  F (psi'' + c psi'/r) assumes.
 
 Each public constant is then evaluated at rational points with p != 2 and
 compared with the exact value of the chain (Rellich) or of the written-out
@@ -23,6 +30,8 @@ import pytest
 import sympy as sp
 
 from symhardy import constants as cn
+
+from oracles import vandermonde_laplacian_poly
 
 d, p, gamma, lam = sp.symbols("d p gamma lam")
 B = cn._hardy_base(d, p, gamma, lam)
@@ -77,6 +86,22 @@ def test_rellich_numerator_gives_the_class_form(klass):
 
 def test_hardy_base_at_p2_is_h2():
     assert is_zero(cn._hardy_base(d, 2, gamma, lam) - h2(d, gamma, lam))
+
+
+def test_hardy_base_at_p2_is_lam_gamma_plus_the_radial_constant():
+    m = 2 * lam + d - 3 - gamma
+    assert is_zero(cn._hardy_base(d, 2, gamma, lam)
+                   - (lam * gamma + ((2 * lam + d - 2 - gamma) / 2) ** 2))
+    assert is_zero(cn._hardy_base(d, 2, gamma, lam)
+                   - (lam * gamma + ((m + 1) / 2) ** 2))
+    # The by-parts step: |grad F|^2's share of the mass, lam (2 lam + d - 2),
+    # less the cross term's, lam (m + 1).
+    assert is_zero(lam * (2 * lam + d - 2) - lam * (m + 1) - lam * gamma)
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_vandermonde_is_harmonic(dim):
+    assert vandermonde_laplacian_poly(dim).is_zero
 
 
 def test_rellich_numerator_is_mitidieris_chain():

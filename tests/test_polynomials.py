@@ -193,31 +193,6 @@ class TestEuler:
         assert np.max(np.abs(euler_residual(X, f))) < 1e-12
 
 
-class TestLaplacian:
-    def test_d2_zero(self):
-        assert poly.vandermonde(2).laplacian([0.7, -0.3]) == 0.0
-
-    def test_d3_example(self):
-        assert abs(poly.vandermonde(3).laplacian([1.0, 2.0, 3.0])) < 1e-8
-
-    def test_d4_random(self):
-        rng = np.random.default_rng(41)
-        lam = 6
-        for _ in range(200):
-            x = rng.uniform(-5.0, 5.0, size=4)
-            res = poly.vandermonde(4).laplacian(x)
-            assert abs(res) < 1e-6 * (1.0 + np.linalg.norm(x) ** (lam - 2))
-
-    @pytest.mark.parametrize("d", [5, 6, 7, 8])
-    def test_high_dim_analytic(self, d):
-        rng = np.random.default_rng(500 + d)
-        lam = d * (d - 1) // 2
-        for _ in range(100):
-            x = rng.uniform(-5.0, 5.0, size=d)
-            res = poly.vandermonde(d).laplacian(x)
-            assert abs(res) < 1e-6 * (1.0 + np.linalg.norm(x) ** (lam - 2))
-
-
 class TestSchwarzRatio:
     def test_d2_hand_value(self):
         # grad = (-1, 1), |x|^2 = 5, value = 1, so t = 5 * 2 / 1 = 10.
@@ -269,7 +244,6 @@ class TestConstantFactor:
         assert f.homogeneity == 0.0
         assert np.array_equal(f.value(X), np.ones(20))
         assert np.array_equal(f.gradient(X), np.zeros((20, 3)))
-        assert np.array_equal(f.laplacian(X), np.zeros(20))
         assert np.array_equal(euler_residual(X, f), np.zeros(20))
 
     def test_dimension_guard(self):

@@ -451,15 +451,6 @@ class TestEngineAgreement:
                 prod,
             )
 
-    def test_factorized_mass_cross_check(self):
-        # Two independent estimators of the Hardy denominator: direct MC
-        # and the angular-moment times radial-integral factorization.
-        u = gaussian_trial(vandermonde(3), 1.0)
-        pr = Params(3, 2.0, 0.0, ANTI)
-        mc = integral(u, Functional.HARDY, 1, pr, CFG)
-        fact = qd.separable_mass(u, pr, pr.p + pr.gamma)
-        assert abs(mc.value - fact.value) <= 3.0 * combined(mc, fact)
-
     def test_rellich_mc_vs_separable(self):
         u = gaussian_trial(vandermonde(3), 1.0)
         pr = Params(3, 2.0, 0.0, ANTI)
@@ -682,21 +673,21 @@ class TestSeparableReports:
                                       functional="hardy"),
              Params(3, 2.0, 0.0, ODD),
              (2.2600051685496947, 2.2600051685496947e-14,
-              22.600077485192656, 2.7755575615628914e-17,
-              10.000011415768455, 2.7755575615628914e-17)),
+              22.600077485192656, 1.3877787807814457e-17,
+              10.000011415768455, 0.0)),
             (qd.separable_hardy_quotient,
              lambda: sharpness_family(odd_linear(4), 0.1, 0.01,
                                       functional="hardy"),
              Params(4, 2.0, 0.0, ODD),
              (4.010002590840974, 4.010002590840974e-14,
-              40.10003735879083, 1.734723475976807e-17,
-              10.000002855454785, 1.734723475976807e-17)),
+              40.10003735879083, 1.3877787807814457e-17,
+              10.000002855454785, 3.469446951953614e-18)),
             (qd.separable_hardy_quotient,
              lambda: gaussian_trial(odd_linear(3), 1.0),
              Params(3, 2.0, 1.0, ODD),
              (3.0, 3e-14,
               1.5, 3.219646771412954e-15,
-              0.5, 3.219646771412954e-15)),
+              0.5, 2.9976021664879227e-15)),
             (qd.separable_rellich_quotient,
              lambda: gaussian_trial(vandermonde(3), 1.0),
              Params(3, 2.5, 1.0, ANTI),
@@ -710,7 +701,9 @@ class TestSeparableReports:
     def test_reports_pinned(self, quotient, trial, params, pinned):
         # Exact 17-digit quotients, error bars and radial factors.  The d = 4
         # collar moves if the segment loop adds the quad errors of a
-        # segment in another order.  The collar rows' quotients are
+        # segment in another order.  Each radial factor carries its own
+        # quad error; the Hardy numerator lam gamma M + N carries N's plus
+        # |lam gamma| times M's.  The collar rows' quotients are
         # 128.99273784684626, 2.2600051685496942 and 4.0100025908409736
         # (mpmath).  The Gaussian rows' exact values are 3,
         # 1.5 and 0.5, and 618.69249236821826, 212.14285918588410 and
@@ -858,21 +851,29 @@ class TestRadialRuleOracle:
         a = mpmath.mpf(p) / (2 * mpmath.mpf(sigma) ** 2)
         for m in (-0.5, 2.0, 11.0, 64.0):
             (value,), (err,) = qd._radial_integrals(
-                profile, [qd._mass_term(profile, m, p)])
+                profile, [qd._radial_term(profile, 0, m, p, 0.0)])
             self.assert_within(value, err, self.moment(m, a))
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
-    def test_gaussian_hardy_terms(self, sigma):
-        # psi psi' = -r psi^2 / sigma^2 and psi'^2 = r^2 psi^2 / sigma^4.
+    def test_gaussian_terms_of_each_order(self, sigma):
+        # psi' = -r psi / sigma^2 and
+        # psi'' + c psi'/r = (r^2 - sigma^2 (1 + c)) psi / sigma^4, so at
+        # p = 2 each term is a sum of moments of psi^2.
         profile = gaussian_profile(sigma)
         s2 = mpmath.mpf(sigma) ** 2
-        for q0 in (1.0, 2.0, 5.5, 33.0):
-            values, errs = qd._radial_integrals(
-                profile, qd._hardy_terms(profile, q0))
-            refs = (self.moment(q0, 1 / s2), -self.moment(q0 + 2, 1 / s2) / s2,
-                    self.moment(q0 + 4, 1 / s2) / s2**2)
-            for value, err, ref in zip(values, errs, refs):
-                self.assert_within(value, err, ref)
+        for m in (1.0, 2.0, 5.5, 33.0):
+            for c in (2.0, 7.0):
+                def moment(k):
+                    return self.moment(m + k, 1 / s2)
+
+                refs = (moment(0), moment(2) / s2**2,
+                        (moment(4) - 2 * s2 * (1 + c) * moment(2)
+                         + (s2 * (1 + c)) ** 2 * moment(0)) / s2**4)
+                values, errs = qd._radial_integrals(profile, [
+                    qd._radial_term(profile, order, m, 2.0, c)
+                    for order in (0, 1, 2)])
+                for value, err, ref in zip(values, errs, refs):
+                    self.assert_within(value, err, ref)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 5.5])
     @pytest.mark.parametrize(
@@ -883,12 +884,13 @@ class TestRadialRuleOracle:
     )
     def test_gaussian_rellich_quotients(self, factor, klass, d, sigma, gamma,
                                         p):
-        # psi'' + c psi'/r = (r^2 - sigma^2 (1 + c)) psi / sigma^4.
-        params = Params(d, p, gamma, klass)
-        lam, (m_num, m_den), _ = qd._separable_front(
-            gaussian_trial(factor(d), sigma), params, Functional.RELLICH)
+        # psi'' + c psi'/r = (r^2 - sigma^2 (1 + c)) psi / sigma^4, and the
+        # radial powers are p lam + d - 1 - gamma and that minus 2p.
+        lam = factor(d).homogeneity
+        m_num = p * lam + d - 1 - gamma
+        m_den = m_num - 2 * p
         rep = qd.separable_rellich_quotient(gaussian_trial(factor(d), sigma),
-                                            params)
+                                            Params(d, p, gamma, klass))
         s2, c = mpmath.mpf(sigma) ** 2, d - 1 + 2 * lam
         a = p / (2 * s2)
         num = mpmath.quad(
@@ -914,11 +916,12 @@ class TestRadialRuleOracle:
     def test_sharpness_segments(self, factor, functional, d, eps, delta):
         # Each term on the collar against mpmath's quadrature, and on the
         # outer power [1 + delta, inf) against its exact integral, both of
-        # the profile written out from its definition.
+        # the profile written out from its definition.  At p = 2 and
+        # gamma = 0 the numerator's power is 2 lam + d - 1, and the
+        # denominator's is 2 (or 4) less.
         u = sharpness_family(factor(d), eps, delta, functional)
-        klass = factor(d).function_class
-        lam, (m_num, m_den), _ = qd._separable_front(
-            u, Params(d, 2.0, 0.0, klass), Functional(functional))
+        lam = factor(d).homogeneity
+        c, m = d - 1 + 2 * lam, 2 * lam + d - 1
         (_, _, _, a), (collar, lo, hi), (_, tail, top, b) = u.radial.segments
         assert (collar, lo, tail, top) == ("numeric", 1.0 - delta,
                                            1.0 + delta, math.inf)
@@ -928,17 +931,16 @@ class TestRadialRuleOracle:
             return mpmath.diff(psi, r, k)
 
         if functional == "rellich":
-            c = d - 1 + 2 * lam
-            terms = [qd._second_order_term(u.radial, m_num, 2.0, c),
-                     qd._mass_term(u.radial, m_den, 2.0)]
-            refs = [lambda r: r**m_num * (diff(r, 2) + c * diff(r, 1) / r)**2,
-                    lambda r: r**m_den * psi(r) ** 2]
+            rows = [(2, m), (0, m - 4)]
+            refs = [lambda r: r**m * (diff(r, 2) + c * diff(r, 1) / r)**2,
+                    lambda r: r ** (m - 4) * psi(r) ** 2]
         else:
-            terms = qd._hardy_terms(u.radial, m_den)
-            refs = [lambda r: r**m_den * psi(r) ** 2,
-                    lambda r: r ** (m_den + 1) * psi(r) * diff(r, 1),
-                    lambda r: r ** (m_den + 2) * diff(r, 1) ** 2]
-        for (integrand, closed), ref in zip(terms, refs):
+            rows = [(1, m), (0, m - 2)]
+            refs = [lambda r: r**m * diff(r, 1) ** 2,
+                    lambda r: r ** (m - 2) * psi(r) ** 2]
+        for (order, power), ref in zip(rows, refs):
+            integrand, closed = qd._radial_term(u.radial, order, power, 2.0,
+                                                c)
             value, err = qd.quad(integrand, lo, hi)
             self.assert_within(value, err, mpmath.quad(ref, [lo, hi]))
             # Beyond the collar ref = K r^q exactly: K and q from two radii
@@ -950,6 +952,57 @@ class TestRadialRuleOracle:
             K = ref(far) / far**q
             self.assert_within(closed(hi, math.inf, b), 0.0,
                                -K * mpmath.mpf(hi) ** (q + 1) / (q + 1))
+
+    @pytest.mark.parametrize("factor", [vandermonde, odd_linear])
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_small_epsilon_rellich_quotients(self, factor, d):
+        # At eps = 0.001 the power segments' primitives divide by
+        # q + 1 = +-2 eps, so q must be formed without rounding rho + 2.
+        # Inner and outer powers are exact here, with the collar by
+        # mpmath's quadrature.
+        lam = factor(d).homogeneity
+        c, m = d - 1 + 2 * lam, 2 * lam + d - 1
+        params = Params(d, 2.0, 0.0, factor(d).function_class)
+        for delta in (0.05, 0.01):
+            u = sharpness_family(factor(d), 0.001, delta)
+            (_, _, lo, a), _, (_, hi, _, b) = u.radial.segments
+            psi = piecewise_power_psi_mp(a, b, delta)
+            a, b, lo, hi = (mpmath.mpf(v) for v in (a, b, lo, hi))
+
+            def powers(K_in, K_out, q):
+                # int_0^lo K_in^2 r^(q - 2a) + int_hi^inf K_out^2 r^(q - 2b)
+                return (K_in**2 * lo ** (q - 2 * a + 1) / (q - 2 * a + 1)
+                        - K_out**2 * hi ** (q - 2 * b + 1) / (q - 2 * b + 1))
+
+            num = powers(a * (a + 1 - c), b * (b + 1 - c), m - 4) + mpmath.quad(
+                lambda r: r**m * (mpmath.diff(psi, r, 2)
+                                  + c * mpmath.diff(psi, r, 1) / r) ** 2,
+                [lo, hi])
+            den = powers(1, 1, m - 4) + mpmath.quad(
+                lambda r: r ** (m - 4) * psi(r) ** 2, [lo, hi])
+            q = qd.separable_rellich_quotient(u, params).quotient
+            assert abs(q - num / den) <= 2e-15 * num / den, (delta, q)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("factor", [vandermonde, odd_linear])
+    def test_gaussian_hardy_closed_form(self, factor, d, gamma, sigma):
+        # N / M = Gamma((m + 5)/2) / Gamma((m + 1)/2) / 4 for the Gaussian,
+        # m = 2 lam + d - 3 - gamma, so the quotient is
+        # lam gamma + (m + 1)(m + 3)/4 at every sigma.  M diverges at the
+        # origin where m <= -1.
+        lam = factor(d).homogeneity
+        m = 2 * lam + d - 3 - gamma
+        u = gaussian_trial(factor(d), sigma)
+        params = Params(d, 2.0, gamma, factor(d).function_class)
+        if m <= -1:
+            with pytest.raises(DomainError, match="non-positive radial shape"):
+                qd.separable_hardy_quotient(u, params)
+            return
+        exact = lam * gamma + (m + 1) * (m + 3) / 4
+        q = qd.separable_hardy_quotient(u, params).quotient
+        assert abs(q - exact) <= 1e-15 * abs(exact)
 
 
 class TestEngineGuards:
