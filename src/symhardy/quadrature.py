@@ -23,12 +23,12 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
 * ``product``: a log-radial Gauss-Legendre rule times a tensor angular
   rule on the sphere (d <= 4).  The reported error is the change under
   halving both node counts.  Whole radii are grouped into blocks of at
-  most ``_BLOCK`` points, built column-major as in the ``mc`` engine.
-  A quotient's numerator and denominator share each of the three grids
-  (fine, half the node counts, half ``r_min``): each grid is built once,
-  each block's trial terms come from one call, and each integrand's sum
-  is added radius by radius in node order, so it equals that of a
-  separate ``product_integral`` bit for bit.
+  most ``_BLOCK`` nodes.  A quotient's numerator and denominator share
+  each of the three grids (fine, half the node counts, half ``r_min``),
+  and their integrands are factored on the grid x = r w: the angular
+  parts once per sphere grid, psi and its derivatives once per block.
+  Each radius's sphere sum is numpy's pairwise sum, a fixed order, and
+  radii are added in node order.
 
 For separable trials u = F psi(|x|) there is additionally an exact
 radial-reduction path: the sphere moment of |F|^p is a common factor of
@@ -377,8 +377,10 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate):
     """One tensor rule on [r_lo, r_hi]: per integrand, the sum and the
     number of non-finite nodes, and the node count.
 
-    ``evaluate(X, members)`` is called once per block of whole radii, with
-    every integrand as a member; only that block's values are held.
+    ``evaluate(rb, pts, members)``, called once per block of whole radii
+    rb with every integrand as a member, returns their (len(rb), len(pts))
+    values at the nodes rb x pts.  A radius's sphere sum is numpy's
+    pairwise sum of its row, in an order no BLAS thread count changes.
     """
     nodes, wts = _leggauss(nr)
     s_lo, s_hi = math.log(r_lo), math.log(r_hi)
@@ -393,24 +395,13 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(r), step):
             rb, wb = r[lo:lo + step], swts[lo:lo + step]
-            XT = np.empty((d, len(rb), len(aw)))
-            for out, column in zip(XT, pts.T):
-                np.multiply.outer(rb, column, out=out)
-            X = XT.reshape(d, -1).T
-            rows = []
-            for i, vals in zip(members, evaluate(X, members)):
-                vals = np.asarray(vals, dtype=float).reshape(len(rb), len(aw))
+            for i, vals in zip(members, evaluate(rb, pts, members)):
                 finite = np.isfinite(vals)
                 if not finite.all():
                     degen[i] += vals.size - int(np.count_nonzero(finite))
                     vals = np.where(finite, vals, 0.0)
-                rows.append(vals)
-            # Radius by radius in node order: a vectorized sum rounds
-            # differently and would change the output bytes.
-            for k, (ri, wi) in enumerate(zip(rb, wb)):
-                weight = wi * ri**d
-                for i, vals in enumerate(rows):
-                    totals[i] += weight * float(aw @ vals[k])
+                for ri, wi, total in zip(rb, wb, (vals * aw).sum(axis=1)):
+                    totals[i] += wi * ri**d * float(total)
     return totals, degen, len(r) * len(aw)
 
 
@@ -418,8 +409,8 @@ def _product_passes(d, config: QuadratureConfig, n_integrands, evaluate):
     """``product_integral`` of several integrands, on grids they share.
 
     Each of the three grids (fine, half the node counts, half ``r_min``)
-    is built once and ``evaluate(X, members)`` returns the values of every
-    integrand at its blocks, as in ``_mc_streams``.  Integrand i sums
+    is built once and ``evaluate(rb, pts, members)`` returns the values of
+    every integrand at its blocks, as in ``_product_pass``.  Integrand i sums
     exactly the terms of ``product_integral`` of its own, and a degenerate
     integrand raises the message of the first such call.
     """
@@ -458,8 +449,23 @@ def product_integral(fn, d, config: QuadratureConfig):
     column-major blocks of whole radii, at most ``_BLOCK`` points where a
     radius's sphere rule fits.
     """
-    (estimate,) = _product_passes(d, config, 1, lambda X, _: [fn(X)])
+    (estimate,) = _product_passes(d, config, 1, _points_values([fn]))
     return estimate
+
+
+def _points_values(fns):
+    """``evaluate`` of ``_product_pass`` for point integrands ``fns[i]``, on
+    X = rb x pts built column-major as in the ``mc`` engine."""
+
+    def evaluate(rb, pts, members):
+        XT = np.empty((pts.shape[1], len(rb), len(pts)))
+        for out, column in zip(XT, pts.T):
+            np.multiply.outer(rb, column, out=out)
+        X = XT.reshape(len(XT), -1).T
+        return [np.asarray(fns[i](X), dtype=float).reshape(len(rb), len(pts))
+                for i in members]
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +546,44 @@ def _integrand_values(u: TrialFunction, params: Params, terms):
     return evaluate
 
 
+def _tensor_values(u: TrialFunction, params: Params, terms):
+    """``evaluate`` of ``_product_pass`` for the integrands ``terms[i]``,
+    factored on the grid x = r w: F(r w) = r^lam F(w), and by Euler's
+    relation grad u = r^(lam - 1) (psi T + (lam psi + r psi') F w) with
+    T = grad F(w) - lam F w orthogonal to w.  So each integrand is a power
+    of r times |psi|^p |F|^p (order 0), |psi'' + c psi'/r|^p |F|^p
+    (order 2) or (psi^2 |T|^2 + (lam psi + r psi')^2 F^2)^(p/2) (order 1,
+    two non-negative terms: nothing cancels).  The angular parts are
+    formed once per sphere grid, psi and its derivatives once per block.
+    """
+    p, gamma, lam = params.p, params.gamma, u.angular.homogeneity
+    c = params.d - 1.0 + 2.0 * lam
+    grids = {}  # |F|^p, F^2 and |T|^2 by cached sphere grid, kept with it
+
+    def evaluate(rb, pts, members):
+        if id(pts) not in grids:
+            F, G = u.angular.value_and_gradient(pts)
+            T = G - lam * F[:, None] * pts
+            grids[id(pts)] = pts, np.abs(F) ** p, F * F, row_dot(T, T)
+        _, Fp, F2, T2 = grids[id(pts)]
+        r = rb.copy()
+        r.flags.writeable = False  # psi and its derivatives share its work
+        psi, dpsi, d2psi = u.radial.derivatives(r, 2)
+
+        def term(order, w):
+            power = r ** (p * (lam - (order == 1)) - w * p - gamma)
+            if order == 1:
+                inner = np.multiply.outer(psi * psi, T2)
+                inner += np.multiply.outer((lam * psi + r * dpsi) ** 2, F2)
+                return inner ** (p / 2.0) * power[:, None]
+            radial = psi if order == 0 else d2psi + c * dpsi / r
+            return np.multiply.outer(power * np.abs(radial) ** p, Fp)
+
+        return [term(*terms[i]) for i in members]
+
+    return evaluate
+
+
 def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
                terms):
     """Estimates of the integrands ``terms`` (see ``_INTEGRANDS``).
@@ -553,10 +597,11 @@ def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
         (_radial_shape(u, params, w, gradient=order == 1), scale)
         for order, w in terms
     ]
-    evaluate = _integrand_values(u, params, terms)
     if config.method == "product":
-        return _product_passes(params.d, config, len(terms), evaluate)
-    return _mc_streams(params.d, config, proposals, evaluate)
+        return _product_passes(params.d, config, len(terms),
+                               _tensor_values(u, params, terms))
+    return _mc_streams(params.d, config, proposals,
+                       _integrand_values(u, params, terms))
 
 
 def _check_tag(u: TrialFunction, params: Params):

@@ -167,11 +167,11 @@ class TestVerifyCommand:
         "functional, grid, pinned",
         [
             ("rellich", ["--d", "3", "--gamma=-2"], [
-                ("3", "2.0625023272846552", "2.355436271393744e-06"),
+                ("3", "2.0625023272846543", "2.3554362690882088e-06"),
             ]),
             ("hardy", ["--d", "2,3", "--gamma=-1"], [
-                ("2", "0.75000084628533015", "8.463004793286672e-07"),
-                ("3", "2.0000000000019993", "1.0044914273638488e-08"),
+                ("2", "0.75000084628533015", "8.4630047885015235e-07"),
+                ("3", "2.0000000000019993", "1.0044914281553923e-08"),
             ]),
         ],
         ids=["general-rellich", "general-hardy"],
@@ -179,8 +179,8 @@ class TestVerifyCommand:
     def test_product_general_quotients_pinned(self, tmp_path, functional,
                                               grid, pinned):
         # Exact 17-digit product-rule quotients of F = 1 trials: the
-        # Rellich row moves if the Laplacian of u = psi(|x|) rounds a node
-        # differently.
+        # Rellich row moves if the factored Laplacian of u = psi(|x|),
+        # psi'' + (d - 1) psi'/r, rounds a node differently.
         out = tmp_path / "v.csv"
         assert run(["verify", "--method", "product", "--class", "general",
                     "--functional", functional, "--p", "2", *grid,
@@ -192,29 +192,29 @@ class TestVerifyCommand:
         "args, pinned",
         [
             ("--class antisym --functional hardy --d 2", (
-                "6.2831853071733406", "3.1415926535866707",
-                "1.9999999999999998", "1.4625046747565169e-08")),
+                "6.2831853071733414", "3.1415926535866703",
+                "2.0000000000000004", "1.4625045616707098e-08")),
             ("--class antisym --functional hardy --d 3", (
-                "37.586213978614062", "2.3864262843564497",
-                "15.749999999999991", "1.1338772628617142e-05")),
+                "37.586213978614069", "2.3864262843564505",
+                "15.749999999999989", "1.1338772633899624e-05")),
             ("--class odd --functional hardy --d 2", (
-                "6.2831853071733397", "3.1415926535866707",
-                "1.9999999999999993", "1.4625047880235974e-08")),
+                "6.2831853071733397", "3.1415926535866703",
+                "1.9999999999999998", "1.4625048443852284e-08")),
             ("--class odd --functional hardy --d 3", (
-                "20.881229988118935", "5.5683279968317168",
-                "3.7499999999999996", "1.6190499700281049e-07")),
+                "20.881229988118942", "5.5683279968317168",
+                "3.7500000000000009", "1.6190499701817363e-07")),
             ("--class antisym --functional rellich --d 3", (
-                "206.72417688237752", "0.95457051374257995",
-                "216.56250000000006", "6.696579977337942e-05")),
+                "206.72417688237752", "0.95457051374257973",
+                "216.56250000000011", "6.6965799714427472e-05")),
             ("--class odd --functional rellich --d 3", (
-                "73.084304958416254", "11.136643427292819",
-                "6.5625074049966372", "7.405103893611391e-06")),
+                "73.084304958416269", "11.136643427292823",
+                "6.5625074049966363", "7.4051038852277325e-06")),
             ("--class odd --functional hardy --d 3 --p 3", (
-                "15.364367496677438", "3.9374016876649254",
-                "3.9021590163916628", "5.1352066571994058e-05")),
+                "15.364367496677437", "3.9374016876649254",
+                "3.9021590163916624", "5.1352066567925331e-05")),
             ("--class antisym --functional rellich --d 4 --p 3 --gamma=1", (
-                "6965.196885221746", "0.045730384782843483",
-                "152310.0432742227", "553.9775153089372")),
+                "6965.1968852217533", "0.045730384782843511",
+                "152310.04327422276", "553.97751530869652")),
         ],
         ids=["antisym-hardy-d2", "antisym-hardy-d3", "odd-hardy-d2",
              "odd-hardy-d3", "antisym-rellich-d3", "odd-rellich-d3",
@@ -222,8 +222,8 @@ class TestVerifyCommand:
     )
     def test_product_quotients_pinned(self, tmp_path, args, pinned):
         # Exact 17-digit product-rule estimates of the antisymmetric and
-        # odd classes: they move if the numerator and denominator stop
-        # summing the nodes of two separate integrations in node order.
+        # odd classes: they move if a factored integrand rounds a node
+        # differently or a radius's sphere sum changes its order.
         out = tmp_path / "v.csv"
         assert run(["verify", "--method", "product", *args.split(),
                     "--seed", "7", "--out", str(out)]) == 0

@@ -19,7 +19,12 @@ from symhardy.errors import (
     UnsupportedDimensionError,
 )
 from symhardy.fields import SectorDomain
-from symhardy.polynomials import ConstantFactor, odd_linear, vandermonde
+from symhardy.polynomials import (
+    ConstantFactor,
+    Vandermonde,
+    odd_linear,
+    vandermonde,
+)
 from symhardy.trials import (
     TrialFunction,
     gaussian_profile,
@@ -211,15 +216,61 @@ class TestSharedDraws:
         shared = self._compare(klass, factor, functional, d, 3.0, -0.5, config)
         assert [est.n for est in shared] == [5_001, 5_001]
 
+    @pytest.mark.parametrize("klass, factor", [(ANTI, vandermonde),
+                                               (ODD, odd_linear),
+                                               (GEN, ConstantFactor)])
+    @pytest.mark.parametrize("functional", [Functional.HARDY,
+                                            Functional.RELLICH])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 1.0])
+    def test_product_factored_values_match_points(self, klass, factor,
+                                                  functional, d, p, gamma):
+        # The product rule's factored integrands against the point
+        # integrands at X = r w.  The point route's |x| is r to within an
+        # ulp or two, which the Gaussian exp(-p r^2 / 2) turns into a
+        # relative change of about p r^2 ulp at large r; the bound allows
+        # for that.
+        u = gaussian_trial(factor(d), 1.0)
+        params = Params(d, p, gamma, klass)
+        terms = qd._INTEGRANDS[functional]
+        rb = np.geomspace(1e-6, 40.0, 17)
+        pts, _ = qd.sphere_grid(d, 12)
+        X = (rb[:, None, None] * pts[None, :, :]).reshape(-1, d)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got = qd._tensor_values(u, params, terms)(rb, pts, [0, 1])
+            want = qd._integrand_values(u, params, terms)(X, [0, 1])
+        tol = 1e-13 + 2.0 * p * rb**2 * np.finfo(float).eps
+        for g, w in zip(got, want):
+            w = w.reshape(g.shape)
+            assert np.isfinite(g).all() and np.isfinite(w).all()
+            scale = np.abs(w).max(axis=1)
+            assert (np.abs(g - w).max(axis=1) <= tol * scale).all()
+
     @pytest.mark.parametrize("klass, factor, functional", CASES)
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("p, gamma", [(2.0, 0.0), (3.0, -0.5)])
-    def test_product_bit_identical_to_separate_calls(self, klass, factor,
-                                                     functional, d, p, gamma):
-        # One pass over each product grid serves both integrals.
+    def test_product_quotient_terms_match_product_integral(
+            self, klass, factor, functional, d, p, gamma):
+        # One pass over each product grid serves both integrals, from the
+        # factored integrands: each agrees with product_integral of its
+        # point integrand, and a refusal is the same named error.
         config = qd.QuadratureConfig(method="product", radial_nodes=40,
                                      angular_nodes=12)
-        self._compare(klass, factor, functional, d, p, gamma, config)
+        u = gaussian_trial(factor(d), 1.0)
+        params = Params(d, p, gamma, klass)
+        terms = qd._INTEGRANDS[functional]
+        shared = _outcome(lambda: qd._estimates(u, params, config, terms))
+        want = _outcome(lambda: _separate_integrals(u, functional, params,
+                                                    config))
+        if isinstance(want, tuple):
+            assert shared == want
+            return
+        for got, ref in zip(shared, want):
+            assert (got.n, got.degenerate, got.method) == (
+                ref.n, ref.degenerate, ref.method)
+            assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+            assert abs(got.error - ref.error) <= 1e-12 * abs(ref.value)
 
     def test_quotient_report_uses_the_same_estimates(self):
         u = gaussian_trial(vandermonde(4), 1.0)
@@ -1121,7 +1172,7 @@ class TestEngineGuards:
 
 def _per_radius_pass(fn, d, config, nr, na, r_min=None):
     """The product pass as it ran before radii were grouped into blocks:
-    one integrand call per radius."""
+    one integrand call per radius, its sphere sum numpy's pairwise sum."""
     r_lo = max(r_min if r_min is not None else config.r_min, 1e-12)
     r_hi = config.r_max
     nodes, wts = np.polynomial.legendre.leggauss(nr)
@@ -1138,7 +1189,7 @@ def _per_radius_pass(fn, d, config, nr, na, r_min=None):
             bad = ~np.isfinite(vals)
             degen += int(bad.sum())
             vals = np.where(bad, 0.0, vals)
-            total += wi * ri**d * float(aw @ vals)
+            total += wi * ri**d * float((vals * aw).sum())
     return total, degen, len(r) * len(aw)
 
 
@@ -1201,8 +1252,7 @@ class TestProductBlocks:
         cfg = qd.QuadratureConfig(method="product")
         for r_min in (cfg.r_min, 5e-7):
             totals, degen, n = qd._product_pass(
-                d, nr, na, r_min, cfg.r_max, 2,
-                lambda X, members: [fns[i](X) for i in members])
+                d, nr, na, r_min, cfg.r_max, 2, qd._points_values(fns))
             for i, fn in enumerate(fns):
                 want = _per_radius_pass(fn, d, cfg, nr, na, r_min)
                 assert (totals[i], degen[i], n) == want
@@ -1218,8 +1268,7 @@ class TestProductBlocks:
         mass = lambda X: np.abs(u.value(X)) ** 2.0 * qd._weight(
             qd.row_dot(X, X), 2.0)
         fns = [integrands["hardy"], mass]
-        got = qd._product_passes(
-            d, cfg, 2, lambda X, members: [fns[i](X) for i in members])
+        got = qd._product_passes(d, cfg, 2, qd._points_values(fns))
         assert got == [qd.product_integral(fn, d, cfg) for fn in fns]
         # A degenerate member refuses with the message of its own call,
         # first or second.
@@ -1227,8 +1276,7 @@ class TestProductBlocks:
             qd.product_integral(integrands["holes"], d, cfg)
         for fns in ([integrands["holes"], mass], [mass, integrands["holes"]]):
             with pytest.raises(DegenerateSampleError) as info:
-                qd._product_passes(
-                    d, cfg, 2, lambda X, members: [fns[i](X) for i in members])
+                qd._product_passes(d, cfg, 2, qd._points_values(fns))
             assert str(info.value) == str(want.value)
 
     @pytest.mark.parametrize("d, nr, na", GRIDS)
@@ -1252,6 +1300,51 @@ class TestProductBlocks:
                 fine, err, n, degen, "product")
             if name == "rare" and d == 2:
                 assert degen > 0
+
+    def test_angular_factor_once_per_sphere_grid(self, monkeypatch):
+        # The quotient's angular data is formed once per distinct sphere
+        # grid (48 and 24 nodes a side), never point by point through the
+        # trial.
+        calls = {"gradient_products": 0, "evaluate": 0}
+
+        def counted(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Vandermonde, "_gradient_products", "gradient_products")
+        counted(TrialFunction, "evaluate", "evaluate")
+        u = gaussian_trial(vandermonde(3), 1.0)
+        qd.rayleigh_quotient(u, Functional.HARDY, Params(3, 2.0, 0.0, ANTI),
+                             qd.QuadratureConfig(method="product"))
+        assert calls["gradient_products"] <= 2
+        assert calls["evaluate"] == 0
+
+    @pytest.mark.parametrize("functional", [Functional.HARDY,
+                                            Functional.RELLICH])
+    def test_blocks_hold_at_most_block_nodes(self, monkeypatch, functional):
+        tensor_values = qd._tensor_values
+        sizes = []
+
+        def recording(*args):
+            evaluate = tensor_values(*args)
+
+            def wrapper(rb, pts, members):
+                values = evaluate(rb, pts, members)
+                sizes.extend(vals.size for vals in values)
+                return values
+
+            return wrapper
+
+        monkeypatch.setattr(qd, "_tensor_values", recording)
+        u = gaussian_trial(vandermonde(3), 1.0)
+        qd.rayleigh_quotient(u, functional, Params(3, 2.0, 0.0, ANTI),
+                             qd.QuadratureConfig(method="product"))
+        assert sizes and max(sizes) <= qd._BLOCK
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_sphere_grid_cached_and_read_only(self, d):
