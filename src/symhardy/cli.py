@@ -202,14 +202,15 @@ def _constants_row(d, p, gamma, klass):
     else:
         hardy = classical_hardy(d, p, gamma)
         rellich = rellich_mitidieri(d, p, gamma)
-    hardy_base = classical_hardy(d, p, gamma).value
-    rellich_base = rellich_mitidieri(d, p, gamma).value
     rows = []
     for functional, const, base in (
-        ("hardy", hardy, hardy_base),
-        ("rellich", rellich, rellich_base),
+        ("hardy", hardy, classical_hardy(d, p, gamma)),
+        ("rellich", rellich, rellich_mitidieri(d, p, gamma)),
     ):
-        ratio = const.value / base if base > 0.0 else math.inf
+        # No ratio against a classical constant that does not hold here.
+        ratio = (math.nan if not base.admissible
+                 else const.value / base.value if base.value > 0.0
+                 else math.inf)
         rows.append(
             {
                 "d": d,
@@ -220,7 +221,7 @@ def _constants_row(d, p, gamma, klass):
                 "formula_id": const.formula_id,
                 "value": const.value,
                 "admissible": const.admissible,
-                "classical_baseline": base,
+                "classical_baseline": base.value,
                 "improvement_ratio": ratio,
             }
         )

@@ -10,25 +10,23 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
   independently seeded streams and reduced in a fixed pairwise order, so
   estimates are bit-identical given (seed, samples, n_streams).  A
   quotient's numerator and denominator come from one pass over the
-  streams: each stream draws its directions once for both, and its radii
-  once for both when their radial shapes agree (as in the Hardy quotient
-  of a Gaussian trial with a non-constant angular factor), and then they
-  also share the trial's per-point terms.  Otherwise each draws its own
-  radii from the generator state that follows the directions.  Either way
-  both integrals see exactly the points that separate ``mc_integral``
-  calls with the same seed would draw.  Each stream is evaluated in blocks
-  of at most ``_BLOCK`` points, built column-major (``np.empty((d, n)).T``),
-  whose weighted values fill one array per stream; the stream's sums are
-  taken over that array, so blocking does not change a bit.
+  streams: each stream draws its directions once for both, and each
+  distinct radial shape draws its radii from the generator state that
+  follows them, so both integrals see exactly the points that separate
+  ``mc_integral`` calls with the same seed would draw.  A stream is
+  evaluated in blocks of at most ``_BLOCK`` points: the angular parts once
+  per block on its unit directions w, built column-major, the radial parts
+  once per shape.  The weighted values fill one array per stream and the
+  stream's sums are taken over it, so blocking does not change a bit.
 * ``product``: a log-radial Gauss-Legendre rule times a tensor angular
   rule on the sphere (d <= 4).  The reported error is the change under
   halving both node counts.  Whole radii are grouped into blocks of at
   most ``_BLOCK`` nodes.  A quotient's numerator and denominator share
   each of the three grids (fine, half the node counts, half ``r_min``),
-  and their integrands are factored on the grid x = r w: the angular
-  parts once per sphere grid, psi and its derivatives once per block.
-  Each radius's sphere sum is numpy's pairwise sum, a fixed order, and
-  radii are added in node order.
+  and their integrands come from the ``mc`` engine's kernel, factored on
+  x = r w: the angular parts once per sphere grid, the radial once per
+  block.  Each radius's sphere sum is numpy's pairwise sum, a fixed
+  order, and radii are added in node order.
 
 For separable trials u = F psi(|x|) there is additionally an exact
 radial-reduction path: the sphere moment of |F|^p is a common factor of
@@ -71,7 +69,7 @@ from .errors import (
     SymmetryClassError,
     UnsupportedDimensionError,
 )
-from .polynomials import row_dot
+from .polynomials import row_dot, row_sum
 from .trials import TrialFunction
 
 __all__ = [
@@ -284,30 +282,33 @@ def mc_integral(fn, d, config: QuadratureConfig, radial_shape, radial_scale):
     ``radial_shape`` (k) and ``radial_scale`` (s) define the radial
     proposal density r^(k-1) exp(-r^2 / (2 s^2)).  Non-finite integrand
     samples are zeroed and counted; more than 0.1 percent of them aborts.
-    ``fn`` is called on column-major blocks of at most ``_BLOCK`` points.
+    ``fn`` is called on column-major blocks of at most ``_BLOCK`` points
+    x = r w, built by ``_points_values``.
     """
-    (estimate,) = _mc_streams(
-        d, config, [(radial_shape, radial_scale)], lambda X, _: [fn(X)]
-    )
+    (estimate,) = _mc_streams(d, config, [(radial_shape, radial_scale)],
+                              _points_values([fn]))
     return estimate
 
 
-def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
+def _mc_streams(d, config: QuadratureConfig, proposals, kernel):
     """``mc_integral`` for several integrals in one pass over the streams.
 
     ``proposals[i]`` is the (shape, scale) pair of integral i.  Each
     stream draws its directions once; every distinct proposal then replays
     the generator state that follows them and draws its radii, so integral
     i gets exactly the points of ``mc_integral`` with its own proposal.
-    ``evaluate(X, members)`` returns the integrand values at X, one block
-    of a stream, of the integrals listed in ``members``, which all drew X.
-    One stream's draws are held at a time; a stream whose directions exceed
-    ``_STREAM_BUDGET`` doubles (1 GiB) is refused before any draw.
+    ``kernel`` is an (angular, evaluate) pair as ``_factored_integrands``
+    returns.  Per block of a stream, ``angular(w)`` is called once on its
+    unit directions, and ``evaluate(r, parts, members)`` once per proposal
+    on its radii: the values of the integrals in ``members``, which all
+    drew r.  One stream's draws are held at a time; a stream whose
+    directions exceed ``_STREAM_BUDGET`` doubles (1 GiB) is refused first.
     """
     # scipy's gammaln, not math.lgamma: they differ in the last bits.
     from scipy.special import gammaln
 
     _check_samples(config.samples)
+    angular, evaluate = kernel
     groups = {}
     for i, (k, s) in enumerate(proposals):
         if k <= 0.0:
@@ -330,36 +331,36 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
         norms = np.sqrt(row_dot(z, z))
         norms[norms == 0.0] = 1.0
         after_directions = rng.bit_generator.state
-        for (k, s), members in groups.items():
+        radii = {}
+        for k, s in groups:
             rng.bit_generator.state = after_directions
-            r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
-            # Each integral's weighted values over the whole stream, filled
-            # block by block: the sums below see one array per stream.
-            weighted = [np.empty(m) for _ in members]
-            for lo in range(0, m, _BLOCK):
-                rb = r[lo:lo + _BLOCK]
-                scale = rb / norms[lo:lo + _BLOCK]
-                XT = np.empty((d, len(rb)))
-                for out, column in zip(XT, z[lo:lo + _BLOCK].T):
-                    np.multiply(column, scale, out=out)
-                X = XT.T
-                with np.errstate(over="ignore", invalid="ignore",
-                                 divide="ignore"):
-                    values = evaluate(X, members)
+            radii[k, s] = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
+        # Each integral's weighted values over the whole stream, filled
+        # block by block: the sums below see one array per stream.
+        weighted = [np.empty(m) for _ in proposals]
+        for lo in range(0, m, _BLOCK):
+            hi = min(lo + _BLOCK, m)
+            WT = np.empty((d, hi - lo))
+            for out, column in zip(WT, z[lo:hi].T):
+                np.divide(column, norms[lo:hi], out=out)
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                parts = angular(WT.T)
+                for (k, s), members in groups.items():
+                    rb = radii[k, s][lo:hi]
+                    values = evaluate(rb, parts, members)
                     logw = ((d - k) * np.log(rb) + rb * rb / (2.0 * s * s)
                             + log_norm[k, s])
                     density = area * np.exp(logw)
                     outside = (rb < config.r_min) | (rb > config.r_max)
-                    for w, vals in zip(weighted, values):
-                        vals = np.asarray(vals, dtype=float)
-                        w[lo:lo + _BLOCK] = np.where(
+                    for i, vals in zip(members, values):
+                        weighted[i][lo:hi] = np.where(
                             outside | (vals == 0.0), 0.0, density * vals)
-            for i, w in zip(members, weighted):
-                bad = ~np.isfinite(w)
-                w[bad] = 0.0
-                stats[i].append(
-                    (m, float(w.sum()), float((w * w).sum()), int(bad.sum()))
-                )
+        for per_stream, w in zip(stats, weighted):
+            bad = ~np.isfinite(w)
+            w[bad] = 0.0
+            per_stream.append(
+                (m, float(w.sum()), float((w * w).sum()), int(bad.sum())))
     estimates = []
     for per_stream in stats:
         n, s1, s2, degen = _tree_reduce(per_stream)
@@ -373,21 +374,23 @@ def _mc_streams(d, config: QuadratureConfig, proposals, evaluate):
     return estimates
 
 
-def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate):
+def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate, parts):
     """One tensor rule on [r_lo, r_hi]: per integrand, the sum and the
     number of non-finite nodes, and the node count.
 
-    ``evaluate(rb, pts, members)``, called once per block of whole radii
-    rb with every integrand as a member, returns their (len(rb), len(pts))
-    values at the nodes rb x pts.  A radius's sphere sum is numpy's
-    pairwise sum of its row, in an order no BLAS thread count changes.
+    ``parts`` is the kernel's angular parts of ``sphere_grid(d, na)``, and
+    ``evaluate(rb, parts, members)``, called once per block of whole radii
+    with every integrand as a member and rb of shape (len(rb), 1), returns
+    their (len(rb), na) values at the nodes rb x pts.  A radius's sphere
+    sum is numpy's pairwise sum of its row, in an order no BLAS thread
+    count changes.
     """
     nodes, wts = _leggauss(nr)
     s_lo, s_hi = math.log(r_lo), math.log(r_hi)
     svals = 0.5 * (s_hi + s_lo) + 0.5 * (s_hi - s_lo) * nodes
     swts = 0.5 * (s_hi - s_lo) * wts
     r = np.exp(svals)
-    pts, aw = sphere_grid(d, na)
+    _, aw = sphere_grid(d, na)
     step = max(1, _BLOCK // len(aw))
     members = range(n_integrands)
     totals = [0.0] * n_integrands
@@ -395,7 +398,8 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(r), step):
             rb, wb = r[lo:lo + step], swts[lo:lo + step]
-            for i, vals in zip(members, evaluate(rb, pts, members)):
+            for i, vals in zip(members, evaluate(rb[:, None], parts,
+                                                 members)):
                 finite = np.isfinite(vals)
                 if not finite.all():
                     degen[i] += vals.size - int(np.count_nonzero(finite))
@@ -405,14 +409,16 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate):
     return totals, degen, len(r) * len(aw)
 
 
-def _product_passes(d, config: QuadratureConfig, n_integrands, evaluate):
+def _product_passes(d, config: QuadratureConfig, n_integrands, kernel):
     """``product_integral`` of several integrands, on grids they share.
 
-    Each of the three grids (fine, half the node counts, half ``r_min``)
-    is built once and ``evaluate(rb, pts, members)`` returns the values of
-    every integrand at its blocks, as in ``_product_pass``.  Integrand i sums
-    exactly the terms of ``product_integral`` of its own, and a degenerate
-    integrand raises the message of the first such call.
+    ``kernel`` is an (angular, evaluate) pair as ``_factored_integrands``
+    returns.  Each of the three grids (fine, half the node counts, half
+    ``r_min``) is built once, ``angular`` is called once per distinct
+    sphere grid, and ``evaluate`` returns the values of every integrand at
+    its blocks, as in ``_product_pass``.  Integrand i sums exactly the
+    terms of ``product_integral`` of its own, and a degenerate integrand
+    raises the message of the first such call.
     """
     nr, na, r_hi = config.radial_nodes, config.angular_nodes, config.r_max
     r_lo = max(config.r_min, 1e-12)
@@ -421,8 +427,12 @@ def _product_passes(d, config: QuadratureConfig, n_integrands, evaluate):
     grids = [(nr, na, r_lo),
              (max(nr // 2, 8), max(na // 2, 4), r_lo),
              (nr, na, max(config.r_min / 2.0, 1e-12))]
+    angular, evaluate = kernel
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        parts = {n: angular(sphere_grid(d, n)[0])
+                 for n in dict.fromkeys(grid[1] for grid in grids)}
     (fine, degen, n), (coarse_nodes, _, _), (coarse_rmin, _, _) = [
-        _product_pass(d, *grid, r_hi, n_integrands, evaluate)
+        _product_pass(d, *grid, r_hi, n_integrands, evaluate, parts[grid[1]])
         for grid in grids
     ]
     estimates = []
@@ -447,25 +457,28 @@ def product_integral(fn, d, config: QuadratureConfig):
     separate so they cannot cancel; halving r_min therefore always moves
     the estimate by less than one error bar.  ``fn`` is called on
     column-major blocks of whole radii, at most ``_BLOCK`` points where a
-    radius's sphere rule fits.
+    radius's sphere rule fits, built by ``_points_values``.
     """
     (estimate,) = _product_passes(d, config, 1, _points_values([fn]))
     return estimate
 
 
 def _points_values(fns):
-    """``evaluate`` of ``_product_pass`` for point integrands ``fns[i]``, on
-    X = rb x pts built column-major as in the ``mc`` engine."""
+    """The (angular, evaluate) kernel of point integrands ``fns[i]``: the
+    angular parts are the directions w themselves, and ``evaluate`` calls
+    each member on the points x = r w, r broadcast against w's rows, built
+    column-major, and shapes its values as r broadcast against them."""
 
-    def evaluate(rb, pts, members):
-        XT = np.empty((pts.shape[1], len(rb), len(pts)))
-        for out, column in zip(XT, pts.T):
-            np.multiply.outer(rb, column, out=out)
+    def evaluate(r, w, members):
+        shape = np.broadcast_shapes(r.shape, w.shape[:1])
+        XT = np.empty((w.shape[1], *shape))
+        for out, column in zip(XT, w.T):
+            np.multiply(r, column, out=out)
         X = XT.reshape(len(XT), -1).T
-        return [np.asarray(fns[i](X), dtype=float).reshape(len(rb), len(pts))
+        return [np.asarray(fns[i](X), dtype=float).reshape(shape)
                 for i in members]
 
-    return evaluate
+    return (lambda w: w), evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +518,6 @@ def _radial_shape(u: TrialFunction, params: Params, weight_p, gradient=False):
     return k
 
 
-def _weight(sq, exponent):
-    """|x|^(-exponent) from sq = |x|^2."""
-    if exponent == 0.0:
-        return 1.0
-    return sq ** (-exponent / 2.0)
-
-
 # The numerator and the denominator of each functional's quotient as
 # (order, w): the integrand |D u|^p |x|^(-w p - gamma), where D u is u,
 # grad u or Delta u for order 0, 1 or 2.
@@ -521,67 +527,53 @@ _INTEGRANDS = {
 }
 
 
-def _integrand_values(u: TrialFunction, params: Params, terms):
-    """``evaluate(X, members)`` for the integrands ``terms[i]``, i in
-    members: the value, the gradient and the Laplacian come from one
-    ``u.evaluate``."""
-    p, gamma = params.p, params.gamma
+def _factored_integrands(u: TrialFunction, params: Params, terms):
+    """Both engines' (angular, evaluate) kernel of the integrands
+    ``terms[i]``, factored on x = r w with |w| = 1.
 
-    def evaluate(X, members):
-        orders = [terms[i][0] for i in members]
-        sq, value, grad, lap = u.evaluate(X, gradient=1 in orders,
-                                          laplacian=2 in orders)
-        out = []
-        for i in members:
-            order, w = terms[i]
-            if order == 0:
-                base = np.abs(value) ** p
-            elif order == 1:
-                base = row_dot(grad, grad) ** (p / 2.0)
-            else:
-                base = np.abs(lap) ** p
-            out.append(base * _weight(sq, w * p + gamma))
-        return out
-
-    return evaluate
-
-
-def _tensor_values(u: TrialFunction, params: Params, terms):
-    """``evaluate`` of ``_product_pass`` for the integrands ``terms[i]``,
-    factored on the grid x = r w: F(r w) = r^lam F(w), and by Euler's
-    relation grad u = r^(lam - 1) (psi T + (lam psi + r psi') F w) with
-    T = grad F(w) - lam F w orthogonal to w.  So each integrand is a power
-    of r times |psi|^p |F|^p (order 0), |psi'' + c psi'/r|^p |F|^p
-    (order 2) or (psi^2 |T|^2 + (lam psi + r psi')^2 F^2)^(p/2) (order 1,
-    two non-negative terms: nothing cancels).  The angular parts are
-    formed once per sphere grid, psi and its derivatives once per block.
+    F(r w) = r^lam F(w), and by Euler's relation grad u = r^(lam - 1)
+    (psi T + (lam psi + r psi') F w) with T = grad F(w) - lam F w
+    orthogonal to w.  So each integrand is a power of r times |psi|^p |F|^p
+    (order 0), |psi'' + c psi'/r|^p |F|^p (order 2) or (psi^2 |T|^2 +
+    (lam psi + r psi')^2 F^2)^(p/2) (order 1, two non-negative terms:
+    nothing cancels).  ``angular(w)`` forms |F|^p, F^2 and |T|^2 (None
+    without an order-1 term); ``evaluate(r, parts, members)`` forms psi's
+    derivatives once, up to the highest order the members need, and
+    broadcasts r against the parts: radii (nr, 1) against a sphere grid's
+    in the product rule, n radii against n directions' in Monte Carlo.
     """
     p, gamma, lam = params.p, params.gamma, u.angular.homogeneity
     c = params.d - 1.0 + 2.0 * lam
-    grids = {}  # |F|^p, F^2 and |T|^2 by cached sphere grid, kept with it
+    gradient = any(order == 1 for order, _ in terms)
 
-    def evaluate(rb, pts, members):
-        if id(pts) not in grids:
-            F, G = u.angular.value_and_gradient(pts)
-            T = G - lam * F[:, None] * pts
-            grids[id(pts)] = pts, np.abs(F) ** p, F * F, row_dot(T, T)
-        _, Fp, F2, T2 = grids[id(pts)]
-        r = rb.copy()
+    def angular(w):
+        if not gradient:
+            F = u.angular.value(w)
+            return np.abs(F) ** p, F * F, None
+        F, G = u.angular.value_and_gradient(w)
+        # |T|^2 from whole columns, rounded as row_dot: no (n, d) temporary.
+        T2 = row_sum([(g - lam * F * w_k) ** 2 for g, w_k in zip(G.T, w.T)])
+        return np.abs(F) ** p, F * F, T2
+
+    def evaluate(r, parts, members):
+        Fp, F2, T2 = parts
+        r = r.copy()
         r.flags.writeable = False  # psi and its derivatives share its work
-        psi, dpsi, d2psi = u.radial.derivatives(r, 2)
+        top = max(terms[i][0] for i in members)
+        psi, dpsi, d2psi = u.radial.derivatives(r, top) + (None,) * (2 - top)
 
         def term(order, w):
             power = r ** (p * (lam - (order == 1)) - w * p - gamma)
             if order == 1:
-                inner = np.multiply.outer(psi * psi, T2)
-                inner += np.multiply.outer((lam * psi + r * dpsi) ** 2, F2)
-                return inner ** (p / 2.0) * power[:, None]
+                inner = psi * psi * T2
+                inner += (lam * psi + r * dpsi) ** 2 * F2
+                return inner ** (p / 2.0) * power
             radial = psi if order == 0 else d2psi + c * dpsi / r
-            return np.multiply.outer(power * np.abs(radial) ** p, Fp)
+            return power * np.abs(radial) ** p * Fp
 
         return [term(*terms[i]) for i in members]
 
-    return evaluate
+    return angular, evaluate
 
 
 def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
@@ -597,11 +589,10 @@ def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
         (_radial_shape(u, params, w, gradient=order == 1), scale)
         for order, w in terms
     ]
+    kernel = _factored_integrands(u, params, terms)
     if config.method == "product":
-        return _product_passes(params.d, config, len(terms),
-                               _tensor_values(u, params, terms))
-    return _mc_streams(params.d, config, proposals,
-                       _integrand_values(u, params, terms))
+        return _product_passes(params.d, config, len(terms), kernel)
+    return _mc_streams(params.d, config, proposals, kernel)
 
 
 def _check_tag(u: TrialFunction, params: Params):

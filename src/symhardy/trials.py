@@ -71,16 +71,16 @@ class RadialProfile:
 def _shared_derivatives(shared, formulas):
     """psi, psi' and psi'' from ``shared(r)``, the work the three have in
     common, and ``formulas[k](parts)``, the k-th derivative from that work,
-    a new array.  The parts of the last read-only 1-d r owning its data are
+    a new array.  The parts of the last read-only r owning its data are
     kept, so the three, called on one radial-rule node array or one array
-    of ``TrialFunction.evaluate``'s radii in turn, share them."""
+    of an integrand's radii in turn, share them."""
     last = [None, None]
 
     def parts(r):
         if r is last[0]:
             return last[1]
         out = shared(r)
-        if (isinstance(r, np.ndarray) and r.ndim == 1 and r.flags.owndata
+        if (isinstance(r, np.ndarray) and r.flags.owndata
                 and not r.flags.writeable):
             last[:] = r, out
         return out
@@ -192,15 +192,15 @@ class TrialFunction:
 
     def evaluate(self, x, gradient=False, laplacian=False):
         """(|x|^2, u, grad u, Delta u) on a batch x of shape (n, d); grad u
-        is None unless ``gradient`` is set, and column-major otherwise, and
-        Delta u is None unless ``laplacian`` is set.
+        is None unless ``gradient`` is set, and Delta u is None unless
+        ``laplacian`` is set.
 
-        The one home of u = F psi, grad u = psi grad F + F psi' x / r and
-        Delta u = F (psi'' + (d - 1 + 2 lam) psi' / r): ``value``,
-        ``gradient`` and ``laplacian`` unwrap it, and the quadrature
-        integrands call it once per block for all their terms.  |x|^2, r
-        and F (F and grad F from one ``value_and_gradient`` call) are
-        formed once, and psi and its derivatives come from one
+        The point form of u = F psi, grad u = psi grad F + F psi' x / r and
+        Delta u = F (psi'' + (d - 1 + 2 lam) psi' / r), which ``value``,
+        ``gradient`` and ``laplacian`` unwrap; the quadrature engines use
+        the factored form of ``quadrature._factored_integrands`` instead.
+        |x|^2, r and F (F and grad F from one ``value_and_gradient`` call)
+        are formed once, and psi and its derivatives come from one
         ``derivatives`` call on a read-only r.
         """
         X, _ = self._batch(x)
@@ -214,12 +214,7 @@ class TrialFunction:
             F, G = self.angular.value_and_gradient(X)
             with np.errstate(invalid="ignore", divide="ignore"):
                 radial_part = np.where(r > 0.0, F * derivs[1] / r, 0.0)
-            # Column by column, so no (n, d) broadcast temporary is formed.
-            grad = np.empty((self.dimension, len(X)))
-            for out, g, x_k in zip(grad, G.T, X.T):
-                np.multiply(psi, g, out=out)
-                out += radial_part * x_k
-            grad = grad.T
+            grad = psi[:, None] * G + radial_part[:, None] * X
         else:
             F = self.angular.value(X)
         if laplacian:
@@ -234,7 +229,7 @@ class TrialFunction:
         return float(out[0]) if np.ndim(x) == 1 else out
 
     def gradient(self, x):
-        out = np.ascontiguousarray(self.evaluate(x, gradient=True)[2])
+        out = self.evaluate(x, gradient=True)[2]
         return out[0] if np.ndim(x) == 1 else out
 
     def laplacian(self, x):

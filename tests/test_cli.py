@@ -77,8 +77,34 @@ class TestConstantsCommand:
             assert float(row["value"]) == value
             assert float(row["classical_baseline"]) == 0.0
             assert float(row["improvement_ratio"]) == math.inf
-        # the Rellich baseline was already weighted
-        assert float(rows[("antisym", "rellich")]["improvement_ratio"]) == 25.0
+        # The weighted Rellich baseline has f1 = d - gamma - 2p = -2 here:
+        # it does not hold, so no class row takes a ratio against it.
+        assert rows[("general", "rellich")]["admissible"] == "false"
+        for klass in ("antisym", "odd", "general"):
+            assert rows[(klass, "rellich")]["improvement_ratio"] == "nan"
+
+    @pytest.mark.parametrize("d, p, gamma, rellich_ratio", [
+        # Inadmissible baselines: f1 = -2.5, and f1 = 0 at the endpoint.
+        (2, "2", "-0.5", "nan"),
+        (4, "2", "0", "nan"),
+        # Admissible: the class constant over the baseline, 27.5625 / 1.5625.
+        (5, "2", "0", "17.640000000000001"),
+    ])
+    def test_ratio_only_against_an_admissible_baseline(
+            self, tmp_path, d, p, gamma, rellich_ratio):
+        out = tmp_path / "r.csv"
+        assert run(["constants", "--d", str(d), "--p", p, "--gamma", gamma,
+                    "--out", str(out)]) == 0
+        rows = {(r["class"], r["functional"]): r for r in read_csv(out)}
+        assert rows[("odd", "rellich")]["improvement_ratio"] == rellich_ratio
+        admissible = rellich_ratio != "nan"
+        assert rows[("general", "rellich")]["admissible"] == (
+            "true" if admissible else "false")
+        assert rows[("general", "rellich")]["improvement_ratio"] == (
+            "1" if admissible else "nan")
+        # The classical Hardy baseline always holds: its ratios stand.
+        assert rows[("general", "hardy")]["improvement_ratio"] in ("1", "inf")
+        assert rows[("odd", "hardy")]["improvement_ratio"] != "nan"
 
     def test_empty_grid_usage_error(self, tmp_path):
         assert run(["constants", "--d", "", "--p", "2", "--gamma", "0"]) == 2
@@ -122,7 +148,7 @@ class TestVerifyCommand:
         "klass, functional, grid, pinned",
         [
             ("antisym", "hardy", ["--d", "3,5", "--p", "2"], [
-                ("3", "15.587727356076398", "0.17141388919460038"),
+                ("3", "15.587727356076401", "0.17141388919460043"),
                 ("5", "140.59336641757702", "3.0302766551586111"),
             ]),
             ("odd", "rellich", ["--d", "3,5", "--p", "2"], [
@@ -130,20 +156,20 @@ class TestVerifyCommand:
                 ("5", "59.381198598648389", "0.76839762526309741"),
             ]),
             ("antisym", "hardy", ["--d", "5", "--p", "3", "--gamma", "1"], [
-                ("5", "1034.5059199838895", "30.728878797583938"),
+                ("5", "1034.5059199838895", "30.728878797583935"),
             ]),
             ("odd", "rellich", ["--d", "3", "--p", "3", "--gamma=-1"], [
-                ("3", "16.211934732244327", "0.23802584308017116"),
+                ("3", "16.211934732244327", "0.23802584308017113"),
             ]),
             # 160,003 samples: each stream ends in a partial block.
             ("antisym", "hardy", ["--d", "4", "--p", "3",
                                   "--samples", "160003"], [
-                ("4", "277.08432722177537", "1.9820010484176376"),
+                ("4", "277.08432722177542", "1.9820010484176382"),
             ]),
             # F = 1: the Laplacian of a general-class trial.
             ("general", "rellich", ["--d", "3,5", "--p", "2", "--gamma=-2"], [
-                ("3", "2.07549817473457", "0.02507810676120412"),
-                ("5", "21.700227083998939", "0.15637283782345135"),
+                ("3", "2.0754981747345704", "0.025078106761204123"),
+                ("5", "21.700227083998939", "0.15637283782345129"),
             ]),
         ],
         ids=["antisym-hardy-pinned0", "odd-rellich-pinned1",
@@ -672,11 +698,11 @@ class TestManifestBytes:
         table = out.read_bytes()
         assert table.count(b"\n") == 3601
         assert [row for row in table.splitlines() if b",-0," in row] == [
-            b"1,3,-2,odd,rellich,rellich_odd,0,true,-0,inf",
-            b"1,3,-2,general,rellich,rellich_mitidieri,-0,false,-0,inf",
+            b"1,3,-2,odd,rellich,rellich_odd,0,true,-0,nan",
+            b"1,3,-2,general,rellich,rellich_mitidieri,-0,false,-0,nan",
         ]
         assert hashlib.sha256(table).hexdigest() == (
-            "9e89c26150011019af78ce6f65f702b451dcb0f29239c78997349a49595c67eb")
+            "c31f8752c1e59c76e185ef4290eb50ce94dc4f5bd12e1907e2ee71f54d25caa2")
         manifest = (tmp_path / "t.csv.manifest.json").read_bytes()
         assert hashlib.sha256(manifest).hexdigest() == (
             "bb81916d065fb56c5535a1493420adeee9879a4daddfbf9918ce882cdb17f0a7")

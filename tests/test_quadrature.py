@@ -20,6 +20,7 @@ from symhardy.errors import (
 )
 from symhardy.fields import SectorDomain
 from symhardy.polynomials import (
+    AngularFactor,
     ConstantFactor,
     Vandermonde,
     odd_linear,
@@ -134,31 +135,34 @@ class TestDeterminism:
         assert a.value != b.value
 
 
+def _point_integrand(u, params, order, w):
+    """The integrand |D u|^p |x|^(-w p - gamma) of ``_INTEGRANDS`` row
+    (order, w), written out at points x from ``TrialFunction.value``,
+    ``gradient`` and ``laplacian``."""
+    p, exponent = params.p, w * params.p + params.gamma
+
+    def fn(X):
+        if order == 0:
+            base = np.abs(u.value(X)) ** p
+        elif order == 1:
+            g = u.gradient(X)
+            base = qd.row_dot(g, g) ** (p / 2.0)
+        else:
+            base = np.abs(u.laplacian(X)) ** p
+        if exponent == 0.0:
+            return base
+        return base * qd.row_dot(X, X) ** (-exponent / 2.0)
+
+    return fn
+
+
 def _separate_integrals(u, functional, params, config):
     """Numerator and denominator as two independent ``mc_integral`` calls
     with the same seed, or ``product_integral`` calls, from the integrands
     written out in full."""
-    p, gamma = params.p, params.gamma
-
-    def weight(X, exponent):
-        return 1.0 if exponent == 0.0 else qd.row_dot(X, X) ** (-exponent / 2.0)
-
-    def grad_sq(X):
-        g = u.gradient(X)
-        return qd.row_dot(g, g)
-
-    if functional is Functional.HARDY:
-        parts = [
-            (lambda X: grad_sq(X) ** (p / 2.0) * weight(X, gamma), 0, True),
-            (lambda X: np.abs(u.value(X)) ** p * weight(X, p + gamma), 1, False),
-        ]
-    else:
-        parts = [
-            (lambda X: np.abs(u.laplacian(X)) ** p * weight(X, gamma), 0, False),
-            (lambda X: np.abs(u.value(X)) ** p * weight(X, 2.0 * p + gamma), 2,
-             False),
-        ]
-    scale = qd._radial_scale(u, p)
+    parts = [(_point_integrand(u, params, order, w), w, order == 1)
+             for order, w in qd._INTEGRANDS[functional]]
+    scale = qd._radial_scale(u, params.p)
     if config.method == "product":
         for _, w, grad in parts:
             qd._radial_shape(u, params, w, gradient=grad)
@@ -185,19 +189,48 @@ class TestSharedDraws:
 
     CASES = [(ANTI, vandermonde, Functional.HARDY),
              (ODD, odd_linear, Functional.HARDY),
+             (GEN, ConstantFactor, Functional.HARDY),
              (ANTI, vandermonde, Functional.RELLICH),
-             (ODD, odd_linear, Functional.RELLICH)]
+             (ODD, odd_linear, Functional.RELLICH),
+             (GEN, ConstantFactor, Functional.RELLICH)]
 
     @staticmethod
     def _compare(klass, factor, functional, d, p, gamma, config):
+        """The shared pass against one ``_mc_streams`` call per integral,
+        each with its own proposal and the same kernel: the same bits, or
+        the same named refusal."""
+        u = gaussian_trial(factor(d), 1.0)
+        params = Params(d, p, gamma, klass)
+        terms = qd._INTEGRANDS[functional]
+        shared = _outcome(lambda: qd._estimates(u, params, config, terms))
+        want = _outcome(lambda: [qd._estimates(u, params, config, [term])[0]
+                                 for term in terms])
+        assert shared == want
+        return shared
+
+    @staticmethod
+    def _compare_points(klass, factor, functional, d, p, gamma, config,
+                        error_tol=1e-9):
+        """The factored kernel's estimates against point-form
+        ``mc_integral`` or ``product_integral`` calls: values within 1e-12
+        relative, error bars within ``error_tol`` of the value, equal
+        counts and equal refusals.  A general-class Monte Carlo integral
+        whose proposal matches it exactly has variance 0, so its error bar
+        is rounding noise of about 1e-10: hence the looser default."""
         u = gaussian_trial(factor(d), 1.0)
         params = Params(d, p, gamma, klass)
         terms = qd._INTEGRANDS[functional]
         shared = _outcome(lambda: qd._estimates(u, params, config, terms))
         want = _outcome(lambda: _separate_integrals(u, functional, params,
                                                     config))
-        assert shared == want
-        return shared
+        if isinstance(want, tuple):
+            assert shared == want
+            return
+        for got, ref in zip(shared, want):
+            assert (got.n, got.degenerate, got.method) == (
+                ref.n, ref.degenerate, ref.method)
+            assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+            assert abs(got.error - ref.error) <= error_tol * abs(ref.value)
 
     @pytest.mark.parametrize("klass, factor, functional", CASES)
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -210,11 +243,22 @@ class TestSharedDraws:
         self._compare(klass, factor, functional, d, p, gamma, config)
 
     @pytest.mark.parametrize("klass, factor, functional", CASES)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0])
+    def test_agrees_with_point_form(self, klass, factor, functional, d, p,
+                                    gamma):
+        config = qd.QuadratureConfig(samples=20_003, seed=d + 7)
+        self._compare_points(klass, factor, functional, d, p, gamma, config)
+
+    @pytest.mark.parametrize("klass, factor, functional", CASES)
     @pytest.mark.parametrize("d", [3, 5])
     def test_single_stream(self, klass, factor, functional, d):
         config = qd.QuadratureConfig(samples=5_001, seed=11, n_streams=1)
         shared = self._compare(klass, factor, functional, d, 3.0, -0.5, config)
-        assert [est.n for est in shared] == [5_001, 5_001]
+        if klass is not GEN:  # the general class's mass diverges here
+            assert [est.n for est in shared] == [5_001, 5_001]
+        self._compare_points(klass, factor, functional, d, 3.0, -0.5, config)
 
     @pytest.mark.parametrize("klass, factor", [(ANTI, vandermonde),
                                                (ODD, odd_linear),
@@ -226,22 +270,28 @@ class TestSharedDraws:
     @pytest.mark.parametrize("gamma", [-1.0, 0.0, 1.0])
     def test_product_factored_values_match_points(self, klass, factor,
                                                   functional, d, p, gamma):
-        # The product rule's factored integrands against the point
-        # integrands at X = r w.  The point route's |x| is r to within an
-        # ulp or two, which the Gaussian exp(-p r^2 / 2) turns into a
-        # relative change of about p r^2 ulp at large r; the bound allows
-        # for that.
+        # The factored kernel in the product layout, radii (nr, 1) against
+        # a sphere grid, against the point integrands at X = r w.  The
+        # point route's |x| is r to within an ulp or two, which the
+        # Gaussian exp(-p r^2 / 2) turns into a relative change of about
+        # p r^2 ulp at large r; the bound allows for that.  The Monte
+        # Carlo layout, n radii against n directions, gives the same bits.
         u = gaussian_trial(factor(d), 1.0)
         params = Params(d, p, gamma, klass)
         terms = qd._INTEGRANDS[functional]
         rb = np.geomspace(1e-6, 40.0, 17)
         pts, _ = qd.sphere_grid(d, 12)
         X = (rb[:, None, None] * pts[None, :, :]).reshape(-1, d)
+        angular, evaluate = qd._factored_integrands(u, params, terms)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            got = qd._tensor_values(u, params, terms)(rb, pts, [0, 1])
-            want = qd._integrand_values(u, params, terms)(X, [0, 1])
+            got = evaluate(rb[:, None], angular(pts), [0, 1])
+            flat = evaluate(np.repeat(rb, len(pts)),
+                            angular(np.tile(pts, (len(rb), 1))), [0, 1])
+            want = [_point_integrand(u, params, *term)(X) for term in terms]
         tol = 1e-13 + 2.0 * p * rb**2 * np.finfo(float).eps
-        for g, w in zip(got, want):
+        for g, f, w in zip(got, flat, want):
+            assert g.shape == (len(rb), len(pts))
+            assert np.array_equal(f.reshape(g.shape), g)
             w = w.reshape(g.shape)
             assert np.isfinite(g).all() and np.isfinite(w).all()
             scale = np.abs(w).max(axis=1)
@@ -257,27 +307,13 @@ class TestSharedDraws:
         # point integrand, and a refusal is the same named error.
         config = qd.QuadratureConfig(method="product", radial_nodes=40,
                                      angular_nodes=12)
-        u = gaussian_trial(factor(d), 1.0)
-        params = Params(d, p, gamma, klass)
-        terms = qd._INTEGRANDS[functional]
-        shared = _outcome(lambda: qd._estimates(u, params, config, terms))
-        want = _outcome(lambda: _separate_integrals(u, functional, params,
-                                                    config))
-        if isinstance(want, tuple):
-            assert shared == want
-            return
-        for got, ref in zip(shared, want):
-            assert (got.n, got.degenerate, got.method) == (
-                ref.n, ref.degenerate, ref.method)
-            assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
-            assert abs(got.error - ref.error) <= 1e-12 * abs(ref.value)
+        self._compare_points(klass, factor, functional, d, p, gamma, config,
+                             error_tol=1e-12)
 
     def test_quotient_report_uses_the_same_estimates(self):
         u = gaussian_trial(vandermonde(4), 1.0)
         params = Params(4, 3.0, 1.0, ANTI)
         rep = qd.rayleigh_quotient(u, Functional.HARDY, params, CFG)
-        num, den = _separate_integrals(u, Functional.HARDY, params, CFG)
-        assert (rep.numerator, rep.denominator) == (num, den)
         assert rep.numerator == integral(u, Functional.HARDY, 0, params, CFG)
         assert rep.denominator == integral(u, Functional.HARDY, 1, params, CFG)
 
@@ -286,21 +322,29 @@ class TestSharedDraws:
         (Functional.RELLICH, 16),  # unequal shapes: radii drawn twice
     ])
     def test_points_drawn_once_per_shape(self, functional, calls):
+        # Directions are drawn, and the angular parts formed, once per
+        # stream's block whatever the number of radial shapes.
         u = gaussian_trial(vandermonde(3), 1.0)
         params = Params(3, 2.0, 0.0, ANTI)
         terms = qd._INTEGRANDS[functional]
         shapes = [qd._radial_shape(u, params, w, gradient=order == 1)
                   for order, w in terms]
-        evaluate = qd._integrand_values(u, params, terms)
-        seen = []
+        angular, evaluate = qd._factored_integrands(u, params, terms)
+        seen, directions = [], []
 
-        def counting(X, members):
+        def counting_angular(w):
+            directions.append(len(w))
+            return angular(w)
+
+        def counting(r, parts, members):
             seen.append(tuple(members))
-            return evaluate(X, members)
+            return evaluate(r, parts, members)
 
         config = qd.QuadratureConfig(samples=4_000, seed=2)
-        qd._mc_streams(3, config, [(k, 0.7) for k in shapes], counting)
+        qd._mc_streams(3, config, [(k, 0.7) for k in shapes],
+                       (counting_angular, counting))
         assert len(seen) == calls
+        assert directions == [500] * 8
 
     @staticmethod
     def _nan_where(column, threshold):
@@ -323,7 +367,7 @@ class TestSharedDraws:
             qd.mc_integral(num_fn, 2, config, shapes[0], 1.0)
         with pytest.raises(DegenerateSampleError) as got:
             qd._mc_streams(2, config, [(k, 1.0) for k in shapes],
-                           lambda X, members: [fns[i](X) for i in members])
+                           qd._points_values(fns))
         assert str(got.value) == str(want.value)
 
     def test_degenerate_denominator_alone(self):
@@ -334,15 +378,17 @@ class TestSharedDraws:
         fns = (lambda X: np.ones(len(X)), den_fn)
         with pytest.raises(DegenerateSampleError) as got:
             qd._mc_streams(2, config, [(3.0, 1.0), (3.0, 1.0)],
-                           lambda X, members: [fns[i](X) for i in members])
+                           qd._points_values(fns))
         assert str(got.value) == str(want.value)
 
 
-def _unblocked_streams(d, config, proposals, evaluate):
+def _unblocked_streams(d, config, proposals, kernel):
     """``_mc_streams`` as it ran before streams were split into blocks: one
-    ``evaluate`` per stream and proposal, on X = z * (r / norms)[:, None]."""
+    ``angular`` per stream on w = z / |z|, and one ``evaluate`` per stream
+    and proposal."""
     from scipy.special import gammaln
 
+    angular, evaluate = kernel
     groups = {}
     for i, (k, s) in enumerate(proposals):
         groups.setdefault((float(k), float(s)), []).append(i)
@@ -355,16 +401,16 @@ def _unblocked_streams(d, config, proposals, evaluate):
         z = rng.standard_normal((m, d))
         norms = np.sqrt((z * z).sum(axis=1))
         norms[norms == 0.0] = 1.0
+        parts = angular(z / norms[:, None])
         after_directions = rng.bit_generator.state
         for (k, s), members in groups.items():
             rng.bit_generator.state = after_directions
             r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
-            X = z * (r / norms)[:, None]
             outside = (r < config.r_min) | (r > config.r_max)
             log_norm = ((k / 2.0 - 1.0) * math.log(2.0) + gammaln(k / 2.0)
                         + k * math.log(s))
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                values = evaluate(X, members)
+                values = evaluate(r, parts, members)
                 logw = (d - k) * np.log(r) + r * r / (2.0 * s * s) + log_norm
                 density = area * np.exp(logw)
                 for i, vals in zip(members, values):
@@ -401,62 +447,110 @@ class TestStreamBlocks:
         terms = qd._INTEGRANDS[functional]
         proposals = [(qd._radial_shape(u, params, w, gradient=order == 1),
                       qd._radial_scale(u, params.p)) for order, w in terms]
-        return proposals, qd._integrand_values(u, params, terms)
+        return proposals, qd._factored_integrands(u, params, terms)
 
     @pytest.mark.parametrize("klass, factor, functional", CASES)
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("n_streams", [1, 3])
     def test_bit_identical_to_one_evaluation_per_stream(
             self, klass, factor, functional, size, n_streams):
-        proposals, evaluate = self._setup(klass, factor, functional)
+        proposals, kernel = self._setup(klass, factor, functional)
         # One more sample than whole streams: the first stream is one
         # point longer than the others.
         config = qd.QuadratureConfig(samples=size * n_streams + 1, seed=5,
                                      n_streams=n_streams)
-        got = qd._mc_streams(3, config, proposals, evaluate)
-        assert got == _unblocked_streams(3, config, proposals, evaluate)
+        got = qd._mc_streams(3, config, proposals, kernel)
+        assert got == _unblocked_streams(3, config, proposals, kernel)
 
     @pytest.mark.parametrize("klass, factor, functional", CASES)
     def test_evaluations_per_block(self, klass, factor, functional):
-        proposals, evaluate = self._setup(klass, factor, functional)
-        rows = []
+        proposals, (angular, evaluate) = self._setup(klass, factor,
+                                                     functional)
+        directions, rows = [], []
 
-        def counting(X, members):
-            rows.append(len(X))
-            return evaluate(X, members)
+        def counting_angular(w):
+            directions.append(len(w))
+            return angular(w)
+
+        def counting(r, parts, members):
+            rows.append(len(r))
+            return evaluate(r, parts, members)
 
         config = qd.QuadratureConfig(samples=2 * self.B + 1, seed=5,
                                      n_streams=1)
-        qd._mc_streams(3, config, proposals, counting)
+        qd._mc_streams(3, config, proposals, (counting_angular, counting))
         groups = len(set(proposals))
-        assert rows == [self.B, self.B, 1] * groups
+        assert directions == [self.B, self.B, 1]
+        assert rows == [n for n in (self.B, self.B, 1) for _ in range(groups)]
 
     @pytest.mark.parametrize("offsets", [(-1,), (0,), (-1, 0), (-1, 0, 1)])
     def test_nan_at_a_block_edge(self, offsets):
         # Poison the points just before and just after the first block
-        # edge of the first stream: both routes count them alike.
-        proposals, evaluate = self._setup(ANTI, vandermonde, Functional.HARDY)
+        # edge of the first stream, found by their radii: both routes
+        # count them alike.
+        proposals, (angular, evaluate) = self._setup(ANTI, vandermonde,
+                                                     Functional.HARDY)
         config = qd.QuadratureConfig(samples=2 * (self.B + 7), seed=9,
                                      n_streams=2)
         (k, s), _ = proposals
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed).spawn(2)[0])
-        z = rng.standard_normal((self.B + 7, 3))
+        rng.standard_normal((self.B + 7, 3))
         r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=self.B + 7))
-        X = z * (r / np.sqrt((z * z).sum(axis=1)))[:, None]
-        targets = X[[self.B + offset for offset in offsets]]
+        targets = r[[self.B + offset for offset in offsets]]
 
-        def poisoned(X, members):
-            hit = (X[:, None, :] == targets[None, :, :]).all(axis=2).any(axis=1)
-            values = evaluate(X, members)
+        def poisoned(r, parts, members):
+            values = evaluate(r, parts, members)
             for vals in values:
-                vals[hit] = np.nan
+                vals[np.isin(r, targets)] = np.nan
             return values
 
-        got = qd._mc_streams(3, config, proposals, poisoned)
-        want = _unblocked_streams(3, config, proposals, poisoned)
+        got = qd._mc_streams(3, config, proposals, (angular, poisoned))
+        want = _unblocked_streams(3, config, proposals, (angular, poisoned))
         assert got == want
         assert [est.degenerate for est in got] == [len(offsets)] * 2
+
+
+class TestOneKernel:
+    """Both engines take their integrands from ``_factored_integrands``:
+    the Monte Carlo engine forms the angular factor once per block, and
+    neither engine goes through ``TrialFunction.evaluate``."""
+
+    @staticmethod
+    def _count(monkeypatch, calls, owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def test_rellich_angular_factor_once_per_block(self, monkeypatch):
+        # Two proposal groups, three blocks in the one stream: F once per
+        # block, not once per group.
+        calls = {"value": 0, "evaluate": 0}
+        self._count(monkeypatch, calls, AngularFactor, "value")
+        self._count(monkeypatch, calls, TrialFunction, "evaluate")
+        u = gaussian_trial(odd_linear(3), 1.0)
+        config = qd.QuadratureConfig(samples=2 * qd._BLOCK + 1, seed=5,
+                                     n_streams=1)
+        qd.rayleigh_quotient(u, Functional.RELLICH, Params(3, 2.0, 0.0, ODD),
+                             config)
+        assert calls == {"value": 3, "evaluate": 0}
+
+    @pytest.mark.parametrize("method", ["mc", "product"])
+    @pytest.mark.parametrize("functional", [Functional.HARDY,
+                                            Functional.RELLICH])
+    def test_no_engine_calls_trial_evaluate(self, monkeypatch, method,
+                                            functional):
+        calls = {"evaluate": 0}
+        self._count(monkeypatch, calls, TrialFunction, "evaluate")
+        u = gaussian_trial(vandermonde(3), 1.0)
+        config = qd.QuadratureConfig(method=method, samples=20_000,
+                                     radial_nodes=40, angular_nodes=12)
+        qd.rayleigh_quotient(u, functional, Params(3, 2.0, 0.0, ANTI), config)
+        assert calls == {"evaluate": 0}
 
 
 class TestScalingLaws:
@@ -1207,15 +1301,13 @@ class TestProductBlocks:
 
         def hardy(X):
             g = u.gradient(X)
-            return qd.row_dot(g, g) ** 1.25 * qd._weight(qd.row_dot(X, X), 0.5)
+            return qd.row_dot(g, g) ** 1.25 * qd.row_dot(X, X) ** -0.25
 
         def rellich(X):
-            return np.abs(u.laplacian(X)) ** 3.0 * qd._weight(
-                qd.row_dot(X, X), -1.0)
+            return np.abs(u.laplacian(X)) ** 3.0 * qd.row_dot(X, X) ** 0.5
 
         def mass(X):
-            return np.abs(u.value(X)) ** 2.0 * qd._weight(qd.row_dot(X, X),
-                                                         2.0)
+            return np.abs(u.value(X)) ** 2.0 / qd.row_dot(X, X)
 
         def rare(X):
             # Non-finite at a few nodes near |x| = 1: few enough that the
@@ -1251,8 +1343,10 @@ class TestProductBlocks:
         fns = [integrands[key] for key in pair]
         cfg = qd.QuadratureConfig(method="product")
         for r_min in (cfg.r_min, 5e-7):
+            angular, evaluate = qd._points_values(fns)
             totals, degen, n = qd._product_pass(
-                d, nr, na, r_min, cfg.r_max, 2, qd._points_values(fns))
+                d, nr, na, r_min, cfg.r_max, 2, evaluate,
+                angular(qd.sphere_grid(d, na)[0]))
             for i, fn in enumerate(fns):
                 want = _per_radius_pass(fn, d, cfg, nr, na, r_min)
                 assert (totals[i], degen[i], n) == want
@@ -1265,8 +1359,7 @@ class TestProductBlocks:
                                   angular_nodes=na)
         integrands = self._integrands(d)
         u = gaussian_trial(vandermonde(d), 1.3)
-        mass = lambda X: np.abs(u.value(X)) ** 2.0 * qd._weight(
-            qd.row_dot(X, X), 2.0)
+        mass = lambda X: np.abs(u.value(X)) ** 2.0 / qd.row_dot(X, X)
         fns = [integrands["hardy"], mass]
         got = qd._product_passes(d, cfg, 2, qd._points_values(fns))
         assert got == [qd.product_integral(fn, d, cfg) for fn in fns]
@@ -1327,20 +1420,20 @@ class TestProductBlocks:
     @pytest.mark.parametrize("functional", [Functional.HARDY,
                                             Functional.RELLICH])
     def test_blocks_hold_at_most_block_nodes(self, monkeypatch, functional):
-        tensor_values = qd._tensor_values
+        factored = qd._factored_integrands
         sizes = []
 
         def recording(*args):
-            evaluate = tensor_values(*args)
+            angular, evaluate = factored(*args)
 
-            def wrapper(rb, pts, members):
-                values = evaluate(rb, pts, members)
+            def wrapper(r, parts, members):
+                values = evaluate(r, parts, members)
                 sizes.extend(vals.size for vals in values)
                 return values
 
-            return wrapper
+            return angular, wrapper
 
-        monkeypatch.setattr(qd, "_tensor_values", recording)
+        monkeypatch.setattr(qd, "_factored_integrands", recording)
         u = gaussian_trial(vandermonde(3), 1.0)
         qd.rayleigh_quotient(u, functional, Params(3, 2.0, 0.0, ANTI),
                              qd.QuadratureConfig(method="product"))

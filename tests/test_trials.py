@@ -211,10 +211,10 @@ def test_quintic_step_off_the_ramp_is_the_array_result(start, end):
 
 class TestProfileMemo:
     """A profile's psi, dpsi and d2psi share one memo of their common work,
-    keyed on the last read-only 1-d array of radii they were passed (the
-    radial rule's nodes, or ``TrialFunction.evaluate``'s radii); it must
-    not change a bit of any of them, and must never serve an array that
-    can still change."""
+    keyed on the last read-only array of radii they were passed (the
+    radial rule's nodes, or an integrand kernel's radii, a column in the
+    product rule); it must not change a bit of any of them, and must never
+    serve an array that can still change."""
 
     ARGS = (0.3, 0.7, 0.05)
 
@@ -247,6 +247,10 @@ class TestProfileMemo:
         assert len(calls) == 1
         profile.psi(self.nodes(PROFILE_RADII))
         assert len(calls) == 2
+        column = self.nodes(PROFILE_RADII[:, None])
+        for part in ("psi", "dpsi", "d2psi"):
+            assert getattr(profile, part)(column).shape == column.shape
+        assert len(calls) == 3
 
     def test_changeable_arrays_are_not_memoized(self):
         profile = tr.piecewise_power_profile(*self.ARGS)
