@@ -109,9 +109,6 @@ class ConstantValue:
     admissible: bool
     condition_residual: float | None = None
 
-    def __float__(self):
-        return float(self.value)
-
 
 def _check_args(d, p, gamma):
     if int(d) != d or d < 1:

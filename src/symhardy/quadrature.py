@@ -41,11 +41,9 @@ for the sharpness family's outer power, and one-dimensional ``quad`` on
 numeric segment.  This is the route the sharpness sweeps use, since
 power-law tails defeat the gamma importance density.
 
-``quad`` is a numpy double-exponential rule, so scipy is imported only
-for ``scipy.special.gammaln``, when the Monte Carlo sampler first
-normalizes its radial density; nothing else loads it.  ``gammaln`` is not
-swapped for ``math.lgamma``: the two differ in the last bits for many
-arguments, which would change the Monte Carlo estimates and the CLI bytes.
+``quad`` is a numpy double-exponential rule and the Monte Carlo sampler
+normalizes its radial density with ``math.lgamma``, so every engine runs
+on numpy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -304,9 +302,6 @@ def _mc_streams(d, config: QuadratureConfig, proposals, kernel):
     drew r.  One stream's draws are held at a time; a stream whose
     directions exceed ``_STREAM_BUDGET`` doubles (1 GiB) is refused first.
     """
-    # scipy's gammaln, not math.lgamma: they differ in the last bits.
-    from scipy.special import gammaln
-
     _check_samples(config.samples)
     angular, evaluate = kernel
     groups = {}
@@ -316,7 +311,7 @@ def _mc_streams(d, config: QuadratureConfig, proposals, kernel):
         groups.setdefault((float(k), float(s)), []).append(i)
     area = sphere_area(d)
     log_norm = {
-        (k, s): (k / 2.0 - 1.0) * math.log(2.0) + gammaln(k / 2.0)
+        (k, s): (k / 2.0 - 1.0) * math.log(2.0) + math.lgamma(k / 2.0)
         + k * math.log(s)
         for k, s in groups
     }
@@ -625,6 +620,19 @@ def _build_report(num: Estimate, den: Estimate, ref: ConstantValue):
     return _report(num, den, quotient, abs(quotient) * rel, ref)
 
 
+def _admissible_reference(params: Params, functional) -> ConstantValue:
+    """The reference constant, refused with its condition residual where
+    it is inadmissible: no quotient is reported against it."""
+    ref = reference_constant(params, functional)
+    if not ref.admissible:
+        raise DomainError(
+            f"reference constant {ref.formula_id} is inadmissible for "
+            f"(d={params.d}, p={params.p}, gamma={params.gamma}); "
+            f"condition residual {ref.condition_residual}"
+        )
+    return ref
+
+
 def rayleigh_quotient(
     u: TrialFunction,
     functional: Functional,
@@ -638,13 +646,7 @@ def rayleigh_quotient(
     condition residual.  Both checks come before any integration.
     """
     _check_tag(u, params)
-    ref = reference_constant(params, functional)
-    if not ref.admissible:
-        raise DomainError(
-            f"reference constant {ref.formula_id} is inadmissible for "
-            f"(d={params.d}, p={params.p}, gamma={params.gamma}); "
-            f"condition residual {ref.condition_residual}"
-        )
+    ref = _admissible_reference(params, functional)
     num, den = _estimates(u, params, config, _INTEGRANDS[functional])
     return _build_report(num, den, ref)
 
@@ -788,7 +790,8 @@ def _separable_quotient(u: TrialFunction, params: Params, functional):
     """Both separable quotients from the radial terms of ``_INTEGRANDS``.
 
     Refuses a trial whose class is not the params' and the general class
-    (F = 1), and a denominator that is not integrable at the origin.  For
+    (F = 1), a denominator that is not integrable at the origin, and an
+    inadmissible reference constant, as ``rayleigh_quotient`` does.  For
     harmonic F homogeneous of order lam the sphere moment of |F|^p is a
     common factor, so the report carries the radial integrals, each with
     its quad error.  At p = 2 the Hardy numerator's cross term
@@ -805,7 +808,7 @@ def _separable_quotient(u: TrialFunction, params: Params, functional):
         )
     rows = _INTEGRANDS[functional]
     _radial_shape(u, params, rows[1][1])
-    ref = reference_constant(params, functional)
+    ref = _admissible_reference(params, functional)
     p, lam, profile = params.p, u.angular.homogeneity, u.radial
     c = params.d - 1.0 + 2.0 * lam
     terms = [_radial_term(profile, order,

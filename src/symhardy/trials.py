@@ -184,12 +184,6 @@ class TrialFunction:
     def dimension(self):
         return self.angular.dimension
 
-    def _batch(self, x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        if X.shape[1] != self.dimension:
-            raise InvalidDimensionError("point dimension mismatch")
-        return X, np.asarray(x).ndim == 1
-
     def evaluate(self, x, gradient=False, laplacian=False):
         """(|x|^2, u, grad u, Delta u) on a batch x of shape (n, d); grad u
         is None unless ``gradient`` is set, and Delta u is None unless
@@ -203,7 +197,9 @@ class TrialFunction:
         are formed once, and psi and its derivatives come from one
         ``derivatives`` call on a read-only r.
         """
-        X, _ = self._batch(x)
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        if X.shape[1] != self.dimension:
+            raise InvalidDimensionError("point dimension mismatch")
         sq = row_dot(X, X)
         r = np.sqrt(sq)
         r.flags.writeable = False  # psi and its derivatives share its work

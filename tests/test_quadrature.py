@@ -386,8 +386,6 @@ def _unblocked_streams(d, config, proposals, kernel):
     """``_mc_streams`` as it ran before streams were split into blocks: one
     ``angular`` per stream on w = z / |z|, and one ``evaluate`` per stream
     and proposal."""
-    from scipy.special import gammaln
-
     angular, evaluate = kernel
     groups = {}
     for i, (k, s) in enumerate(proposals):
@@ -407,8 +405,8 @@ def _unblocked_streams(d, config, proposals, kernel):
             rng.bit_generator.state = after_directions
             r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
             outside = (r < config.r_min) | (r > config.r_max)
-            log_norm = ((k / 2.0 - 1.0) * math.log(2.0) + gammaln(k / 2.0)
-                        + k * math.log(s))
+            log_norm = ((k / 2.0 - 1.0) * math.log(2.0)
+                        + math.lgamma(k / 2.0) + k * math.log(s))
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 values = evaluate(r, parts, members)
                 logw = (d - k) * np.log(r) + r * r / (2.0 * s * s) + log_norm
@@ -733,6 +731,19 @@ class TestQuotients:
                 CFG,
             )
 
+    @pytest.mark.parametrize("p, gamma", [(5.0, -2.5), (4.5, -2.0)])
+    def test_separable_refuses_an_inadmissible_reference(self, p, gamma):
+        # rellich_odd at d = 3 is inadmissible at both points (its value is
+        # -0.0147 at the first, nan at the second): the separable front
+        # refuses it with the Monte Carlo front's message.
+        pr = Params(3, p, gamma, ODD)
+        u = gaussian_trial(odd_linear(3), 1.0)
+        with pytest.raises(DomainError, match="inadmissible") as mc:
+            qd.rayleigh_quotient(u, Functional.RELLICH, pr, CFG)
+        with pytest.raises(DomainError) as sep:
+            qd.separable_rellich_quotient(u, pr)
+        assert str(sep.value) == str(mc.value)
+
     @pytest.mark.parametrize(
         "quotient", [qd.separable_hardy_quotient, qd.separable_rellich_quotient]
     )
@@ -1034,8 +1045,8 @@ class TestRadialRuleOracle:
         lam = factor(d).homogeneity
         m_num = p * lam + d - 1 - gamma
         m_den = m_num - 2 * p
-        rep = qd.separable_rellich_quotient(gaussian_trial(factor(d), sigma),
-                                            Params(d, p, gamma, klass))
+        u = gaussian_trial(factor(d), sigma)
+        params = Params(d, p, gamma, klass)
         s2, c = mpmath.mpf(sigma) ** 2, d - 1 + 2 * lam
         a = p / (2 * s2)
         num = mpmath.quad(
@@ -1043,6 +1054,21 @@ class TestRadialRuleOracle:
             * mpmath.exp(-a * r * r),
             [0, mpmath.sqrt(s2 * (1 + c)), mpmath.inf]) / s2 ** (2 * p)
         den = self.moment(m_den, a)
+        if not reference_constant(params, Functional.RELLICH).admissible:
+            # The front refuses to report against the reference (odd, d = 6,
+            # p = 5.5: residual -45), so the rule's two integrals are
+            # checked directly, split at the kink as the front splits them.
+            with pytest.raises(DomainError, match="inadmissible"):
+                qd.separable_rellich_quotient(u, params)
+            kink = sigma * math.sqrt(1.0 + c)
+            (num_value, den_value), (num_err, den_err) = qd._radial_integrals(
+                u.radial, [qd._radial_term(u.radial, 2, m_num, p, c),
+                           qd._radial_term(u.radial, 0, m_den, p, c)],
+                (("numeric", 0.0, kink), ("numeric", kink, math.inf)))
+            self.assert_within(num_value, num_err, num)
+            self.assert_within(den_value, den_err, den)
+            return
+        rep = qd.separable_rellich_quotient(u, params)
         self.assert_within(rep.numerator.value, rep.numerator.error, num)
         self.assert_within(rep.denominator.value, rep.denominator.error, den)
         # Its error bar covers the true error, which is within 1e-12.
