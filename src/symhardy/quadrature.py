@@ -6,18 +6,18 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
   sphere; radii follow a generalized-gamma density r^(k-1) exp(-r^2/2s^2)
   whose shape k is matched to the integrand's behavior near the origin
   (for Gaussian-profile trials the radial part of the weighted mass
-  integrand is matched exactly).  Sampling is partitioned into
-  independently seeded streams and reduced in a fixed pairwise order, so
-  estimates are bit-identical given (seed, samples, n_streams).  A
-  quotient's numerator and denominator come from one pass over the
-  streams: each stream draws its directions once for both, and each
-  distinct radial shape draws its radii from the generator state that
-  follows them, so both integrals see exactly the points that separate
-  ``mc_integral`` calls with the same seed would draw.  A stream is
-  evaluated in blocks of at most ``_BLOCK`` points: the angular parts once
-  per block on its unit directions w, built column-major, the radial parts
-  once per shape.  The weighted values fill one array per stream and the
-  stream's sums are taken over it, so blocking does not change a bit.
+  integrand is matched exactly).  Sampling is split into streams of at
+  most ``_BLOCK`` points, each seeded by the next child of
+  ``SeedSequence(seed)``, and their sums are added with ``math.fsum``, so
+  estimates are bit-identical given (seed, samples) and memory does not
+  grow with samples.  A quotient's numerator and denominator come from one
+  pass over the streams: each stream draws its directions once for both,
+  and each distinct radial shape draws its radii from the generator state
+  that follows them, so both integrals see exactly the points that
+  separate ``mc_integral`` calls with the same seed would draw.  The
+  angular parts are formed once per stream on its unit directions w,
+  built column-major, and the radial parts once per shape.  An error bar
+  is at least 1e-14 of the estimate, the rounding level of its sums.
 * ``product``: a log-radial Gauss-Legendre rule times a tensor angular
   rule on the sphere (d <= 4).  The reported error is the change under
   halving both node counts.  Whole radii are grouped into blocks of at
@@ -90,11 +90,13 @@ DEGENERATE_FRACTION = 1e-3
 # stored column-major and the kernels work column by column, so most
 # temporaries are (n,) float arrays of at most 80 kB: small enough to be
 # reused from the heap rather than mapped and page-faulted afresh (glibc
-# maps 128 KiB and up).  The product rule groups whole radii until a block
-# would exceed it.
+# maps 128 KiB and up).  A Monte Carlo stream is one block; the product rule
+# groups whole radii until a block would exceed it.
 _BLOCK = 10_000
-# Most doubles in one stream's direction draw, samples / n_streams by d.
-_STREAM_BUDGET = 2**27
+# Most normal draws for one call's directions, samples by d.  Memory stays
+# within one block whatever the count; the bound keeps a mistyped count,
+# such as 1e10, from running for hours.
+_MAX_DRAWS = 2**30
 # quad's first step, t-ranges (multiples of 2 _DE_STEP: tanh-sinh weights
 # < 1e-58 at |t| = 4.5; exp-sinh x - lo from 1e-226 to 4e18), tolerance
 # and most halvings.
@@ -117,7 +119,6 @@ class QuadratureConfig:
     method: str = "mc"  # "mc" or "product"
     samples: int = 200_000
     seed: int = 0
-    n_streams: int = 8
     r_min: float = 1e-6
     r_max: float = 40.0
     radial_nodes: int = 200
@@ -130,8 +131,8 @@ class QuadratureConfig:
             )
         if self.method == "mc":
             _check_samples(self.samples)
-        for name, least in (("seed", 0), ("n_streams", 1),
-                            ("radial_nodes", 1), ("angular_nodes", 1)):
+        for name, least in (("seed", 0), ("radial_nodes", 1),
+                            ("angular_nodes", 1)):
             if getattr(self, name) < least:
                 raise DomainError(
                     f"{name} must be >= {least}, got {getattr(self, name)}"
@@ -251,37 +252,14 @@ def _sphere_rule(d, n):
     return pts, W
 
 
-def _chunk_sizes(total, parts):
-    base = total // parts
-    sizes = [base] * parts
-    for i in range(total - base * parts):
-        sizes[i] += 1
-    return [s for s in sizes if s > 0]
-
-
-def _tree_reduce(stats):
-    # Fixed pairwise reduction keeps the estimate independent of how the
-    # streams would be scheduled concurrently.
-    stats = list(stats)
-    while len(stats) > 1:
-        nxt = []
-        for i in range(0, len(stats) - 1, 2):
-            a, b = stats[i], stats[i + 1]
-            nxt.append(tuple(x + y for x, y in zip(a, b)))
-        if len(stats) % 2:
-            nxt.append(stats[-1])
-        stats = nxt
-    return stats[0]
-
-
 def mc_integral(fn, d, config: QuadratureConfig, radial_shape, radial_scale):
     """Importance-sampled estimate of the integral of fn over R^d.
 
     ``radial_shape`` (k) and ``radial_scale`` (s) define the radial
     proposal density r^(k-1) exp(-r^2 / (2 s^2)).  Non-finite integrand
     samples are zeroed and counted; more than 0.1 percent of them aborts.
-    ``fn`` is called on column-major blocks of at most ``_BLOCK`` points
-    x = r w, built by ``_points_values``.
+    ``fn`` is called once per stream, on its at most ``_BLOCK`` points
+    x = r w, built column-major by ``_points_values``.
     """
     (estimate,) = _mc_streams(d, config, [(radial_shape, radial_scale)],
                               _points_values([fn]))
@@ -291,18 +269,23 @@ def mc_integral(fn, d, config: QuadratureConfig, radial_shape, radial_scale):
 def _mc_streams(d, config: QuadratureConfig, proposals, kernel):
     """``mc_integral`` for several integrals in one pass over the streams.
 
-    ``proposals[i]`` is the (shape, scale) pair of integral i.  Each
-    stream draws its directions once; every distinct proposal then replays
-    the generator state that follows them and draws its radii, so integral
-    i gets exactly the points of ``mc_integral`` with its own proposal.
-    ``kernel`` is an (angular, evaluate) pair as ``_factored_integrands``
-    returns.  Per block of a stream, ``angular(w)`` is called once on its
-    unit directions, and ``evaluate(r, parts, members)`` once per proposal
-    on its radii: the values of the integrals in ``members``, which all
-    drew r.  One stream's draws are held at a time; a stream whose
-    directions exceed ``_STREAM_BUDGET`` doubles (1 GiB) is refused first.
+    ``proposals[i]`` is the (shape, scale) pair of integral i.  A stream is
+    one block of at most ``_BLOCK`` samples with its own generator, the
+    next child of ``SeedSequence(seed)``.  It draws its directions once,
+    column-major; every distinct proposal then replays the generator state
+    that follows them and draws its radii, so integral i gets exactly the
+    points of ``mc_integral`` with its own proposal.  ``kernel`` is an
+    (angular, evaluate) pair as ``_factored_integrands`` returns: per
+    stream, ``angular(w)`` is called once on its unit directions, and
+    ``evaluate(r, parts, members)`` once per proposal on its radii, giving
+    the values of the integrals in ``members``, which all drew r.  Each
+    stream leaves per integral a sum, a sum of squares and a count of
+    non-finite values; ``math.fsum`` adds them up exactly, in no order
+    that matters.
     """
     _check_samples(config.samples)
+    if config.samples * d > _MAX_DRAWS:
+        raise DomainError(f"samples={config.samples} is too large to draw")
     angular, evaluate = kernel
     groups = {}
     for i, (k, s) in enumerate(proposals):
@@ -315,57 +298,48 @@ def _mc_streams(d, config: QuadratureConfig, proposals, kernel):
         + k * math.log(s)
         for k, s in groups
     }
-    sizes = _chunk_sizes(config.samples, config.n_streams)
-    if sizes[0] * d > _STREAM_BUDGET:
-        raise DomainError(f"samples={config.samples} is too large to draw")
-    children = np.random.SeedSequence(config.seed).spawn(config.n_streams)
+    seeds = np.random.SeedSequence(config.seed)
     stats = [[] for _ in proposals]
-    for child, m in zip(children, sizes):
+    for lo in range(0, config.samples, _BLOCK):
+        m = min(_BLOCK, config.samples - lo)
+        (child,) = seeds.spawn(1)
         rng = np.random.default_rng(child)
-        z = rng.standard_normal((m, d))
-        norms = np.sqrt(row_dot(z, z))
+        WT = rng.standard_normal((d, m))
+        norms = np.sqrt(row_dot(WT.T, WT.T))
         norms[norms == 0.0] = 1.0
+        WT /= norms
         after_directions = rng.bit_generator.state
-        radii = {}
-        for k, s in groups:
-            rng.bit_generator.state = after_directions
-            radii[k, s] = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
-        # Each integral's weighted values over the whole stream, filled
-        # block by block: the sums below see one array per stream.
-        weighted = [np.empty(m) for _ in proposals]
-        for lo in range(0, m, _BLOCK):
-            hi = min(lo + _BLOCK, m)
-            WT = np.empty((d, hi - lo))
-            for out, column in zip(WT, z[lo:hi].T):
-                np.divide(column, norms[lo:hi], out=out)
-            with np.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
-                parts = angular(WT.T)
-                for (k, s), members in groups.items():
-                    rb = radii[k, s][lo:hi]
-                    values = evaluate(rb, parts, members)
-                    logw = ((d - k) * np.log(rb) + rb * rb / (2.0 * s * s)
-                            + log_norm[k, s])
-                    density = area * np.exp(logw)
-                    outside = (rb < config.r_min) | (rb > config.r_max)
-                    for i, vals in zip(members, values):
-                        weighted[i][lo:hi] = np.where(
-                            outside | (vals == 0.0), 0.0, density * vals)
-        for per_stream, w in zip(stats, weighted):
-            bad = ~np.isfinite(w)
-            w[bad] = 0.0
-            per_stream.append(
-                (m, float(w.sum()), float((w * w).sum()), int(bad.sum())))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            parts = angular(WT.T)
+            for (k, s), members in groups.items():
+                rng.bit_generator.state = after_directions
+                r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
+                values = evaluate(r, parts, members)
+                logw = ((d - k) * np.log(r) + r * r / (2.0 * s * s)
+                        + log_norm[k, s])
+                density = area * np.exp(logw)
+                outside = (r < config.r_min) | (r > config.r_max)
+                for i, vals in zip(members, values):
+                    w = np.where(outside | (vals == 0.0), 0.0, density * vals)
+                    bad = ~np.isfinite(w)
+                    w[bad] = 0.0
+                    stats[i].append((float(w.sum()), float((w * w).sum()),
+                                     int(np.count_nonzero(bad))))
+    n = config.samples
     estimates = []
     for per_stream in stats:
-        n, s1, s2, degen = _tree_reduce(per_stream)
+        sums, squares, bad = zip(*per_stream)
+        degen = sum(bad)
         if degen > DEGENERATE_FRACTION * n:
             raise DegenerateSampleError(
                 f"{degen} of {n} integrand samples were non-finite"
             )
-        mean = s1 / n
-        var = max(s2 / n - mean * mean, 0.0)
-        estimates.append(Estimate(mean, math.sqrt(var / n), n, degen, "mc"))
+        mean = math.fsum(sums) / n
+        var = max(math.fsum(squares) / n - mean * mean, 0.0)
+        # Where the proposal matches the integrand exactly the variance is
+        # 0, yet the sums still round: the bar keeps their rounding level.
+        error = max(math.sqrt(var / n), 1e-14 * abs(mean))
+        estimates.append(Estimate(mean, error, n, degen, "mc"))
     return estimates
 
 

@@ -148,28 +148,28 @@ class TestVerifyCommand:
         "klass, functional, grid, pinned",
         [
             ("antisym", "hardy", ["--d", "3,5", "--p", "2"], [
-                ("3", "15.587727356076401", "0.17141388919460043"),
-                ("5", "140.59336641757702", "3.0302766551586111"),
+                ("3", "15.77766201563265", "0.18022478681324794"),
+                ("5", "141.92320603604006", "3.0044397402957821"),
             ]),
             ("odd", "rellich", ["--d", "3,5", "--p", "2"], [
-                ("3", "6.5918285525990612", "0.077100640404172804"),
-                ("5", "59.381198598648396", "0.76839762526309752"),
+                ("3", "6.6383607201184782", "0.075069850898071083"),
+                ("5", "59.8247007000002", "0.77308037332307156"),
             ]),
             ("antisym", "hardy", ["--d", "5", "--p", "3", "--gamma", "1"], [
-                ("5", "1034.5059199838893", "30.728878797583928"),
+                ("5", "1061.142078117545", "31.170668025463776"),
             ]),
             ("odd", "rellich", ["--d", "3", "--p", "3", "--gamma=-1"], [
-                ("3", "16.21193473224432", "0.23802584308017105"),
+                ("3", "16.521974040805809", "0.24028725362489717"),
             ]),
-            # 160,003 samples: each stream ends in a partial block.
+            # 160,003 samples: the last stream is a partial block.
             ("antisym", "hardy", ["--d", "4", "--p", "3",
                                   "--samples", "160003"], [
-                ("4", "277.08432722177542", "1.9820010484176382"),
+                ("4", "274.55245768465028", "1.9526776335936713"),
             ]),
             # F = 1: the Laplacian of a general-class trial.
             ("general", "rellich", ["--d", "3,5", "--p", "2", "--gamma=-2"], [
-                ("3", "2.0754981747345704", "0.025078106761204113"),
-                ("5", "21.700227083998943", "0.15637283782345132"),
+                ("3", "2.0940460135428336", "0.024906827012100716"),
+                ("5", "21.752510291459433", "0.1608823720976269"),
             ]),
         ],
         ids=["antisym-hardy-pinned0", "odd-rellich-pinned1",
@@ -491,8 +491,8 @@ class TestBadInput:
             (["verify", "--samples", "abc"], "UsageError"),
             (["verify", "--samples", "0"], "DomainError"),
             (["verify", "--samples=-3"], "DomainError"),
-            # Over the per-stream draw budget: refused before anything is
-            # drawn, not a MemoryError traceback.
+            # Over the limit of 2^30 direction draws per call: refused
+            # before anything is drawn, not left to run for hours.
             (["verify", "--samples", "1e30"], "DomainError"),
             (["verify", "--samples", "1e19"], "DomainError"),
             (["verify", "--samples", "1e12"], "DomainError"),
@@ -657,7 +657,6 @@ class TestManifestBytes:
             "method": "product",
             "samples": 200000,
             "seed": 3,
-            "n_streams": 8,
             "r_min": 1e-06,
             "r_max": 40.0,
             "radial_nodes": 200,

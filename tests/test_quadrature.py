@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -238,7 +239,7 @@ class TestSharedDraws:
     @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0])
     def test_bit_identical_to_separate_calls(self, klass, factor, functional,
                                              d, p, gamma):
-        # 20,003 samples leave a remainder over the eight streams.
+        # 20,003 samples: two whole streams and a partial one.
         config = qd.QuadratureConfig(samples=20_003, seed=d + 7)
         self._compare(klass, factor, functional, d, p, gamma, config)
 
@@ -254,7 +255,8 @@ class TestSharedDraws:
     @pytest.mark.parametrize("klass, factor, functional", CASES)
     @pytest.mark.parametrize("d", [3, 5])
     def test_single_stream(self, klass, factor, functional, d):
-        config = qd.QuadratureConfig(samples=5_001, seed=11, n_streams=1)
+        # 5,001 samples: one stream.
+        config = qd.QuadratureConfig(samples=5_001, seed=11)
         shared = self._compare(klass, factor, functional, d, 3.0, -0.5, config)
         if klass is not GEN:  # the general class's mass diverges here
             assert [est.n for est in shared] == [5_001, 5_001]
@@ -318,12 +320,12 @@ class TestSharedDraws:
         assert rep.denominator == integral(u, Functional.HARDY, 1, params, CFG)
 
     @pytest.mark.parametrize("functional, calls", [
-        (Functional.HARDY, 8),     # equal shapes: one point set per stream
-        (Functional.RELLICH, 16),  # unequal shapes: radii drawn twice
+        (Functional.HARDY, 2),    # equal shapes: one point set per stream
+        (Functional.RELLICH, 4),  # unequal shapes: radii drawn twice
     ])
     def test_points_drawn_once_per_shape(self, functional, calls):
         # Directions are drawn, and the angular parts formed, once per
-        # stream's block whatever the number of radial shapes.
+        # stream whatever the number of radial shapes.
         u = gaussian_trial(vandermonde(3), 1.0)
         params = Params(3, 2.0, 0.0, ANTI)
         terms = qd._INTEGRANDS[functional]
@@ -340,11 +342,11 @@ class TestSharedDraws:
             seen.append(tuple(members))
             return evaluate(r, parts, members)
 
-        config = qd.QuadratureConfig(samples=4_000, seed=2)
+        config = qd.QuadratureConfig(samples=qd._BLOCK + 4_000, seed=2)
         qd._mc_streams(3, config, [(k, 0.7) for k in shapes],
                        (counting_angular, counting))
         assert len(seen) == calls
-        assert directions == [500] * 8
+        assert directions == [qd._BLOCK, 4_000]
 
     @staticmethod
     def _nan_where(column, threshold):
@@ -382,58 +384,53 @@ class TestSharedDraws:
         assert str(got.value) == str(want.value)
 
 
-def _unblocked_streams(d, config, proposals, kernel):
-    """``_mc_streams`` as it ran before streams were split into blocks: one
-    ``angular`` per stream on w = z / |z|, and one ``evaluate`` per stream
-    and proposal."""
+def _reference_streams(d, config, proposals, kernel):
+    """``_mc_streams`` written out plainly: one generator per ``_BLOCK``
+    samples, spawned all at once, rebuilt from its seed for each integral;
+    directions drawn as (d, m) and divided by their norms, radii drawn
+    after them, and one ``evaluate`` per integral alone."""
     angular, evaluate = kernel
-    groups = {}
-    for i, (k, s) in enumerate(proposals):
-        groups.setdefault((float(k), float(s)), []).append(i)
+    n, B = config.samples, qd._BLOCK
+    children = np.random.SeedSequence(config.seed).spawn(-(-n // B))
     area = qd.sphere_area(d)
-    sizes = qd._chunk_sizes(config.samples, config.n_streams)
-    children = np.random.SeedSequence(config.seed).spawn(config.n_streams)
     stats = [[] for _ in proposals]
-    for child, m in zip(children, sizes):
-        rng = np.random.default_rng(child)
-        z = rng.standard_normal((m, d))
-        norms = np.sqrt((z * z).sum(axis=1))
+    for child, m in zip(children, [B] * (n // B) + [n % B]):
+        z = np.random.default_rng(child).standard_normal((d, m))
+        norms = np.sqrt((z * z).sum(axis=0))
         norms[norms == 0.0] = 1.0
-        parts = angular(z / norms[:, None])
-        after_directions = rng.bit_generator.state
-        for (k, s), members in groups.items():
-            rng.bit_generator.state = after_directions
-            r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
-            outside = (r < config.r_min) | (r > config.r_max)
-            log_norm = ((k / 2.0 - 1.0) * math.log(2.0)
-                        + math.lgamma(k / 2.0) + k * math.log(s))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                values = evaluate(r, parts, members)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            parts = angular((z / norms).T)
+            for i, (k, s) in enumerate(proposals):
+                rng = np.random.default_rng(child)
+                rng.standard_normal((d, m))
+                r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
+                (vals,) = evaluate(r, parts, [i])
+                log_norm = ((k / 2.0 - 1.0) * math.log(2.0)
+                            + math.lgamma(k / 2.0) + k * math.log(s))
                 logw = (d - k) * np.log(r) + r * r / (2.0 * s * s) + log_norm
-                density = area * np.exp(logw)
-                for i, vals in zip(members, values):
-                    w = np.where(vals == 0.0, 0.0, density * vals)
-                    w[outside] = 0.0
-                    bad = ~np.isfinite(w)
-                    w[bad] = 0.0
-                    stats[i].append((m, float(w.sum()), float((w * w).sum()),
-                                     int(bad.sum())))
+                w = np.where(vals == 0.0, 0.0, area * np.exp(logw) * vals)
+                w[(r < config.r_min) | (r > config.r_max)] = 0.0
+                bad = ~np.isfinite(w)
+                w[bad] = 0.0
+                stats[i].append((w.sum(), (w * w).sum(), bad.sum()))
     estimates = []
     for per_stream in stats:
-        n, s1, s2, degen = qd._tree_reduce(per_stream)
-        mean = s1 / n
-        var = max(s2 / n - mean * mean, 0.0)
-        estimates.append(qd.Estimate(mean, math.sqrt(var / n), n, degen, "mc"))
+        sums, squares, bad = zip(*per_stream)
+        mean = math.fsum(sums) / n
+        var = max(math.fsum(squares) / n - mean * mean, 0.0)
+        error = max(math.sqrt(var / n), 1e-14 * abs(mean))
+        estimates.append(qd.Estimate(mean, error, n, int(sum(bad)), "mc"))
     return estimates
 
 
 class TestStreamBlocks:
-    """Streams are evaluated in blocks of at most ``_BLOCK`` points, yet the
-    estimates are bit-identical to one evaluation per stream."""
+    """A stream is one block of at most ``_BLOCK`` samples with its own
+    generator; the estimates are bit-identical to the plain reference
+    sampler."""
 
     B = qd._BLOCK
-    # Per-stream sizes: below one block, exactly one, one block plus one,
-    # and two blocks plus one.
+    # Sample counts: below one block, exactly one, one block plus one, and
+    # two blocks plus one.
     SIZES = [B // 2 + 1, B, B + 1, 2 * B + 1]
     CASES = [(ANTI, vandermonde, Functional.HARDY),   # one proposal group
              (ODD, odd_linear, Functional.RELLICH)]  # two proposal groups
@@ -449,19 +446,15 @@ class TestStreamBlocks:
 
     @pytest.mark.parametrize("klass, factor, functional", CASES)
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("n_streams", [1, 3])
-    def test_bit_identical_to_one_evaluation_per_stream(
-            self, klass, factor, functional, size, n_streams):
+    def test_bit_identical_to_reference_sampler(self, klass, factor,
+                                                functional, size):
         proposals, kernel = self._setup(klass, factor, functional)
-        # One more sample than whole streams: the first stream is one
-        # point longer than the others.
-        config = qd.QuadratureConfig(samples=size * n_streams + 1, seed=5,
-                                     n_streams=n_streams)
+        config = qd.QuadratureConfig(samples=size, seed=5)
         got = qd._mc_streams(3, config, proposals, kernel)
-        assert got == _unblocked_streams(3, config, proposals, kernel)
+        assert got == _reference_streams(3, config, proposals, kernel)
 
     @pytest.mark.parametrize("klass, factor, functional", CASES)
-    def test_evaluations_per_block(self, klass, factor, functional):
+    def test_evaluations_per_stream(self, klass, factor, functional):
         proposals, (angular, evaluate) = self._setup(klass, factor,
                                                      functional)
         directions, rows = [], []
@@ -474,28 +467,27 @@ class TestStreamBlocks:
             rows.append(len(r))
             return evaluate(r, parts, members)
 
-        config = qd.QuadratureConfig(samples=2 * self.B + 1, seed=5,
-                                     n_streams=1)
+        config = qd.QuadratureConfig(samples=2 * self.B + 1, seed=5)
         qd._mc_streams(3, config, proposals, (counting_angular, counting))
         groups = len(set(proposals))
         assert directions == [self.B, self.B, 1]
         assert rows == [n for n in (self.B, self.B, 1) for _ in range(groups)]
 
     @pytest.mark.parametrize("offsets", [(-1,), (0,), (-1, 0), (-1, 0, 1)])
-    def test_nan_at_a_block_edge(self, offsets):
-        # Poison the points just before and just after the first block
-        # edge of the first stream, found by their radii: both routes
-        # count them alike.
+    def test_nan_at_a_stream_edge(self, offsets):
+        # Poison the points just before and just after the edge between
+        # the first two streams, found by their radii: each is counted
+        # once, as in the reference sampler.
         proposals, (angular, evaluate) = self._setup(ANTI, vandermonde,
                                                      Functional.HARDY)
-        config = qd.QuadratureConfig(samples=2 * (self.B + 7), seed=9,
-                                     n_streams=2)
+        config = qd.QuadratureConfig(samples=2 * self.B, seed=9)
         (k, s), _ = proposals
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed).spawn(2)[0])
-        rng.standard_normal((self.B + 7, 3))
-        r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=self.B + 7))
-        targets = r[[self.B + offset for offset in offsets]]
+        radii = []
+        for child in np.random.SeedSequence(config.seed).spawn(2):
+            rng = np.random.default_rng(child)
+            rng.standard_normal((3, self.B))
+            radii.append(s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=self.B)))
+        targets = np.concatenate(radii)[[self.B + o for o in offsets]]
 
         def poisoned(r, parts, members):
             values = evaluate(r, parts, members)
@@ -504,9 +496,26 @@ class TestStreamBlocks:
             return values
 
         got = qd._mc_streams(3, config, proposals, (angular, poisoned))
-        want = _unblocked_streams(3, config, proposals, (angular, poisoned))
+        want = _reference_streams(3, config, proposals, (angular, poisoned))
         assert got == want
         assert [est.degenerate for est in got] == [len(offsets)] * 2
+
+    @pytest.mark.parametrize("klass, factor, functional", CASES)
+    def test_memory_bounded_by_block(self, klass, factor, functional):
+        # One stream's draws are held at a time, so the peak does not grow
+        # with samples: 10^6 samples at d = 5 stay under 4 MiB.
+        u = gaussian_trial(factor(5), 1.0)
+        params = Params(5, 2.0, 0.0, klass)
+        config = qd.QuadratureConfig(samples=10**6, seed=1)
+        qd.rayleigh_quotient(u, functional, params,
+                             qd.QuadratureConfig(samples=2_000, seed=1))
+        tracemalloc.start()
+        try:
+            qd.rayleigh_quotient(u, functional, params, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestOneKernel:
@@ -525,14 +534,13 @@ class TestOneKernel:
         monkeypatch.setattr(owner, name, wrapper)
 
     def test_rellich_angular_factor_once_per_block(self, monkeypatch):
-        # Two proposal groups, three blocks in the one stream: F once per
+        # Two proposal groups, three streams of one block each: F once per
         # block, not once per group.
         calls = {"value": 0, "evaluate": 0}
         self._count(monkeypatch, calls, AngularFactor, "value")
         self._count(monkeypatch, calls, TrialFunction, "evaluate")
         u = gaussian_trial(odd_linear(3), 1.0)
-        config = qd.QuadratureConfig(samples=2 * qd._BLOCK + 1, seed=5,
-                                     n_streams=1)
+        config = qd.QuadratureConfig(samples=2 * qd._BLOCK + 1, seed=5)
         qd.rayleigh_quotient(u, Functional.RELLICH, Params(3, 2.0, 0.0, ODD),
                              config)
         assert calls == {"value": 3, "evaluate": 0}
@@ -1199,7 +1207,7 @@ class TestEngineGuards:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("method", "bogus"), ("n_streams", 0), ("radial_nodes", 0),
+        [("method", "bogus"), ("radial_nodes", 0),
          ("angular_nodes", 0), ("angular_nodes", -2), ("seed", -1)],
     )
     def test_unusable_field_named(self, field, value):
@@ -1507,6 +1515,22 @@ class TestExactErrorBars:
         assert rep.margin == margin
         assert rep.violation is (margin < 0.0)
         assert rep.conclusive is (margin != 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mc_zero_variance_is_rounding(self, d, seed):
+        # At p = 1 the Gaussian attains the constant d - 1 and both
+        # integrands are multiples of their proposal densities: variance 0.
+        # The sums still round, so the error bar is their rounding level,
+        # and a quotient an ulp below the constant is no violation.
+        u = gaussian_trial(ConstantFactor(d), 1.0)
+        config = qd.QuadratureConfig(samples=2_000, seed=seed)
+        rep = qd.rayleigh_quotient(u, Functional.HARDY,
+                                   Params(d, 1.0, 0.0, GEN), config)
+        for est in (rep.numerator, rep.denominator):
+            assert est.error >= 1e-14 * abs(est.value)
+        assert abs(rep.quotient - (d - 1)) <= 1e-13 * (d - 1)
+        assert not rep.conclusive
 
     def test_single_sample_refused(self):
         # One sample always has variance 0, which would read as exact.
