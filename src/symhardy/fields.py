@@ -21,6 +21,7 @@ tests pin down.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -108,13 +109,18 @@ class SectorDomain:
     def sample_interior(self, n, rng, tube=1e-6, origin_ball=1e-6):
         """Draw n standard normal interior points, excluding a tube around
         the boundary and a ball at the origin where the certificate is
-        numerically singular.  Gives up after 200 draws of max(n, 128).
+        numerically singular.
 
-        Rows are sorted (ordered sector) or negated where their sum is
-        negative (half-space), and the wall distance comes from the sorted
-        columns or those sums.  The points and the generator's state equal,
-        bit for bit, those of ``np.sort`` and ``boundary_distance`` on each
-        draw.  Bad arguments raise ``DomainError`` before anything is drawn.
+        The first draw is of max(n, 128) rows; later ones are sized 10 %
+        over the shortfall at the keep rate so far, within [128, max(n, 128)]
+        rows; after 200 max(n, 128) rows in all it raises
+        ``DegenerateSampleError``.  numpy's
+        normals are one sequential stream, so the points are its first n
+        kept rows whatever the draw sizes.  Rows are sorted (ordered
+        sector) or negated where their sum is negative (half-space), and
+        the wall distance comes from the sorted columns or those sums, bit
+        for bit as ``np.sort`` and ``boundary_distance`` give them.  Bad
+        arguments raise ``DomainError`` before anything is drawn.
         """
         if not isinstance(n, numbers.Integral) or n < 0:
             raise DomainError(f"n must be a non-negative integer, got {n!r}")
@@ -122,15 +128,21 @@ class SectorDomain:
             if not 0.0 <= value < np.inf:
                 raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
         d, ordered = self.dimension, self._ordered
-        kept, count, draws = [], 0, 0
+        block = max(n, 128)
+        budget = 200 * block
+        kept, count, drawn = [], 0, 0
         while count < n:
-            if draws == 200:
+            if drawn == budget:
                 raise DegenerateSampleError(
-                    f"interior sampling kept {count} of n={n} points after "
-                    f"200 draws with tube={tube:g}, origin_ball={origin_ball:g}"
+                    f"interior sampling kept {count} of n={n} points from "
+                    f"{budget} draws with tube={tube:g}, origin_ball={origin_ball:g}"
                 )
-            draws += 1
-            X = rng.standard_normal((max(n, 128), d))
+            size = block
+            if count:
+                size = math.ceil(1.1 * (n - count) * drawn / count)
+            size = min(max(size, 128), block, budget - drawn)
+            drawn += size
+            X = rng.standard_normal((size, d))
             if ordered:
                 X = _sort_rows(X)
                 dist = _ordered_distance(X)

@@ -239,16 +239,24 @@ def _gradient_hessian(alpha, beta, t, params: Params):
         q = p / (2.0 * (p - 1.0))
         h = 0.5 * p * R ** (q - 1.0)
         dh = h * (q - 1.0) / R
-    r_x = np.array([2.0 * (alpha - beta * lam), 2.0 * (beta * t - alpha * lam)])
-    grad = np.array(
-        [params.d - p - params.gamma, (p - 2.0 + params.gamma) * lam + t]
-    ) - h * r_x
-    hess = -dh * np.outer(r_x, r_x) - 2.0 * h * np.array([[1.0, -lam], [-lam, t]])
+    # Python floats, rounded as the array forms grad = c - h R_x and
+    # H = -dh R_x R_x^T - 2 h [[1, -lam], [-lam, t]] round them.
+    r_a, r_b = 2.0 * (alpha - beta * lam), 2.0 * (beta * t - alpha * lam)
+    g_a = (params.d - p - params.gamma) - h * r_a
+    g_b = ((p - 2.0 + params.gamma) * lam + t) - h * r_b
+    h2 = 2.0 * h
+    H_aa = -dh * (r_a * r_a) - h2
+    H_ab = -dh * (r_a * r_b) + h2 * lam
+    H_bb = -dh * (r_b * r_b) - h2 * t
     if t > lam * lam:
         r_t = beta * beta
-        f_xt = np.array([0.0, 1.0 - 2.0 * beta * h]) - dh * r_t * r_x
-        hess -= np.outer(f_xt, f_xt) / (-dh * r_t * r_t)
-    return grad, hess
+        c = dh * r_t
+        f_a, f_b = 0.0 - c * r_a, (1.0 - 2.0 * beta * h) - c * r_b
+        f_tt = -dh * r_t * r_t
+        H_aa -= f_a * f_a / f_tt
+        H_ab -= f_a * f_b / f_tt
+        H_bb -= f_b * f_b / f_tt
+    return np.array([g_a, g_b]), np.array([[H_aa, H_ab], [H_ab, H_bb]])
 
 
 def _ascent_direction(grad, hess, beta_held):

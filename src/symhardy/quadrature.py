@@ -279,9 +279,9 @@ def _mc_streams(d, config: QuadratureConfig, proposals, kernel):
     stream, ``angular(w)`` is called once on its unit directions, and
     ``evaluate(r, parts, members)`` once per proposal on its radii, giving
     the values of the integrals in ``members``, which all drew r.  Each
-    stream leaves per integral a sum, a sum of squares and a count of
-    non-finite values; ``math.fsum`` adds them up exactly, in no order
-    that matters.
+    stream leaves per integral a sum, a sum of squares about its own mean
+    and a count of non-finite values; ``math.fsum`` adds them up exactly,
+    in no order that matters, so no variance cancels against mean^2.
     """
     _check_samples(config.samples)
     if config.samples * d > _MAX_DRAWS:
@@ -323,19 +323,26 @@ def _mc_streams(d, config: QuadratureConfig, proposals, kernel):
                     w = np.where(outside | (vals == 0.0), 0.0, density * vals)
                     bad = ~np.isfinite(w)
                     w[bad] = 0.0
-                    stats[i].append((float(w.sum()), float((w * w).sum()),
+                    total = float(w.sum())
+                    w -= total / m
+                    w *= w
+                    stats[i].append((total, float(w.sum()), m,
                                      int(np.count_nonzero(bad))))
     n = config.samples
     estimates = []
     for per_stream in stats:
-        sums, squares, bad = zip(*per_stream)
+        sums, centred, sizes, bad = zip(*per_stream)
         degen = sum(bad)
         if degen > DEGENERATE_FRACTION * n:
             raise DegenerateSampleError(
                 f"{degen} of {n} integrand samples were non-finite"
             )
         mean = math.fsum(sums) / n
-        var = max(math.fsum(squares) / n - mean * mean, 0.0)
+        # Chan, Golub and LeVeque's update over all streams at once: the
+        # squares about the whole mean are those about each stream's mean
+        # plus m (stream mean - mean)^2 per stream.
+        var = math.fsum([*centred, *(m * (part / m - mean) ** 2
+                                     for part, m in zip(sums, sizes))]) / n
         # Where the proposal matches the integrand exactly the variance is
         # 0, yet the sums still round: the bar keeps their rounding level.
         error = max(math.sqrt(var / n), 1e-14 * abs(mean))
@@ -505,11 +512,12 @@ def _factored_integrands(u: TrialFunction, params: Params, terms):
     orthogonal to w.  So each integrand is a power of r times |psi|^p |F|^p
     (order 0), |psi'' + c psi'/r|^p |F|^p (order 2) or (psi^2 |T|^2 +
     (lam psi + r psi')^2 F^2)^(p/2) (order 1, two non-negative terms:
-    nothing cancels).  ``angular(w)`` forms |F|^p, F^2 and |T|^2 (None
-    without an order-1 term); ``evaluate(r, parts, members)`` forms psi's
-    derivatives once, up to the highest order the members need, and
-    broadcasts r against the parts: radii (nr, 1) against a sphere grid's
-    in the product rule, n radii against n directions' in Monte Carlo.
+    nothing cancels).  ``angular(w)`` forms |F|^p, F^2 and |T|^2 (the last
+    two None without an order-1 term); ``evaluate(r, parts, members)``
+    forms psi's derivatives once, up to the highest order the members
+    need, and broadcasts r against the parts: radii (nr, 1) against a
+    sphere grid's in the product rule, n radii against n directions' in
+    Monte Carlo.
     """
     p, gamma, lam = params.p, params.gamma, u.angular.homogeneity
     c = params.d - 1.0 + 2.0 * lam
@@ -517,8 +525,7 @@ def _factored_integrands(u: TrialFunction, params: Params, terms):
 
     def angular(w):
         if not gradient:
-            F = u.angular.value(w)
-            return np.abs(F) ** p, F * F, None
+            return np.abs(u.angular.value(w)) ** p, None, None
         F, G = u.angular.value_and_gradient(w)
         # |T|^2 from whole columns, rounded as row_dot: no (n, d) temporary.
         T2 = row_sum([(g - lam * F * w_k) ** 2 for g, w_k in zip(G.T, w.T)])

@@ -17,6 +17,9 @@ route to a value the package computes another way.
   function in t, against ``t_minimizer`` (which returns max(t0, lam^2)).
 * ``g_envelope``: the certificate function at its unclamped inner
   minimizer in explicit envelope form, against ``min_over_t``.
+* ``gradient_hessian_arrays``: the gradient and Hessian of the
+  certificate's g = min over t of f as numpy array expressions, against
+  ``minimax._gradient_hessian``, which forms them as Python floats.
 * ``piecewise_power_psi_mp``: the piecewise-power profile written out
   from its definition in mpmath, whose derivatives ``mpmath.diff`` takes,
   against the radial rule's integrals.
@@ -29,6 +32,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from symhardy import minimax as mm
 from symhardy.errors import (
     DomainError,
     InvalidDimensionError,
@@ -171,6 +175,32 @@ def g_envelope(alpha, beta, params):
         - alpha * alpha / beta
         - beta ** (p / (p - 2.0)) * (p / 2.0) ** (p / (p - 2.0)) * (p / 2.0 - 1.0)
     )
+
+
+def gradient_hessian_arrays(alpha, beta, t, params):
+    """Gradient and Hessian of g(alpha, beta) = min over t of f at its
+    inner minimizer t, as arrays: grad = c - h R_x and
+    H = -dh R_x R_x^T - 2 h [[1, -lam], [-lam, t]], less the outer product
+    F_xt F_xt^T / f_tt when t > lam^2 moves with (alpha, beta).  h and dh
+    are (p/2) R^(q-1) and its R-derivative, q = p / (2 (p - 1))."""
+    p, lam = params.p, params.lam
+    R = alpha * alpha - 2.0 * alpha * beta * lam + beta * beta * t
+    if abs(p - 2.0) < mm._P2_TOL:
+        h, dh = 1.0, 0.0
+    else:
+        q = p / (2.0 * (p - 1.0))
+        h = 0.5 * p * R ** (q - 1.0)
+        dh = h * (q - 1.0) / R
+    r_x = np.array([2.0 * (alpha - beta * lam), 2.0 * (beta * t - alpha * lam)])
+    grad = np.array(
+        [params.d - p - params.gamma, (p - 2.0 + params.gamma) * lam + t]
+    ) - h * r_x
+    hess = -dh * np.outer(r_x, r_x) - 2.0 * h * np.array([[1.0, -lam], [-lam, t]])
+    if t > lam * lam:
+        r_t = beta * beta
+        f_xt = np.array([0.0, 1.0 - 2.0 * beta * h]) - dh * r_t * r_x
+        hess -= np.outer(f_xt, f_xt) / (-dh * r_t * r_t)
+    return grad, hess
 
 
 def piecewise_power_psi_mp(alpha_in, beta_out, delta):

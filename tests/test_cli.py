@@ -148,7 +148,7 @@ class TestVerifyCommand:
         "klass, functional, grid, pinned",
         [
             ("antisym", "hardy", ["--d", "3,5", "--p", "2"], [
-                ("3", "15.77766201563265", "0.18022478681324794"),
+                ("3", "15.77766201563265", "0.18022478681324791"),
                 ("5", "141.92320603604006", "3.0044397402957821"),
             ]),
             ("odd", "rellich", ["--d", "3,5", "--p", "2"], [
@@ -159,7 +159,7 @@ class TestVerifyCommand:
                 ("5", "1061.142078117545", "31.170668025463776"),
             ]),
             ("odd", "rellich", ["--d", "3", "--p", "3", "--gamma=-1"], [
-                ("3", "16.521974040805809", "0.24028725362489717"),
+                ("3", "16.521974040805809", "0.24028725362489714"),
             ]),
             # 160,003 samples: the last stream is a partial block.
             ("antisym", "hardy", ["--d", "4", "--p", "3",
@@ -168,7 +168,7 @@ class TestVerifyCommand:
             ]),
             # F = 1: the Laplacian of a general-class trial.
             ("general", "rellich", ["--d", "3,5", "--p", "2", "--gamma=-2"], [
-                ("3", "2.0940460135428336", "0.024906827012100716"),
+                ("3", "2.0940460135428336", "0.024906827012100723"),
                 ("5", "21.752510291459433", "0.1608823720976269"),
             ]),
         ],
@@ -188,6 +188,18 @@ class TestVerifyCommand:
                     "--out", str(out)]) == 0
         assert [(r["d"], r["quotient"], r["quotient_err"])
                 for r in read_csv(out)] == pinned
+
+    def test_zero_variance_error_bar_is_rounding(self, tmp_path):
+        # At p = 1 the Gaussian attains d - 1 with variance 0; the one-pass
+        # variance printed quotient_err 1.55e-9 at d = 4 and 1.15e-9 at
+        # d = 5, where the sums round near 1e-14.
+        out = tmp_path / "v.csv"
+        assert run(["verify", "--class", "general", "--p", "1", "--d", "2..5",
+                    "--samples", "2000", "--seed", "0", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r["d"] for r in rows] == ["2", "3", "4", "5"]
+        for r in rows:
+            assert float(r["quotient_err"]) < 1e-13 * float(r["quotient"])
 
     @pytest.mark.parametrize(
         "functional, grid, pinned",

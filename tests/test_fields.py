@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -198,9 +200,26 @@ class TestSectorDomain:
             dom.sample_interior(10, np.random.default_rng(28), tube=10.0)
         assert isinstance(info.value, RuntimeError)
         assert str(info.value) == (
-            "interior sampling kept 0 of n=10 points after 200 draws "
+            "interior sampling kept 0 of n=10 points from 25600 draws "
             "with tube=10, origin_ball=1e-06"
         )
+
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_fails_where_200_full_draws_did(self, klass):
+        # The budget is the rows of 200 draws of max(n, 128): with c points
+        # kept in the first 25,600 rows of the stream, n = c fills and
+        # n = c + 1 fails.
+        dom = fd.SectorDomain.for_params(Params(2, 2, 0.0, klass))
+        tube = 2.9
+        stream = np.random.default_rng(36).standard_normal((25_600, 2))
+        c = int(np.count_nonzero(dom.boundary_distance(stream) > tube))
+        assert 0 < c < 128
+        X = dom.sample_interior(c, np.random.default_rng(36), tube=tube)
+        assert len(X) == c
+        with pytest.raises(DegenerateSampleError, match=(
+                f"^interior sampling kept {c} of n={c + 1} points from "
+                "25600 draws")):
+            dom.sample_interior(c + 1, np.random.default_rng(36), tube=tube)
 
     def test_for_params_rejects_general(self):
         with pytest.raises(OutOfRangeError):
@@ -298,11 +317,20 @@ def ref_boundary_distance(dom, x):
     return float(dist[0]) if np.asarray(x).ndim == 1 else dist
 
 
-def ref_sample_interior(dom, n, rng, tube, origin_ball):
-    d = dom.dimension
-    out = np.empty((0, d))
+def ref_sample_interior(dom, n, rng, tube, origin_ball, full_blocks=False):
+    """The sampler's draw rule written out: a first draw of max(n, 128)
+    rows, then draws sized 10 % over the shortfall at the keep rate so
+    far, within [128, max(n, 128)] rows.  With ``full_blocks`` every draw
+    is max(n, 128) rows."""
+    d, block = dom.dimension, max(n, 128)
+    out, drawn = np.empty((0, d)), 0
     while len(out) < n:
-        X = rng.standard_normal((max(n, 128), d))
+        size = block
+        if len(out) and not full_blocks:
+            size = math.ceil(1.1 * (n - len(out)) * drawn / len(out))
+            size = min(max(size, 128), block)
+        drawn += size
+        X = rng.standard_normal((size, d))
         if dom.factor.function_class is ANTI:
             X = np.sort(X, axis=1)
         else:
@@ -333,6 +361,18 @@ def ref_parts(X, alpha, beta, pr, factor):
     return T, div, cert
 
 
+class RecordingGenerator:
+    """A generator that records the shape of each ``standard_normal``
+    draw."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.rng.standard_normal(shape)
+
+
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -353,6 +393,37 @@ class TestAgainstReference:
         assert_same_bits(X, ref_sample_interior(dom, n, ref_rng, tube, origin_ball))
         assert X.flags.c_contiguous
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # The normals are one stream, so the draw sizes do not move a point.
+        full = ref_sample_interior(dom, n, np.random.default_rng(31), tube,
+                                   origin_ball, full_blocks=True)
+        assert_same_bits(X, full)
+
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_draws_sized_from_the_shortfall(self, klass):
+        # At tube 0.02 a first draw of n rows keeps 95-99 % of them; the
+        # rest come from one short draw, not from a second n rows.
+        dom = fd.SectorDomain.for_params(Params(3, 2, 0.0, klass))
+        rng = RecordingGenerator(np.random.default_rng(34))
+        n = 10_000
+        X = dom.sample_interior(n, rng, tube=0.02)
+        assert len(X) == n
+        assert rng.shapes[0] == (n, 3)
+        assert sum(rows for rows, _ in rng.shapes) <= 1.1 * n + 128
+
+    @pytest.mark.parametrize("n", [50, 10_000])
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_low_keep_rate(self, klass, n):
+        # A tube of 2.33 keeps about 2 % of the rows at d = 2: many draws,
+        # each within [128, max(n, 128)] rows, and the points of full ones.
+        dom = fd.SectorDomain.for_params(Params(2, 2, 0.0, klass))
+        rng = RecordingGenerator(np.random.default_rng(35))
+        X = dom.sample_interior(n, rng, tube=2.33)
+        full = ref_sample_interior(dom, n, np.random.default_rng(35), 2.33,
+                                   1e-6, full_blocks=True)
+        assert_same_bits(X, full)
+        rows = [rows for rows, _ in rng.shapes]
+        assert 0.015 < n / sum(rows) < 0.025
+        assert all(128 <= r <= max(n, 128) for r in rows)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 10])
     @pytest.mark.parametrize("klass", [ANTI, ODD])

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from symhardy import minimax as mm
 from symhardy.constants import FunctionClass, Params, hardy_antisymmetric, hardy_odd
 from symhardy.errors import DomainError, OutOfRangeError
 
-from oracles import g_envelope, t_stationary
+from oracles import g_envelope, gradient_hessian_arrays, t_stationary
 
 ANTI = FunctionClass.ANTISYMMETRIC
 ODD = FunctionClass.ODD
@@ -304,3 +305,86 @@ class TestNewtonAscent:
         )
         scale = max(abs(e) for e in res.hessian_eigs)
         np.testing.assert_allclose(res.hessian_eigs, fd, rtol=1e-3, atol=1e-4 * scale)
+
+
+class TestGradientHessian:
+    """``_gradient_hessian`` forms the Newton step's gradient and Hessian
+    from Python floats."""
+
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_bitwise_equal_to_array_form(self, monkeypatch, klass):
+        # Every call of full ascents: p = 2 (linear branch, t = lam^2),
+        # and p > 2 with the inner minimizer clamped and interior, at
+        # gamma = 0 and not.
+        calls = []
+        original = mm._gradient_hessian
+
+        def recording(alpha, beta, t, pr):
+            calls.append((alpha, beta, t, pr))
+            return original(alpha, beta, t, pr)
+
+        monkeypatch.setattr(mm, "_gradient_hessian", recording)
+        for d in (2, 3, 4, 5):
+            for p in (2.0, 2.5, 3.0, 4.0, 6.0):
+                for gamma in (-1.5, 0.0, 1.0):
+                    mm.numeric_minimax(params(d, p, gamma, klass))
+        # Points off the ascent paths, clamped and interior.
+        for alpha, beta in ((6.0, 1.0), (-1.0, 1.0 / 3.0), (0.5, 1.5)):
+            for pr in (params(3, 3.0, 0.5, klass), params(4, 2.5, -1.0, klass)):
+                calls.append((alpha, beta, mm.min_over_t(alpha, beta, pr)[0], pr))
+        kinds = {(pr.p == 2.0, t > pr.lam**2) for _, _, t, pr in calls}
+        assert kinds == {(True, False), (False, False), (False, True)}
+        for call in calls:
+            got = original(*call)
+            want = gradient_hessian_arrays(*call)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes(), call
+
+    # (class, d, p, gamma, alpha, beta, inner minimizer interior?)
+    SYMBOLIC = [
+        (ANTI, 3, "3", "1/2", "2", "1", True),
+        (ANTI, 3, "3", "1/2", "1", "1/2", True),
+        (ANTI, 3, "3", "1/2", "6", "1", False),
+        (ODD, 4, "4", "-1", "1/2", "3/2", True),
+        (ODD, 4, "4", "-1", "-1", "1/3", False),
+        (ODD, 3, "5/2", "1", "3", "2", True),
+        (ODD, 3, "5/2", "1", "1", "1/2", False),
+        (ANTI, 2, "2", "1", "2", "1", False),
+        (ODD, 3, "2", "-1/2", "-1", "1/3", False),
+    ]
+
+    @pytest.mark.parametrize("klass, d, p, gamma, alpha, beta, interior",
+                             SYMBOLIC)
+    def test_against_symbolic_derivatives(self, klass, d, p, gamma, alpha,
+                                          beta, interior):
+        # g = f(t*(alpha, beta); alpha, beta), with t* the stationary point
+        # t0 of f in t where it lies above lam^2 and lam^2 where it does
+        # not: sympy's derivatives of g at rational points against the
+        # envelope gradient and the implicit-t Hessian.
+        pr = params(d, float(sp.Rational(p)), float(sp.Rational(gamma)), klass)
+        a, b = sp.symbols("alpha beta")
+        P, G, lam = sp.Rational(p), sp.Rational(gamma), sp.Integer(pr.lam)
+        point = {a: sp.Rational(alpha), b: sp.Rational(beta)}
+        if P == 2:
+            t = lam**2
+        else:
+            t0 = ((P * b / 2) ** (2 * (P - 1) / (P - 2))
+                  - a * a + 2 * a * b * lam) / (b * b)
+            assert bool(t0.subs(point) > lam**2) is interior
+            t = t0 if interior else lam**2
+        R = a * a - 2 * a * b * lam + b * b * t
+        g = (a * (d - P - G) + b * (P - 2 + G) * lam + b * t
+             - (P - 1) * R ** (P / (2 * (P - 1))))
+        x = (a, b)
+        want_grad = [float(sp.diff(g, v).subs(point)) for v in x]
+        want_hess = [[float(sp.diff(g, u, v).subs(point)) for v in x]
+                     for u in x]
+        alpha_f, beta_f = float(point[a]), float(point[b])
+        t_star = mm.min_over_t(alpha_f, beta_f, pr)[0]
+        assert (t_star > pr.lam**2) is interior
+        grad, hess = mm._gradient_hessian(alpha_f, beta_f, t_star, pr)
+        scale = max(1.0, np.max(np.abs(want_hess)))
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hess, want_hess, rtol=1e-10,
+                                   atol=1e-12 * scale)

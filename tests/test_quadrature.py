@@ -384,16 +384,17 @@ class TestSharedDraws:
         assert str(got.value) == str(want.value)
 
 
-def _reference_streams(d, config, proposals, kernel):
-    """``_mc_streams`` written out plainly: one generator per ``_BLOCK``
-    samples, spawned all at once, rebuilt from its seed for each integral;
-    directions drawn as (d, m) and divided by their norms, radii drawn
-    after them, and one ``evaluate`` per integral alone."""
+def _reference_weights(d, config, proposals, kernel):
+    """``_mc_streams``' weighted samples written out plainly: one
+    generator per ``_BLOCK`` samples, spawned all at once, rebuilt from its
+    seed for each integral; directions drawn as (d, m) and divided by their
+    norms, radii drawn after them, and one ``evaluate`` per integral alone.
+    Per integral, a list of each stream's weights and non-finite count."""
     angular, evaluate = kernel
     n, B = config.samples, qd._BLOCK
     children = np.random.SeedSequence(config.seed).spawn(-(-n // B))
     area = qd.sphere_area(d)
-    stats = [[] for _ in proposals]
+    streams = [[] for _ in proposals]
     for child, m in zip(children, [B] * (n // B) + [n % B]):
         z = np.random.default_rng(child).standard_normal((d, m))
         norms = np.sqrt((z * z).sum(axis=0))
@@ -412,14 +413,25 @@ def _reference_streams(d, config, proposals, kernel):
                 w[(r < config.r_min) | (r > config.r_max)] = 0.0
                 bad = ~np.isfinite(w)
                 w[bad] = 0.0
-                stats[i].append((w.sum(), (w * w).sum(), bad.sum()))
+                streams[i].append((w, int(bad.sum())))
+    return streams
+
+
+def _reference_streams(d, config, proposals, kernel):
+    """``_mc_streams`` from the reference weights: per stream, the sum and
+    the two-pass sum of squares about the stream's mean; the streams joined
+    by Chan, Golub and LeVeque's update, added with ``math.fsum``."""
+    n = config.samples
     estimates = []
-    for per_stream in stats:
-        sums, squares, bad = zip(*per_stream)
+    for per_stream in _reference_weights(d, config, proposals, kernel):
+        sums = [w.sum() for w, _ in per_stream]
+        centred = [((w - w.mean()) ** 2).sum() for w, _ in per_stream]
         mean = math.fsum(sums) / n
-        var = max(math.fsum(squares) / n - mean * mean, 0.0)
+        between = [len(w) * (w.mean() - mean) ** 2 for w, _ in per_stream]
+        var = math.fsum(centred + between) / n
         error = max(math.sqrt(var / n), 1e-14 * abs(mean))
-        estimates.append(qd.Estimate(mean, error, n, int(sum(bad)), "mc"))
+        degen = sum(bad for _, bad in per_stream)
+        estimates.append(qd.Estimate(mean, error, n, degen, "mc"))
     return estimates
 
 
@@ -452,6 +464,20 @@ class TestStreamBlocks:
         config = qd.QuadratureConfig(samples=size, seed=5)
         got = qd._mc_streams(3, config, proposals, kernel)
         assert got == _reference_streams(3, config, proposals, kernel)
+
+    @pytest.mark.parametrize("klass, factor, functional", CASES)
+    def test_error_is_the_spread_of_all_samples(self, klass, factor,
+                                                functional):
+        # Joining the streams' centred sums loses nothing: the error bar is
+        # the two-pass standard error of all 2B + 1 samples at once.
+        proposals, kernel = self._setup(klass, factor, functional)
+        config = qd.QuadratureConfig(samples=2 * self.B + 1, seed=5)
+        got = qd._mc_streams(3, config, proposals, kernel)
+        weights = _reference_weights(3, config, proposals, kernel)
+        for est, per_stream in zip(got, weights):
+            w = np.concatenate([w for w, _ in per_stream])
+            assert est.error == pytest.approx(
+                math.sqrt(np.var(w) / len(w)), rel=1e-12)
 
     @pytest.mark.parametrize("klass, factor, functional", CASES)
     def test_evaluations_per_stream(self, klass, factor, functional):
@@ -544,6 +570,20 @@ class TestOneKernel:
         qd.rayleigh_quotient(u, Functional.RELLICH, Params(3, 2.0, 0.0, ODD),
                              config)
         assert calls == {"value": 3, "evaluate": 0}
+
+    @pytest.mark.parametrize("functional, gradient",
+                             [(Functional.HARDY, True),
+                              (Functional.RELLICH, False)])
+    def test_squares_only_for_the_gradient(self, functional, gradient):
+        # F^2 and |T|^2 enter only the order-1 integrand: the Rellich
+        # kernels form neither.
+        u = gaussian_trial(odd_linear(3), 1.0)
+        angular, _ = qd._factored_integrands(
+            u, Params(3, 2.0, 0.0, ODD), qd._INTEGRANDS[functional])
+        w = np.eye(3)
+        Fp, F2, T2 = angular(w)
+        np.testing.assert_array_equal(Fp, np.abs(u.angular.value(w)) ** 2.0)
+        assert (F2 is None, T2 is None) == (not gradient, not gradient)
 
     @pytest.mark.parametrize("method", ["mc", "product"])
     @pytest.mark.parametrize("functional", [Functional.HARDY,
@@ -1522,13 +1562,16 @@ class TestExactErrorBars:
         # At p = 1 the Gaussian attains the constant d - 1 and both
         # integrands are multiples of their proposal densities: variance 0.
         # The sums still round, so the error bar is their rounding level,
-        # and a quotient an ulp below the constant is no violation.
+        # and a quotient an ulp below the constant is no violation.  Sums
+        # of squares about the streams' means do not cancel: the one-pass
+        # sum(w^2)/n - mean^2 gave d = 4 a bar of 5e-10 of the quotient.
         u = gaussian_trial(ConstantFactor(d), 1.0)
         config = qd.QuadratureConfig(samples=2_000, seed=seed)
         rep = qd.rayleigh_quotient(u, Functional.HARDY,
                                    Params(d, 1.0, 0.0, GEN), config)
         for est in (rep.numerator, rep.denominator):
-            assert est.error >= 1e-14 * abs(est.value)
+            assert 1e-14 * abs(est.value) <= est.error < 1e-13 * abs(est.value)
+        assert rep.quotient_error < 1e-13 * rep.quotient
         assert abs(rep.quotient - (d - 1)) <= 1e-13 * (d - 1)
         assert not rep.conclusive
 
