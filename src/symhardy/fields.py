@@ -36,7 +36,7 @@ from .errors import (
     SingularPointError,
     SymmetryClassError,
 )
-from .polynomials import AngularFactor, class_factor, row_dot, row_sum
+from .polynomials import AngularFactor, class_factor, point_batch, row_dot, row_sum
 
 __all__ = [
     "SectorDomain",
@@ -81,15 +81,12 @@ class SectorDomain:
         return self.factor.function_class is FunctionClass.ANTISYMMETRIC
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dimension:
-            raise InvalidDimensionError("point dimension mismatch")
+        X, single = point_batch(x, self.dimension)
         if self._ordered:
-            d = np.diff(np.atleast_2d(x), axis=-1)
-            out = np.all(d > 0.0, axis=-1)
+            out = np.all(np.diff(X, axis=1) > 0.0, axis=1)
         else:
-            out = row_sum(np.atleast_2d(x).T) > 0.0
-        return bool(out[0]) if x.ndim == 1 else out
+            out = row_sum(X.T) > 0.0
+        return bool(out[0]) if single else out
 
     def boundary_distance(self, x):
         """Euclidean distance to the sector boundary (hyperplane arrangement).
@@ -99,12 +96,12 @@ class SectorDomain:
         fl(x_j - x_i) is monotone in both arguments, so on a sorted row no
         other pair has a smaller rounded gap.  Rows are sorted first.
         """
-        X = np.atleast_2d(np.asarray(x, dtype=float))
+        X, single = point_batch(x, self.dimension)
         if self._ordered:
             dist = _ordered_distance(_sort_rows(X))
         else:
             dist = np.abs(row_sum(X.T)) / np.sqrt(self.dimension)
-        return float(dist[0]) if np.asarray(x).ndim == 1 else dist
+        return float(dist[0]) if single else dist
 
     def sample_interior(self, n, rng, tube=1e-6, origin_ball=1e-6):
         """Draw n standard normal interior points, excluding a tube around
@@ -193,9 +190,9 @@ def _ordered_distance(X):
 
 
 def _prepare(x, params, factor):
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.shape[1] != factor.dimension or factor.dimension != params.d:
-        raise InvalidDimensionError("dimension mismatch between point, factor, params")
+    if factor.dimension != params.d:
+        raise InvalidDimensionError("dimension mismatch between factor and params")
+    X, single = point_batch(x, factor.dimension)
     if factor.function_class is not params.klass:
         raise SymmetryClassError(
             f"factor is of class {factor.function_class.value}, params "
@@ -209,7 +206,7 @@ def _prepare(x, params, factor):
             "the field needs interior points: finite x != 0 with a finite "
             "factor value > 0"
         )
-    return X, r2, F, G
+    return X, single, r2, F, G
 
 
 def _radial_powers(r2, p):
@@ -234,20 +231,20 @@ def _divergence(F, G, rp, rq, alpha, beta, params, lam):
 
 def field_T(x, alpha, beta, params: Params, factor: AngularFactor):
     """alpha x / |x|^p - beta grad F / (F |x|^(p-2)) at interior points."""
-    X, r2, F, G = _prepare(x, params, factor)
+    X, single, r2, F, G = _prepare(x, params, factor)
     rp, rq = _radial_powers(r2, params.p)
     # C order whatever the layout of grad F, as callers may reduce rows of
     # eight or more terms with numpy, whose sums round by memory layout.
     T = np.ascontiguousarray(_field(X, F, G, rp, rq, alpha, beta))
-    return T[0] if np.asarray(x).ndim == 1 else T
+    return T[0] if single else T
 
 
 def divergence_T(x, alpha, beta, params: Params, factor: AngularFactor):
     """Closed-form divergence, valid for harmonic homogeneous factors."""
-    X, r2, F, G = _prepare(x, params, factor)
+    X, single, r2, F, G = _prepare(x, params, factor)
     rp, rq = _radial_powers(r2, params.p)
     div = _divergence(F, G, rp, rq, alpha, beta, params, factor.homogeneity)
-    return float(div[0]) if np.asarray(x).ndim == 1 else div
+    return float(div[0]) if single else div
 
 
 def pointwise_certificate(x, alpha, beta, params: Params, factor: AngularFactor):
@@ -257,17 +254,15 @@ def pointwise_certificate(x, alpha, beta, params: Params, factor: AngularFactor)
     (alpha, beta) this is bounded below by the class constant at every
     interior point.
     """
-    out = certificate_many(
-        np.atleast_2d(np.asarray(x, dtype=float)), alpha, beta, params, factor
-    )
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
+    out = certificate_many(x, alpha, beta, params, factor)
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def certificate_many(X, alpha, beta, params: Params, factor: AngularFactor):
     """Vectorized pointwise certificate over a batch of interior points."""
     if params.p < 2.0:
         raise OutOfRangeError("the pointwise certificate needs p >= 2")
-    X, r2, F, G = _prepare(X, params, factor)
+    X, _, r2, F, G = _prepare(X, params, factor)
     p, gamma = params.p, params.gamma
     rp, rq = _radial_powers(r2, p)
     div = _divergence(F, G, rp, rq, alpha, beta, params, factor.homogeneity)

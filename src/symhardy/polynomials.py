@@ -43,26 +43,26 @@ __all__ = [
 ]
 
 
-def _as_batch(x):
-    """Normalize a point (d,) or batch (n, d) to a 2-d float array."""
+def point_batch(x, dimension):
+    """A point (d,) or batch (n, d) as a 2-d float array, and whether it
+    was a single point; any other shape raises ``InvalidDimensionError``."""
     X = np.asarray(x, dtype=float)
-    if X.ndim == 1:
-        return X[None, :], True
-    if X.ndim == 2:
-        return X, False
-    raise ValueError("expected a point of shape (d,) or a batch of shape (n, d)")
+    if X.ndim not in (1, 2) or X.shape[-1] != dimension:
+        raise InvalidDimensionError(
+            f"expected a point of shape ({dimension},) or a batch of shape "
+            f"(n, {dimension}), got an array of shape {X.shape}"
+        )
+    return (X[None, :], True) if X.ndim == 1 else (X, False)
 
 
 def row_sum(columns):
     """Row sums of a batch given by its columns (a sequence of (n,) arrays,
-    or ``X.T``), rounded exactly as ``X.sum(axis=1)``.
+    or ``X.T``), added left to right at every d.
 
-    numpy adds fewer than eight terms per row left to right, which whole
-    columns reproduce in a fraction of the time; from eight terms on it
-    uses eight pairwise accumulators, so longer rows go through numpy.
+    Below eight terms numpy's ``X.sum(axis=1)`` adds left to right too, so
+    there the two agree bit for bit; from eight terms on numpy uses eight
+    pairwise accumulators.
     """
-    if len(columns) >= 8:
-        return np.stack(columns, axis=1).sum(axis=1)
     out = np.array(columns[0], dtype=float)
     for column in columns[1:]:
         out += column
@@ -70,13 +70,9 @@ def row_sum(columns):
 
 
 def row_dot(A, B):
-    """Row-wise inner products of (n, d) batches, as ``(A * B).sum(axis=1)``.
-
-    Below eight columns the products are formed and added one column at a
-    time, so no (n, d) temporary is made.
-    """
-    if A.shape[1] >= 8:
-        return row_sum((A * B).T)
+    """Row-wise inner products of (n, d) batches, formed and added left to
+    right one column at a time, so no (n, d) temporary is made; as
+    ``(A * B).sum(axis=1)`` below eight columns."""
     pairs = zip(A.T, B.T)
     a, b = next(pairs)
     out = a * b
@@ -114,22 +110,19 @@ class AngularFactor:
         self.homogeneity = self.function_class.lam(self.dimension)
 
     def value(self, x):
-        X, single = _as_batch(x)
-        self._check_dim(X)
+        X, single = point_batch(x, self.dimension)
         v = self._value(X)
         return float(v[0]) if single else v
 
     def gradient(self, x):
-        X, single = _as_batch(x)
-        self._check_dim(X)
+        X, single = point_batch(x, self.dimension)
         g = self._gradient(X)
         return g[0] if single else g
 
     def value_and_gradient(self, x):
         """(F, grad F), rounded exactly as ``value`` and ``gradient``; grad F
         may be column-major, where ``gradient`` returns a C-ordered array."""
-        X, single = _as_batch(x)
-        self._check_dim(X)
+        X, single = point_batch(x, self.dimension)
         v, g = self._value_and_gradient(X)
         return (float(v[0]), g[0]) if single else (v, g)
 
@@ -142,8 +135,7 @@ class AngularFactor:
         The lower bound t >= lam**2 follows from the Euler relation and
         the Cauchy-Schwarz inequality; it is asserted here, not assumed.
         """
-        X, single = _as_batch(x)
-        self._check_dim(X)
+        X, single = point_batch(x, self.dimension)
         v = self._value(X)
         if np.any(v == 0.0):
             raise OnBoundaryError(
@@ -161,12 +153,6 @@ class AngularFactor:
         t = np.maximum(t, lam2)
         return float(t[0]) if single else t
 
-    def _check_dim(self, X):
-        if X.shape[-1] != self.dimension:
-            raise InvalidDimensionError(
-                f"point has dimension {X.shape[-1]}, factor expects {self.dimension}"
-            )
-
     def __repr__(self):
         return f"{type(self).__name__}(d={self.dimension}, lam={self.homogeneity})"
 
@@ -180,7 +166,8 @@ class Vandermonde(AngularFactor):
     differentiation away from coordinate coincidences, and an exact
     pair-omission product form, applied to all coincident rows at once, on
     the coincidence set, so they are valid polynomial evaluations
-    everywhere.
+    everywhere.  dF/dx_k adds its d - 1 terms left to right in the order
+    of the other coordinate, at every d.
     """
 
     function_class = FunctionClass.ANTISYMMETRIC
@@ -189,7 +176,6 @@ class Vandermonde(AngularFactor):
         super().__init__(dimension)
         d = self.dimension
         self._pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        self._pair_index = {pair: q for q, pair in enumerate(self._pairs)}
 
     def _value(self, X):
         return row_prod(X[:, j] - X[:, i] for i, j in self._pairs)
@@ -201,39 +187,25 @@ class Vandermonde(AngularFactor):
 
     def _value_and_gradient(self, X):
         # One loop over the pairs: each difference x_j - x_i is a factor of
-        # F, and below d = 8 its reciprocal is added to accumulator j and
-        # subtracted from accumulator i, so accumulator k adds
-        # 1/(x_k - x_j) over j = 0..d-1 in order, exactly as a row sum of d
-        # terms does (1/(x_k - x_j) is -(1/(x_j - x_k)) exactly).  From
-        # eight terms on numpy's row sums are pairwise, so those rows are
-        # summed by ``row_sum`` instead.  dF/dx_k = F * accumulator k.
-        d = self.dimension
+        # F, and its reciprocal is added to accumulator j and subtracted
+        # from accumulator i, so accumulator k adds 1/(x_k - x_j) over
+        # j != k in order (1/(x_k - x_j) is -(1/(x_j - x_k)) exactly).
+        # dF/dx_k = F * accumulator k.
         columns = X.T
-        pairwise = d >= 8
         # Not np.zeros: its calloc maps fresh zero pages for large arrays.
-        grad = np.empty((d, len(X)))
+        grad = np.empty((self.dimension, len(X)))
         grad.fill(0.0)
         F = None
         with np.errstate(divide="ignore", invalid="ignore"):
             for i, j in self._pairs:
                 diff = columns[j] - columns[i]
-                if not pairwise:
-                    inv = 1.0 / diff
-                    grad[j] += inv
-                    grad[i] -= inv
+                inv = 1.0 / diff
+                grad[j] += inv
+                grad[i] -= inv
                 if F is None:
                     F = diff
                 else:
                     F *= diff
-            if pairwise:
-                zero = np.zeros(len(X))
-                for k in range(d):
-                    # The j = k term is a 0, so that the sum rounds as a
-                    # row of d terms.
-                    grad[k] = row_sum([
-                        zero if j == k else 1.0 / (columns[k] - columns[j])
-                        for j in range(d)
-                    ])
             grad *= F
         rows = np.nonzero(~np.isfinite(grad).all(axis=0))[0]
         if len(rows):
@@ -241,29 +213,21 @@ class Vandermonde(AngularFactor):
         return F, grad.T
 
     def _gradient_products(self, X):
-        # Exact polynomial route for a point (d,) or a batch (m, d): d/dx_k
-        # of the product is a sum of signed products with one pair factor
-        # omitted.  O(d^4) operations on whole columns, coincidence-safe;
-        # each row sees exactly the operations of a one-point call.
-        d = self.dimension
+        # Exact polynomial route for a point (d,) or a batch (m, d), one
+        # loop over the pairs: the product of every pair factor but
+        # x_j - x_i is added to dF/dx_j and subtracted from dF/dx_i.  So
+        # dF/dx_k takes its terms in the order of the other coordinate.
+        # O(d^4) operations on whole columns, coincidence-safe; each row
+        # sees exactly the operations of a one-point call.
+        diffs = [X[..., j] - X[..., i] for i, j in self._pairs]
         out = np.zeros(X.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(d):
-                acc = np.zeros(X.shape[:-1])
-                for j in range(d):
-                    if j == k:
-                        continue
-                    skip = self._pair_index[(min(j, k), max(j, k))]
-                    prod = np.ones(X.shape[:-1])
-                    for q, (a, b) in enumerate(self._pairs):
-                        if q == skip:
-                            continue
-                        prod *= X[..., b] - X[..., a]
-                    if k > j:
-                        acc += prod
-                    else:
-                        acc -= prod
-                out[..., k] = acc
+            for q, (i, j) in enumerate(self._pairs):
+                prod = np.ones(X.shape[:-1])
+                for diff in diffs[:q] + diffs[q + 1:]:
+                    prod *= diff
+                out[..., j] += prod
+                out[..., i] -= prod
         return out
 
 

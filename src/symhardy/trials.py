@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError
-from .polynomials import AngularFactor, row_dot
+from .polynomials import AngularFactor, point_batch, row_dot
 
 __all__ = [
     "RadialProfile",
@@ -197,9 +197,7 @@ class TrialFunction:
         are formed once, and psi and its derivatives come from one
         ``derivatives`` call on a read-only r.
         """
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        if X.shape[1] != self.dimension:
-            raise InvalidDimensionError("point dimension mismatch")
+        X = point_batch(x, self.dimension)[0]
         sq = row_dot(X, X)
         r = np.sqrt(sq)
         r.flags.writeable = False  # psi and its derivatives share its work

@@ -171,10 +171,18 @@ class TestVerifyCommand:
                 ("3", "2.0940460135428336", "0.024906827012100723"),
                 ("5", "21.752510291459433", "0.1608823720976269"),
             ]),
+            # From d = 8 on the row sums add left to right, not pairwise.
+            ("antisym", "hardy", ["--d", "8", "--p", "2"], [
+                ("8", "948.25120936151404", "55.174323121408044"),
+            ]),
+            ("odd", "rellich", ["--d", "9", "--p", "2"], [
+                ("9", "557.99654499614314", "7.8030543641284842"),
+            ]),
         ],
         ids=["antisym-hardy-pinned0", "odd-rellich-pinned1",
              "antisym-hardy-pinned2", "odd-rellich-pinned3",
-             "antisym-hardy-pinned4", "general-rellich-pinned5"],
+             "antisym-hardy-pinned4", "general-rellich-pinned5",
+             "antisym-hardy-pinned6", "odd-rellich-pinned7"],
     )
     def test_mc_quotients_pinned(self, tmp_path, klass, functional, grid,
                                  pinned):

@@ -21,6 +21,14 @@ and check that:
 - the Vandermonde product is harmonic, which the trials' Laplacian
   F (psi'' + c psi'/r) assumes.
 
+The certificate function f(t; alpha, beta) of ``symhardy.minimax``,
+written out here, is checked too: its derivative in t vanishes at the
+closed-form t0, symbolically in (p, lam, d, gamma, alpha, beta) for
+p > 2, and f at (alpha0, beta0, t0) is (2/p)^p B^(p/2) with
+B = (p - 2 + gamma) lam + A^2, symbolically in (A, B, lam) at six
+rational p > 2.  The package's f, t0, optimum and value are then compared
+with these forms at float points.
+
 Each public constant is then evaluated at rational points with p != 2 and
 compared with the exact value of the chain (Rellich) or of the written-out
 form (Hardy), so that a Rellich formula off by 1 % fails here.
@@ -30,6 +38,7 @@ import pytest
 import sympy as sp
 
 from symhardy import constants as cn
+from symhardy import minimax as mm
 
 from oracles import vandermonde_laplacian_poly
 
@@ -154,3 +163,82 @@ def test_public_constant_matches_exact_value(name, point):
     exact = exact_value(*PUBLIC[name], sp.Integer(dim),
                         sp.Rational(exponent), sp.Rational(weight))
     assert float(abs(result.value - exact) / exact) < 1e-12
+
+
+def certificate_f(t, alpha, beta, order, dim, exponent, weight):
+    """f(t; alpha, beta), as the ``minimax`` module docstring writes it."""
+    radicand = alpha**2 - 2 * alpha * beta * order + beta**2 * t
+    return (alpha * (dim - exponent - weight)
+            + beta * (exponent - 2 + weight) * order + beta * t
+            - (exponent - 1)
+            * radicand ** (exponent / (2 * (exponent - 1))))
+
+
+def t_zero(alpha, beta, order, exponent):
+    """The stationary point t0 of t -> f, as ``t_minimizer`` documents it."""
+    return ((exponent * beta / 2) ** (2 * (exponent - 1) / (exponent - 2))
+            - alpha**2 + 2 * alpha * beta * order) / beta**2
+
+
+def optimum(A_, B_, exponent):
+    """(alpha0, beta0) = (A K, K), K = B^((p-2)/2) (2/p)^(p-1)."""
+    K = B_ ** ((exponent - 2) / 2) * (2 / exponent) ** (exponent - 1)
+    return A_ * K, K
+
+
+def test_t0_is_stationary():
+    # p = 2 + s with s > 0, beta > 0: the powers of p beta / 2 combine.
+    s, beta = sp.symbols("s beta", positive=True)
+    alpha, t = sp.symbols("alpha t", real=True)
+    exponent = 2 + s
+    dfdt = sp.diff(certificate_f(t, alpha, beta, lam, d, exponent, gamma), t)
+    assert sp.simplify(dfdt.subs(t, t_zero(alpha, beta, lam, exponent))) == 0
+
+
+@pytest.mark.parametrize("exponent", [sp.Rational(7, 3), sp.Rational(5, 2),
+                                      sp.Rational(11, 4), sp.Integer(3),
+                                      sp.Integer(4), sp.Rational(9, 2)])
+def test_value_at_the_optimum(exponent):
+    # d and gamma through A = (d - p - gamma + 2 lam) / 2 and
+    # B = (p - 2 + gamma) lam + A^2, so that B^(1/2) is a symbol's power.
+    A_ = sp.Symbol("A", real=True)
+    B_, order = sp.symbols("B lam", positive=True)
+    weight = (B_ - A_**2) / order - exponent + 2
+    dim = 2 * A_ + exponent + weight - 2 * order
+    alpha0, beta0 = optimum(A_, B_, exponent)
+    t0 = t_zero(alpha0, beta0, order, exponent)
+    g = certificate_f(t0, alpha0, beta0, order, dim, exponent, weight)
+    assert sp.expand(g - (2 / exponent) ** exponent
+                     * B_ ** (exponent / 2)) == 0
+
+
+# (class, d, p, gamma) with p > 2.
+MINIMAX_POINTS = [(cn.FunctionClass.ANTISYMMETRIC, 3, 2.5, 0.0),
+                  (cn.FunctionClass.ODD, 4, 3.0, 0.5),
+                  (cn.FunctionClass.ANTISYMMETRIC, 4, 2.25, -0.5),
+                  (cn.FunctionClass.ODD, 6, 4.0, 1.0),
+                  (cn.FunctionClass.ANTISYMMETRIC, 2, 2.75, 0.25)]
+
+
+@pytest.mark.parametrize("klass, dim, exponent, weight", MINIMAX_POINTS)
+def test_minimax_matches_the_written_forms(klass, dim, exponent, weight):
+    params = cn.Params(dim, exponent, weight, klass)
+    order = sp.Rational(params.lam)
+    pe, we = sp.Rational(exponent), sp.Rational(weight)
+    A_ = (dim - pe - we + 2 * order) / 2
+    B_ = (pe - 2 + we) * order + A_**2
+    alpha0, beta0 = optimum(A_, B_, pe)
+    t0 = t_zero(alpha0, beta0, order, pe)
+
+    def close(got, want):
+        want = sp.N(want, 40)
+        return float(abs(got - want) / abs(want)) < 1e-12
+
+    opt = mm.closed_form_optimum(params)
+    assert close(opt.alpha, alpha0) and close(opt.beta, beta0)
+    assert close(mm.t_minimizer(float(sp.N(alpha0)), float(sp.N(beta0)),
+                                params), t0)
+    assert close(mm.f_certificate(float(sp.N(t0)), float(sp.N(alpha0)),
+                                  float(sp.N(beta0)), params),
+                 certificate_f(t0, alpha0, beta0, order, dim, pe, we))
+    assert close(mm.closed_form_value(params), (2 / pe) ** pe * B_ ** (pe / 2))

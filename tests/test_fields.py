@@ -9,6 +9,7 @@ from symhardy.constants import FunctionClass, Params
 from symhardy.errors import (
     DegenerateSampleError,
     DomainError,
+    InvalidDimensionError,
     OutOfRangeError,
     SingularPointError,
     SymmetryClassError,
@@ -249,6 +250,40 @@ class TestFactorClassMatchesParams:
             fn(X, 1.0, 1.0, pr, factor)
 
 
+BAD_POINTS = [2.0, np.ones((2, 3, 3)), np.ones(4), np.ones((2, 4))]
+BAD_IDS = ["scalar", "3d", "point-d4", "batch-d4"]
+
+
+class TestBadPointShape:
+    """Every entry point refuses any shape but (d,) or (n, d)."""
+
+    @pytest.mark.parametrize("x", BAD_POINTS, ids=BAD_IDS)
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    @pytest.mark.parametrize("method", ["contains", "boundary_distance"])
+    def test_domain(self, method, klass, x):
+        dom = fd.SectorDomain.for_params(Params(3, 3.0, 0.0, klass))
+        with pytest.raises(InvalidDimensionError,
+                           match=r"^expected a point of shape \(3,\)"):
+            getattr(dom, method)(x)
+
+    @pytest.mark.parametrize("x", BAD_POINTS, ids=BAD_IDS)
+    @pytest.mark.parametrize("fn", [
+        fd.field_T, fd.divergence_T, fd.pointwise_certificate,
+        fd.certificate_many,
+    ], ids=["field_T", "divergence_T", "pointwise_certificate",
+            "certificate_many"])
+    def test_field(self, fn, x):
+        pr = Params(3, 3.0, 0.0, ANTI)
+        with pytest.raises(InvalidDimensionError,
+                           match=r"^expected a point of shape \(3,\)"):
+            fn(x, 1.0, 1.0, pr, vandermonde(3))
+
+    def test_factor_and_params_dimensions_differ(self):
+        with pytest.raises(InvalidDimensionError, match="factor and params"):
+            fd.field_T(np.ones(3), 1.0, 1.0, Params(4, 3.0, 0.0, ANTI),
+                       vandermonde(3))
+
+
 class TestSamplingArguments:
     @pytest.mark.parametrize("kwargs,name", [
         ({"n": 2.5}, "n"),
@@ -448,7 +483,7 @@ class TestAgainstReference:
 
     # The certificate workload's 24 field-op point sets at seed 1 (classes
     # antisym, odd; d = 2, 3; p = 2, 3; gamma = -1, 0, 1), and two d >= 8
-    # sets, where row sums round by numpy's pairwise rule.
+    # sets, where row sums have eight or more terms.
     FIELD_SETS = [
         (klass, d, p, gamma, [1, 54 + k])
         for k, (klass, d, p, gamma) in enumerate(

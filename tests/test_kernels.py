@@ -1,14 +1,16 @@
-"""Column-wise batch kernels against numpy's row-wise reductions.
+"""Column-wise batch kernels against row-wise reference formulas.
 
-The references below are the row-wise formulas (``.sum(axis=1)``,
-``.prod(axis=1)``, ``np.linalg.norm(axis=1)``, the (n, d, d) reciprocal
-tensor of the Vandermonde gradient).  Every comparison is exact
+The references below are the row-wise formulas (row sums, ``.prod(axis=1)``,
+norms, the (n, d, d) reciprocal tensor of the Vandermonde gradient), with
+every sum added left to right by ``lr_sum``.  Every comparison is exact
 (``np.array_equal``): the kernels must round each row as those reductions
-do.  d runs over 1..9, because numpy sums fewer than eight terms per row
-left to right and eight or more in eight pairwise accumulators.
+do.  d runs over 1..9: below eight terms numpy's ``.sum`` adds left to
+right too, which a test here pins, and from eight on it uses eight
+pairwise accumulators, where the kernels still add left to right.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -28,6 +30,16 @@ from symhardy.trials import gaussian_trial
 from oracles import vandermonde_gradient_exact
 
 DIMS = range(1, 10)
+
+
+def lr_sum(A, axis):
+    """The sum of ``A`` along ``axis``, added left to right."""
+    return reduce(np.add, np.moveaxis(A, axis, 0))
+
+
+def lr_norm(X):
+    """Row norms, their squares added left to right."""
+    return np.sqrt(lr_sum(X * X, 1))
 
 
 def batch(d, n=300):
@@ -60,7 +72,7 @@ def ref_vandermonde_gradient(factor, X):
         inv = 1.0 / D
         idx = np.arange(d)
         inv[:, idx, idx] = 0.0
-        grad = v[:, None] * inv.sum(axis=2)
+        grad = v[:, None] * lr_sum(inv, 2)
     bad = ~np.isfinite(grad).all(axis=1)
     for i in np.nonzero(bad)[0]:
         grad[i] = factor._gradient_products(X[i])
@@ -71,7 +83,7 @@ def ref_angular_value(factor, X):
     if factor.function_class is FunctionClass.ANTISYMMETRIC:
         return ref_vandermonde_value(X)
     if factor.function_class is FunctionClass.ODD:
-        return X.sum(axis=1)
+        return lr_sum(X, 1)
     return np.ones(len(X))
 
 
@@ -84,12 +96,12 @@ def ref_angular_gradient(factor, X):
 
 
 def ref_trial_value(u, X):
-    r = np.linalg.norm(X, axis=1)
+    r = lr_norm(X)
     return ref_angular_value(u.angular, X) * u.radial.psi(r)
 
 
 def ref_trial_gradient(u, X):
-    r = np.linalg.norm(X, axis=1)
+    r = lr_norm(X)
     F = ref_angular_value(u.angular, X)
     G = ref_angular_gradient(u.angular, X)
     psi = u.radial.psi(r)
@@ -100,7 +112,7 @@ def ref_trial_gradient(u, X):
 
 
 def ref_trial_laplacian(u, X):
-    r = np.linalg.norm(X, axis=1)
+    r = lr_norm(X)
     F = ref_angular_value(u.angular, X)
     psi2 = u.radial.d2psi(r)
     dpsi = u.radial.dpsi(r)
@@ -111,17 +123,17 @@ def ref_trial_laplacian(u, X):
 
 
 def ref_certificate(X, alpha, beta, params, factor):
-    r2 = (X * X).sum(axis=1)
+    r2 = lr_sum(X * X, 1)
     F, G = factor.value(X), factor.gradient(X)
     p, d, gamma, lam = params.p, params.d, params.gamma, factor.homogeneity
     r = np.sqrt(r2)
     rp = r**p
     div = (alpha * (d - p) + beta * (p - 2.0) * lam) / rp + beta * (
-        (G * G).sum(axis=1) / (F * F)
+        lr_sum(G * G, 1) / (F * F)
     ) / r ** (p - 2.0)
     T = alpha * X / rp[:, None] - beta * G / (F * r ** (p - 2.0))[:, None]
-    T_sq = (T * T).sum(axis=1)
-    x_dot_T = (X * T).sum(axis=1)
+    T_sq = lr_sum(T * T, 1)
+    x_dot_T = lr_sum(X * T, 1)
     return rp * (
         div - (p - 1.0) * T_sq ** (p / (2.0 * (p - 1.0))) - gamma * x_dot_T / r2
     )
@@ -144,17 +156,31 @@ class TestRowKernels:
     def test_row_dot(self, d):
         X = batch(d)
         Y = batch(d)[::-1].copy()
-        assert np.array_equal(row_dot(X, Y), (X * Y).sum(axis=1))
-        assert np.array_equal(np.sqrt(row_dot(X, X)), np.linalg.norm(X, axis=1))
+        assert np.array_equal(row_dot(X, Y), lr_sum(X * Y, 1))
+        assert np.array_equal(np.sqrt(row_dot(X, X)), lr_norm(X))
 
     def test_row_sum_and_prod(self, d):
         X = batch(d)
-        assert np.array_equal(row_sum(X.T), X.sum(axis=1))
+        assert np.array_equal(row_sum(X.T), lr_sum(X, 1))
         assert np.array_equal(row_prod(X.T), X.prod(axis=1))
 
     def test_odd_linear_value(self, d):
         X = batch(d)
-        assert np.array_equal(odd_linear(d).value(X), X.sum(axis=1))
+        assert np.array_equal(odd_linear(d).value(X), lr_sum(X, 1))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_left_to_right_reference_is_numpys_sum_below_eight_terms(d):
+    # On C-ordered batches numpy adds fewer than eight terms left to right,
+    # so there the references are numpy's own reductions.
+    X = np.ascontiguousarray(batch(d))
+    Y = batch(d)[::-1].copy()
+    assert np.array_equal(lr_sum(X, 1), X.sum(axis=1))
+    assert np.array_equal(lr_sum(X * Y, 1), (X * Y).sum(axis=1))
+    assert np.array_equal(lr_norm(X), np.linalg.norm(X, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / (X[:, :, None] - X[:, None, :])
+    assert np.array_equal(lr_sum(inv, 2), inv.sum(axis=2), equal_nan=True)
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -180,7 +206,7 @@ class TestTrialKernels:
         ref = ref_trial_gradient(u, X)
         g = u.gradient(X)
         assert np.array_equal(g, ref)
-        assert np.array_equal(row_dot(g, g), (ref * ref).sum(axis=1))
+        assert np.array_equal(row_dot(g, g), lr_sum(ref * ref, 1))
 
     def test_laplacian(self, kind, d):
         u, X = trial(kind, d), batch(d)
@@ -289,7 +315,7 @@ LAYOUTS = ["C", "F", "sliced"]
 def test_row_dot_layouts(d, layout):
     X, Y = batch(d), batch(d)[::-1].copy()
     got = row_dot(layouts(X)[layout], layouts(Y)[layout])
-    assert np.array_equal(got, (X * Y).sum(axis=1))
+    assert np.array_equal(got, lr_sum(X * Y, 1))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -312,7 +338,7 @@ def test_trial_layouts(kind, d, layout):
     u, X = trial(kind, d), batch(d)
     view = layouts(X)[layout]
     sq, value, grad, lap = u.evaluate(view, gradient=True, laplacian=True)
-    assert np.array_equal(sq, (X * X).sum(axis=1))
+    assert np.array_equal(sq, lr_sum(X * X, 1))
     assert np.array_equal(value, ref_trial_value(u, X))
     assert np.array_equal(grad, ref_trial_gradient(u, X))
     assert np.array_equal(lap, ref_trial_laplacian(u, X))

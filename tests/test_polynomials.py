@@ -350,3 +350,28 @@ class TestExactBackend:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimensionError):
             vandermonde_value_exact([1, 2, 3, 4, 5])
+
+
+# A scalar, a 3-d array and points of the wrong dimension, for d = 3.
+BAD_POINTS = [2.0, np.ones((2, 3, 3)), np.ones(4), np.ones((2, 4))]
+
+
+@pytest.mark.parametrize("x", BAD_POINTS, ids=["scalar", "3d", "point-d4", "batch-d4"])
+@pytest.mark.parametrize("factor", [poly.vandermonde(3), poly.odd_linear(3),
+                                    poly.ConstantFactor(3)], ids=repr)
+@pytest.mark.parametrize("method", ["value", "gradient", "value_and_gradient",
+                                    "schwarz_ratio"])
+def test_bad_point_shape_refused(method, factor, x):
+    with pytest.raises(InvalidDimensionError,
+                       match=r"^expected a point of shape \(3,\)"):
+        getattr(factor, method)(x)
+
+
+def test_point_batch():
+    x = np.array([1.0, 2.0, 3.0])
+    X, single = poly.point_batch(x, 3)
+    assert single and X.shape == (1, 3) and np.shares_memory(X, x)
+    Y = np.asfortranarray(np.ones((5, 3)))
+    X, single = poly.point_batch(Y, 3)
+    assert not single and X is Y
+    assert poly.point_batch(np.empty((0, 3)), 3)[0].shape == (0, 3)

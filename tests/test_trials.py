@@ -359,3 +359,13 @@ class TestEvaluate:
                 else:
                     assert grad is None
             assert u.laplacian(X[0]) == float(want[0])
+
+
+@pytest.mark.parametrize("x", [2.0, np.ones((2, 3, 3)), np.ones(4), np.ones((2, 4))],
+                         ids=["scalar", "3d", "point-d4", "batch-d4"])
+@pytest.mark.parametrize("method", ["evaluate", "value", "gradient", "laplacian"])
+def test_bad_point_shape_refused(method, x):
+    u = tr.gaussian_trial(vandermonde(3), 1.0)
+    with pytest.raises(InvalidDimensionError,
+                       match=r"^expected a point of shape \(3,\)"):
+        getattr(u, method)(x)
