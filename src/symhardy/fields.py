@@ -42,9 +42,11 @@ __all__ = [
     "SectorDomain",
     "field_T",
     "divergence_T",
-    "pointwise_certificate",
     "certificate_many",
 ]
+
+# Radius of the ball at the origin that the sampler leaves out.
+_ORIGIN_BALL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,42 +73,10 @@ class SectorDomain:
     def for_params(cls, params: Params):
         return cls(class_factor(params.klass, params.d))
 
-    @property
-    def dimension(self):
-        return self.factor.dimension
-
-    @property
-    def _ordered(self):
-        """True for the ordered sector, False for the half-space."""
-        return self.factor.function_class is FunctionClass.ANTISYMMETRIC
-
-    def contains(self, x):
-        X, single = point_batch(x, self.dimension)
-        if self._ordered:
-            out = np.all(np.diff(X, axis=1) > 0.0, axis=1)
-        else:
-            out = row_sum(X.T) > 0.0
-        return bool(out[0]) if single else out
-
-    def boundary_distance(self, x):
-        """Euclidean distance to the sector boundary (hyperplane arrangement).
-
-        For the ordered sector the nearest wall x_i = x_j is the one of the
-        smallest adjacent gap of the sorted row, at distance gap / sqrt(2):
-        fl(x_j - x_i) is monotone in both arguments, so on a sorted row no
-        other pair has a smaller rounded gap.  Rows are sorted first.
-        """
-        X, single = point_batch(x, self.dimension)
-        if self._ordered:
-            dist = _ordered_distance(_sort_rows(X))
-        else:
-            dist = np.abs(row_sum(X.T)) / np.sqrt(self.dimension)
-        return float(dist[0]) if single else dist
-
-    def sample_interior(self, n, rng, tube=1e-6, origin_ball=1e-6):
+    def sample_interior(self, n, rng, tube=1e-6):
         """Draw n standard normal interior points, excluding a tube around
-        the boundary and a ball at the origin where the certificate is
-        numerically singular.
+        the boundary and the ball of radius ``_ORIGIN_BALL`` at the origin,
+        where the certificate is numerically singular.
 
         The first draw is of max(n, 128) rows; later ones are sized 10 %
         over the shortfall at the keep rate so far, within [128, max(n, 128)]
@@ -115,16 +85,16 @@ class SectorDomain:
         normals are one sequential stream, so the points are its first n
         kept rows whatever the draw sizes.  Rows are sorted (ordered
         sector) or negated where their sum is negative (half-space), and
-        the wall distance comes from the sorted columns or those sums, bit
-        for bit as ``np.sort`` and ``boundary_distance`` give them.  Bad
-        arguments raise ``DomainError`` before anything is drawn.
+        the wall distance comes from the sorted columns or those sums; the
+        points are those of ``np.sort``, bit for bit.  Bad arguments raise
+        ``DomainError`` before anything is drawn.
         """
         if not isinstance(n, numbers.Integral) or n < 0:
             raise DomainError(f"n must be a non-negative integer, got {n!r}")
-        for name, value in (("tube", tube), ("origin_ball", origin_ball)):
-            if not 0.0 <= value < np.inf:
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-        d, ordered = self.dimension, self._ordered
+        if not 0.0 <= tube < np.inf:
+            raise DomainError(f"tube must be finite and >= 0, got {tube!r}")
+        d = self.factor.dimension
+        ordered = self.factor.function_class is FunctionClass.ANTISYMMETRIC
         block = max(n, 128)
         budget = 200 * block
         kept, count, drawn = [], 0, 0
@@ -132,7 +102,7 @@ class SectorDomain:
             if drawn == budget:
                 raise DegenerateSampleError(
                     f"interior sampling kept {count} of n={n} points from "
-                    f"{budget} draws with tube={tube:g}, origin_ball={origin_ball:g}"
+                    f"{budget} draws with tube={tube:g}"
                 )
             size = block
             if count:
@@ -150,7 +120,7 @@ class SectorDomain:
                 X = X * s[:, None]
                 # Negation is exact, so the flipped rows sum to -total.
                 dist = np.abs(total) / np.sqrt(d)
-            keep = (dist > tube) & (np.sqrt(row_dot(X, X)) > origin_ball)
+            keep = (dist > tube) & (np.sqrt(row_dot(X, X)) > _ORIGIN_BALL)
             kept.append(X.compress(keep, axis=0))
             count += len(kept[-1])
         return np.concatenate(kept)[:n] if kept else np.empty((0, d))
@@ -180,7 +150,10 @@ def _sort_rows(X):
 
 
 def _ordered_distance(X):
-    """Distance to the nearest wall x_i = x_j of rows sorted ascending."""
+    """Distance to the nearest wall x_i = x_j of rows sorted ascending:
+    the smallest adjacent gap over sqrt(2), as fl(x_j - x_i) is monotone in
+    both arguments, so on a sorted row no other pair has a smaller rounded
+    gap."""
     cols = X.T
     gap = cols[1] - cols[0]
     for i in range(1, len(cols) - 1):
@@ -245,17 +218,6 @@ def divergence_T(x, alpha, beta, params: Params, factor: AngularFactor):
     rp, rq = _radial_powers(r2, params.p)
     div = _divergence(F, G, rp, rq, alpha, beta, params, factor.homogeneity)
     return float(div[0]) if single else div
-
-
-def pointwise_certificate(x, alpha, beta, params: Params, factor: AngularFactor):
-    """|x|^p [div T - (p-1) |T|^(p/(p-1)) - gamma <x,T>/|x|^2].
-
-    Computed from the actual field vectors; with the closed-form optimal
-    (alpha, beta) this is bounded below by the class constant at every
-    interior point.
-    """
-    out = certificate_many(x, alpha, beta, params, factor)
-    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def certificate_many(X, alpha, beta, params: Params, factor: AngularFactor):

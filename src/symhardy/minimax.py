@@ -98,7 +98,6 @@ class MinimaxResult:
     gap: float
     converged: bool
     steps: int
-    hessian_eigs: tuple
 
 
 def class_constant(params: Params) -> float:
@@ -337,5 +336,4 @@ def numeric_minimax(params: Params):
         gap=abs(value - target),
         converged=converged,
         steps=steps,
-        hessian_eigs=tuple(float(e) for e in np.linalg.eigvalsh(hess)),
     )

@@ -89,9 +89,13 @@ def _shared_derivatives(shared, formulas):
 
 
 def gaussian_profile(sigma=1.0):
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     s2 = sigma * sigma
+    # psi' and psi'' divide by sigma^2, so it must neither underflow to 0
+    # nor overflow.
+    if not (sigma > 0.0 and 0.0 < s2 < math.inf):
+        raise DomainError(
+            f"sigma must be positive with a finite nonzero square, got {sigma}"
+        )
 
     def shared(r):
         r = np.asarray(r, dtype=float)
@@ -180,10 +184,6 @@ class TrialFunction:
         self.radial = radial
         self.class_tag = angular.function_class
 
-    @property
-    def dimension(self):
-        return self.angular.dimension
-
     def evaluate(self, x, gradient=False, laplacian=False):
         """(|x|^2, u, grad u, Delta u) on a batch x of shape (n, d); grad u
         is None unless ``gradient`` is set, and Delta u is None unless
@@ -197,7 +197,7 @@ class TrialFunction:
         are formed once, and psi and its derivatives come from one
         ``derivatives`` call on a read-only r.
         """
-        X = point_batch(x, self.dimension)[0]
+        X = point_batch(x, self.angular.dimension)[0]
         sq = row_dot(X, X)
         r = np.sqrt(sq)
         r.flags.writeable = False  # psi and its derivatives share its work
@@ -214,7 +214,7 @@ class TrialFunction:
         if laplacian:
             with np.errstate(invalid="ignore", divide="ignore"):
                 dpsi_over_r = np.where(r > 0.0, derivs[1] / r, 0.0)
-            c = self.dimension - 1.0 + 2.0 * self.angular.homogeneity
+            c = self.angular.dimension - 1.0 + 2.0 * self.angular.homogeneity
             lap = F * (derivs[2] + c * dpsi_over_r)
         return sq, F * psi, grad, lap
 
@@ -270,6 +270,6 @@ def sharpness_family(factor: AngularFactor, epsilon, smoothing_delta,
     elif functional == "hardy":
         base = exponent_base(factor, 1)
     else:
-        raise ValueError("functional must be 'hardy' or 'rellich'")
+        raise DomainError("functional must be 'hardy' or 'rellich'")
     return TrialFunction(factor, piecewise_power_profile(
         base - epsilon, base + epsilon, smoothing_delta))

@@ -556,6 +556,15 @@ class TestBadInput:
             (["constants", "--d", "2..3.5"], "UsageError"),
             (["verify", "--d", "2.5"], "UsageError"),
             (["sharpness", "--d", "2.5"], "UsageError"),
+            # sigma^2 underflows to 0 or overflows to inf.
+            (["verify", "--functional", "rellich", "--class", "antisym",
+              "--d", "3", "--sigma", "1e-200"], "DomainError"),
+            (["verify", "--method", "product", "--functional", "rellich",
+              "--class", "antisym", "--d", "3", "--sigma", "1e-200"],
+             "DomainError"),
+            (["verify", "--method", "product", "--functional", "rellich",
+              "--class", "antisym", "--d", "3", "--sigma", "1e200"],
+             "DomainError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,

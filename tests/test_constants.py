@@ -1,7 +1,9 @@
+import csv
 import math
 
 import pytest
 
+from symhardy import cli
 from symhardy import constants as cn
 from symhardy.errors import InvalidDimensionError, OutOfRangeError
 
@@ -161,6 +163,47 @@ class TestRellich:
     def test_rejects_p_at_most_one(self):
         with pytest.raises(OutOfRangeError):
             cn.rellich_antisymmetric(3, 1.0)
+
+
+def degree_minimum(d, gamma, degree):
+    """min over real xi of |z (z + d - 2) - L|^2 at z = a + i xi, with
+    a = (4 + gamma - d)/2 and L = l (l + d - 2): the best p = 2 Rellich
+    constant on trials F(x) psi(|x|) with F a harmonic of degree l.  With
+    A = a (a + d - 2) - L and B = 2a + d - 2 the modulus is
+    (A - xi^2)^2 + xi^2 B^2, least at xi = 0 while A <= B^2 / 2."""
+    a = (4.0 + gamma - d) / 2.0
+    A = a * (a + d - 2.0) - degree * (degree + d - 2.0)
+    B = 2.0 * a + d - 2.0
+    return A * A if A <= B * B / 2.0 else B * B * A - B**4 / 4.0
+
+
+class TestRellichP2HarmonicDegrees:
+    """At p = 2 every admissible printed Rellich constant is the least
+    harmonic-degree minimum over the class's degrees (l >= 0, 1 and
+    d(d-1)/2), reached at the least degree with xi = 0; no formula from
+    ``constants`` is read here."""
+
+    LEAST_DEGREE = {"general": lambda d: 0, "odd": lambda d: 1,
+                    "antisym": lambda d: d * (d - 1) // 2}
+
+    def test_printed_value_is_the_least_degree_minimum(self, tmp_path):
+        out = tmp_path / "c.csv"
+        gammas = ",".join(str(-6.0 + 0.5 * k) for k in range(29))
+        assert cli.main(["constants", "--class", "all", "--d", "1..8", "--p",
+                         "2", f"--gamma={gammas}", "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = [row for row in csv.DictReader(handle)
+                    if row["functional"] == "rellich"
+                    and row["admissible"] == "true"]
+        assert len(rows) == 383
+        for row in rows:
+            d, gamma, value = int(row["d"]), float(row["gamma"]), float(row["value"])
+            least = self.LEAST_DEGREE[row["class"]](d)
+            minima = [degree_minimum(d, gamma, l) for l in range(least, least + 60)]
+            assert value <= min(minima) * (1.0 + 1e-12), row
+            a = (4.0 + gamma - d) / 2.0
+            at_xi_zero = (a * (a + d - 2.0) - least * (least + d - 2.0)) ** 2
+            assert abs(value - at_xi_zero) <= 1e-12 * at_xi_zero, row
 
 
 class TestValueNonnegativity:

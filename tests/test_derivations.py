@@ -22,12 +22,12 @@ and check that:
   F (psi'' + c psi'/r) assumes.
 
 The certificate function f(t; alpha, beta) of ``symhardy.minimax``,
-written out here, is checked too: its derivative in t vanishes at the
-closed-form t0, symbolically in (p, lam, d, gamma, alpha, beta) for
-p > 2, and f at (alpha0, beta0, t0) is (2/p)^p B^(p/2) with
-B = (p - 2 + gamma) lam + A^2, symbolically in (A, B, lam) at six
-rational p > 2.  The package's f, t0, optimum and value are then compared
-with these forms at float points.
+written out here, is checked too: it is convex in t for p > 2, and its
+derivative in t vanishes at the closed-form t0, both symbolically in
+(p, lam, d, gamma, alpha, beta) for p > 2; and f at (alpha0, beta0, t0)
+is (2/p)^p B^(p/2) with B = (p - 2 + gamma) lam + A^2, symbolically in
+(A, B, lam) at six rational p > 2.  The package's f, t0, optimum and
+value are then compared with these forms at float points.
 
 Each public constant is then evaluated at rational points with p != 2 and
 compared with the exact value of the chain (Rellich) or of the written-out
@@ -193,6 +193,23 @@ def test_t0_is_stationary():
     exponent = 2 + s
     dfdt = sp.diff(certificate_f(t, alpha, beta, lam, d, exponent, gamma), t)
     assert sp.simplify(dfdt.subs(t, t_zero(alpha, beta, lam, exponent))) == 0
+
+
+def test_f_is_convex_in_t():
+    # d2f/dt2 = p (p-2) / (4 (p-1)) beta^4 R^(q-2), with R the radicand and
+    # q = p / (2 (p-1)): positive for p > 2 wherever R > 0.
+    s, beta, radicand = sp.symbols("s beta R", positive=True)
+    alpha, t = sp.symbols("alpha t", real=True)
+    exponent = 2 + s
+    d2fdt2 = sp.diff(certificate_f(t, alpha, beta, lam, d, exponent, gamma),
+                     t, 2)
+    d2fdt2 = d2fdt2.subs(alpha**2 - 2 * alpha * beta * lam + beta**2 * t,
+                         radicand)
+    q = exponent / (2 * (exponent - 1))
+    want = (exponent * (exponent - 2) / (4 * (exponent - 1)) * beta**4
+            * radicand ** (q - 2))
+    assert sp.simplify(d2fdt2 / want) == 1
+    assert want.is_positive
 
 
 @pytest.mark.parametrize("exponent", [sp.Rational(7, 3), sp.Rational(5, 2),

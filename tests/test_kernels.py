@@ -116,7 +116,7 @@ def ref_trial_laplacian(u, X):
     F = ref_angular_value(u.angular, X)
     psi2 = u.radial.d2psi(r)
     dpsi = u.radial.dpsi(r)
-    d, lam = u.dimension, u.angular.homogeneity
+    d, lam = u.angular.dimension, u.angular.homogeneity
     with np.errstate(invalid="ignore", divide="ignore"):
         dpsi_over_r = np.where(r > 0.0, dpsi / r, 0.0)
     return F * (psi2 + (d - 1.0 + 2.0 * lam) * dpsi_over_r)

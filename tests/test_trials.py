@@ -36,7 +36,9 @@ def fd_laplacian(f, x, h=1e-4):
 
 
 class TestGaussianTrial:
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    # 1e-200 squares to 0.0 and 1e200 to inf.
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                       1e-200, 1e200])
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(DomainError, match="sigma"):
             tr.gaussian_profile(sigma)
@@ -169,6 +171,10 @@ class TestSharpnessFamily:
             tr.sharpness_family(vandermonde(3), 1.5, 0.01)
         with pytest.raises(InvalidDimensionError):
             tr.sharpness_family(vandermonde(2), 0.1, 0.01, functional="rellich")
+
+    def test_unknown_functional_is_a_named_error(self):
+        with pytest.raises(DomainError, match="functional must be"):
+            tr.sharpness_family(vandermonde(3), 0.1, 0.02, functional="x")
 
     @pytest.mark.parametrize("functional", ["hardy", "rellich"])
     @pytest.mark.parametrize("epsilon", [0.5, 0.01, 0.001, 1e-6])
@@ -346,7 +352,7 @@ class TestEvaluate:
     def test_laplacian_equal_to_laplacian_method(self, name):
         u = self.TRIALS[name]()
         # Bytes, not values: u and grad u are NaN at x = 0 when psi(0) = inf.
-        for X in self._points(u.dimension):
+        for X in self._points(u.angular.dimension):
             want = u.laplacian(X)
             for gradient in (False, True):
                 sq, value, grad, lap = u.evaluate(X, gradient=gradient,
