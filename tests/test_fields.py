@@ -329,18 +329,25 @@ def ref_sample_interior(dom, n, rng, tube, full_blocks=False):
             size = math.ceil(1.1 * (n - len(out)) * drawn / len(out))
             size = min(max(size, 128), block)
         drawn += size
-        X = rng.standard_normal((size, d))
-        if dom.factor.function_class is ANTI:
-            X = np.sort(X, axis=1)
-        else:
-            s = np.sign(row_sum(X.T))
-            s[s == 0.0] = 1.0
-            X = X * s[:, None]
-        keep = (ref_boundary_distance(dom, X) > tube) & (
-            np.sqrt(row_dot(X, X)) > 1e-6
-        )
-        out = np.vstack([out, X[keep]])
+        out = np.vstack([out, ref_kept(dom, rng.standard_normal((size, d)),
+                                       tube)])
     return out[:n]
+
+
+def ref_kept(dom, X, tube):
+    """The rows of X sorted (ordered sector) or negated where their sum is
+    negative (half-space), less those within the tube or the ball of
+    radius 1e-6 at the origin."""
+    if dom.factor.function_class is ANTI:
+        X = np.sort(X, axis=1)
+    else:
+        s = np.sign(row_sum(X.T))
+        s[s == 0.0] = 1.0
+        X = X * s[:, None]
+    keep = (ref_boundary_distance(dom, X) > tube) & (
+        np.sqrt(row_dot(X, X)) > 1e-6
+    )
+    return X[keep]
 
 
 def ref_parts(X, alpha, beta, pr, factor):
@@ -372,6 +379,22 @@ class RecordingGenerator:
         return self.rng.standard_normal(shape)
 
 
+class StreamGenerator:
+    """A generator whose ``standard_normal`` serves the rows of a fixed
+    array in order, then rows of zeros, which every sampler refuses."""
+
+    def __init__(self, rows):
+        self.rows, self.at = rows, 0
+
+    def standard_normal(self, shape):
+        size, d = shape
+        out = np.zeros((size, d))
+        part = self.rows[self.at:self.at + size]
+        out[:len(part)] = part
+        self.at += size
+        return out
+
+
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -380,7 +403,7 @@ def assert_same_bits(got, want):
 
 class TestAgainstReference:
     @pytest.mark.parametrize("tube", [1e-6, 0.02, 0.05])
-    @pytest.mark.parametrize("n", [50, 10_000])
+    @pytest.mark.parametrize("n", [1, 10, 50, 10_000])
     @pytest.mark.parametrize("d", range(2, 11))
     @pytest.mark.parametrize("klass", [ANTI, ODD])
     def test_sample_interior(self, klass, d, n, tube):
@@ -435,6 +458,25 @@ class TestAgainstReference:
         for X in (unsorted, ties, zeros, 1e-300 * unsorted):
             assert_same_bits(fd._ordered_distance(fd._sort_rows(X)),
                              ref_boundary_distance(dom, X))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 10])
+    @pytest.mark.parametrize("klass", [ANTI, ODD])
+    def test_sampler_wall_distance(self, klass, d):
+        # Rows with ties, signed zeros and small norms, served in order: the
+        # sampler keeps exactly the rows whose wall distance, every pairwise
+        # gap (ordered sector) or |sum x| / sqrt(d) (half-space), exceeds
+        # the tube and whose norm exceeds 1e-6.
+        dom = fd.SectorDomain.for_params(Params(d, 2, 0.0, klass))
+        rng = np.random.default_rng(32)
+        unsorted = rng.standard_normal((500, d))
+        ties = rng.integers(-2, 3, size=(500, d)).astype(float)
+        zeros = rng.choice([0.0, -0.0, 1.0, -1.0], size=(500, d))
+        for rows in (unsorted, ties, zeros, 1e-5 * unsorted, 1e-300 * unsorted):
+            for tube in (0.0, 1e-6, 0.5):
+                want = ref_kept(dom, rows, tube)
+                got = dom.sample_interior(len(want), StreamGenerator(rows),
+                                          tube=tube)
+                assert_same_bits(got, want)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_network_is_a_stable_sort(self, d):
