@@ -26,7 +26,9 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
   and their integrands come from the ``mc`` engine's kernel, factored on
   x = r w: the angular parts once per sphere grid, the radial once per
   block.  Each radius's sphere sum is numpy's pairwise sum, a fixed
-  order, and radii are added in node order.
+  order, and radii are added in node order.  A term linear in the
+  angular parts (all but the gradient's at p != 2) takes its sphere sums
+  as radial factors times the parts' sums, unless a value could overflow.
 
 For separable trials u = F psi(|x|) there is additionally an exact
 radial-reduction path: the sphere moment of |F|^p is a common factor of
@@ -195,10 +197,28 @@ def sphere_area(d):
 
 @lru_cache(maxsize=None)
 def _leggauss(n):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    wts.flags.writeable = False
+    """Read-only ascending Gauss-Legendre nodes and weights on [-1, 1] by
+    Newton's method on the recurrence from cos(pi (k - 1/4) / (n + 1/2))
+    (Hale and Townsend, 2013), on y = 1 - x and stepping P_(j+1) - P_j so
+    that y and 2 / ((1 - x^2) P_n'(x)^2) keep their precision at x = 1."""
+    theta = math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    y = 2.0 * np.sin(0.5 * theta) ** 2
+    if n % 2:
+        y[-1] = 1.0  # x = 0, an exact root of P_n for odd n
+    for sweep in range(100):
+        prev, pn, dn = np.ones_like(y), 1.0 - y, -y
+        for j in range(1, n):
+            dn = (j * dn - (2 * j + 1) * y * pn) / (j + 1)
+            prev, pn = pn, pn + dn
+        dpn = n * (prev - (1.0 - y) * pn) / (y * (2.0 - y))
+        if sweep and (np.abs(step) <= 1e-9 * y).all():
+            break  # quadratic: the next step would be below rounding
+        step = pn / dpn
+        y = y + step
+    w = 2.0 / (y * (2.0 - y) * dpn * dpn)
+    nodes = np.concatenate([y[:n // 2] - 1.0, (1.0 - y)[::-1]])
+    wts = np.concatenate([w[:n // 2], w[::-1]])
+    nodes.flags.writeable = wts.flags.writeable = False
     return nodes, wts
 
 
@@ -209,8 +229,7 @@ def sphere_grid(d, n):
     The rule is built once per (d, n) and returned read-only.
     """
     pts, W = _sphere_rule(d, n)
-    pts.flags.writeable = False
-    W.flags.writeable = False
+    pts.flags.writeable = W.flags.writeable = False
     return pts, W
 
 
@@ -219,10 +238,6 @@ def _sphere_rule(d, n):
         raise UnsupportedDimensionError("d must be >= 1")
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return pts, np.full(n, 2.0 * math.pi / n)
     if d > MAX_PRODUCT_DIM:
         raise UnsupportedDimensionError(
             f"the tensor sphere rule is offered for d <= {MAX_PRODUCT_DIM}; "
@@ -237,12 +252,9 @@ def _sphere_rule(d, n):
     phi = 2.0 * math.pi * np.arange(n) / n
     grids.append((phi, np.full(n, 2.0 * math.pi / n)))
     mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
-    wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
-    W = np.ones_like(mesh[0])
-    for wm in wmesh:
-        W = W * wm
+    W = np.prod(np.meshgrid(*[g[1] for g in grids], indexing="ij"),
+                axis=0).ravel()
     angles = [m.ravel() for m in mesh]
-    W = W.ravel()
     pts = np.empty((len(W), d))
     sin_prod = np.ones(len(W))
     for k in range(d - 1):
@@ -356,10 +368,14 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate, parts):
 
     ``parts`` is the kernel's angular parts of ``sphere_grid(d, na)``, and
     ``evaluate(rb, parts, members)``, called once per block of whole radii
-    with every integrand as a member and rb of shape (len(rb), 1), returns
-    their (len(rb), na) values at the nodes rb x pts.  A radius's sphere
-    sum is numpy's pairwise sum of its row, in an order no BLAS thread
-    count changes.
+    with rb of shape (len(rb), 1), returns their (len(rb), na) values at
+    the nodes rb x pts.  A radius's sphere sum is numpy's pairwise sum of
+    its row, in an order no BLAS thread count changes.
+
+    A member of ``evaluate.linear`` is linear in its non-negative parts:
+    ``evaluate`` on all radii gives its sphere sums from the parts' and a
+    bound on its nodes from their maxima, or where either is not finite
+    it takes the full grid.
     """
     nodes, wts = _leggauss(nr)
     s_lo, s_hi = math.log(r_lo), math.log(r_hi)
@@ -368,20 +384,30 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate, parts):
     r = np.exp(svals)
     _, aw = sphere_grid(d, na)
     step = max(1, _BLOCK // len(aw))
-    members = range(n_integrands)
     totals = [0.0] * n_integrands
     degen = [0] * n_integrands
+    sums = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, len(r), step):
-            rb, wb = r[lo:lo + step], swts[lo:lo + step]
-            for i, vals in zip(members, evaluate(rb[:, None], parts,
-                                                 members)):
+        linear = getattr(evaluate, "linear", [])
+        if linear:
+            sphere = [None if a is None else (a * aw).sum() for a in parts]
+            tops = [None if a is None else a.max() for a in parts]
+            sums = {i: s for i, s, top in zip(linear,
+                                               evaluate(r, sphere, linear),
+                                               evaluate(r, tops, linear))
+                    if np.isfinite(s).all() and np.isfinite(top).all()}
+        members = [i for i in range(n_integrands) if i not in sums]
+        for lo in range(0, len(r), step) if members else ():
+            for i, vals in zip(members, evaluate(r[lo:lo + step, None],
+                                                 parts, members)):
                 finite = np.isfinite(vals)
                 if not finite.all():
                     degen[i] += vals.size - int(np.count_nonzero(finite))
                     vals = np.where(finite, vals, 0.0)
-                for ri, wi, total in zip(rb, wb, (vals * aw).sum(axis=1)):
-                    totals[i] += wi * ri**d * float(total)
+                sums.setdefault(i, []).extend((vals * aw).sum(axis=1))
+        for i, row in sums.items():
+            for ri, wi, total in zip(r, swts, row):
+                totals[i] += wi * ri**d * float(total)
     return totals, degen, len(r) * len(aw)
 
 
@@ -517,7 +543,8 @@ def _factored_integrands(u: TrialFunction, params: Params, terms):
     forms psi's derivatives once, up to the highest order the members
     need, and broadcasts r against the parts: radii (nr, 1) against a
     sphere grid's in the product rule, n radii against n directions' in
-    Monte Carlo.
+    Monte Carlo.  ``evaluate.linear`` lists the members linear in the
+    parts: all but an order-1 term at p != 2.
     """
     p, gamma, lam = params.p, params.gamma, u.angular.homogeneity
     c = params.d - 1.0 + 2.0 * lam
@@ -549,6 +576,7 @@ def _factored_integrands(u: TrialFunction, params: Params, terms):
 
         return [term(*terms[i]) for i in members]
 
+    evaluate.linear = [i for i, (o, _) in enumerate(terms) if o != 1 or p == 2]
     return angular, evaluate
 
 
@@ -584,6 +612,8 @@ def _report(num: Estimate, den: Estimate, quotient, q_err,
     """The report, with margin (quotient - constant) / q_err.  Without an
     error bar the comparison is exact: infinitely many sigmas on the side
     where the quotient lies, or 0 when it equals the constant."""
+    if not (math.isfinite(quotient) and math.isfinite(q_err)):
+        raise DomainError(f"quotient {quotient} +- {q_err} is not finite")
     diff = quotient - ref.value
     if q_err > 0.0:
         margin = diff / q_err

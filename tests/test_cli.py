@@ -213,11 +213,11 @@ class TestVerifyCommand:
         "functional, grid, pinned",
         [
             ("rellich", ["--d", "3", "--gamma=-2"], [
-                ("3", "2.0625023272846543", "2.3554362690882088e-06"),
+                ("3", "2.0625023272846561", "2.3554362749771364e-06"),
             ]),
             ("hardy", ["--d", "2,3", "--gamma=-1"], [
-                ("2", "0.75000084628533015", "8.4630047885015235e-07"),
-                ("3", "2.0000000000019993", "1.0044914281553923e-08"),
+                ("2", "0.75000084628532981", "8.4630048384679515e-07"),
+                ("3", "2.0000000000019984", "1.0044925571600796e-08"),
             ]),
         ],
         ids=["general-rellich", "general-hardy"],
@@ -238,29 +238,29 @@ class TestVerifyCommand:
         "args, pinned",
         [
             ("--class antisym --functional hardy --d 2", (
-                "6.2831853071733414", "3.1415926535866703",
-                "2.0000000000000004", "1.4625045616707098e-08")),
+                "6.2831853071733059", "3.1415926535866547",
+                "1.9999999999999989", "1.4625067612255897e-08")),
             ("--class antisym --functional hardy --d 3", (
-                "37.586213978614069", "2.3864262843564505",
-                "15.749999999999989", "1.1338772633899624e-05")),
+                "37.586213978614012", "2.3864262843564465",
+                "15.749999999999991", "1.1338772515013173e-05")),
             ("--class odd --functional hardy --d 2", (
-                "6.2831853071733397", "3.1415926535866703",
-                "1.9999999999999998", "1.4625048443852284e-08")),
+                "6.2831853071733041", "3.1415926535866547",
+                "1.9999999999999982", "1.4625069873972055e-08")),
             ("--class odd --functional hardy --d 3", (
-                "20.881229988118942", "5.5683279968317168",
-                "3.7500000000000009", "1.6190499701817363e-07")),
+                "20.881229988118903", "5.5683279968317123",
+                "3.7499999999999969", "1.619050186015785e-07")),
             ("--class antisym --functional rellich --d 3", (
-                "206.72417688237752", "0.95457051374257973",
-                "216.56250000000011", "6.6965799714427472e-05")),
+                "206.72417688237712", "0.95457051374257873",
+                "216.56249999999991", "6.6965801252512059e-05")),
             ("--class odd --functional rellich --d 3", (
-                "73.084304958416269", "11.136643427292823",
-                "6.5625074049966363", "7.4051038852277325e-06")),
+                "73.084304958416226", "11.136643427292809",
+                "6.5625074049966408", "7.4051039019998675e-06")),
             ("--class odd --functional hardy --d 3 --p 3", (
-                "15.364367496677437", "3.9374016876649254",
-                "3.9021590163916624", "5.1352066567925331e-05")),
+                "15.364367496677415", "3.9374016876649205",
+                "3.902159016391662", "5.1352066553161405e-05")),
             ("--class antisym --functional rellich --d 4 --p 3 --gamma=1", (
-                "6965.1968852217533", "0.045730384782843511",
-                "152310.04327422276", "553.97751530869652")),
+                "6965.1968852217806", "0.04573038478284365",
+                "152310.0432742229", "553.97751530890707")),
         ],
         ids=["antisym-hardy-d2", "antisym-hardy-d3", "odd-hardy-d2",
              "odd-hardy-d3", "antisym-rellich-d3", "odd-rellich-d3",
@@ -269,7 +269,8 @@ class TestVerifyCommand:
     def test_product_quotients_pinned(self, tmp_path, args, pinned):
         # Exact 17-digit product-rule estimates of the antisymmetric and
         # odd classes: they move if a factored integrand rounds a node
-        # differently or a radius's sphere sum changes its order.
+        # differently, a radius's sphere sum changes its order or the
+        # Gauss-Legendre rule moves a node or a weight.
         out = tmp_path / "v.csv"
         assert run(["verify", "--method", "product", *args.split(),
                     "--seed", "7", "--out", str(out)]) == 0
@@ -565,6 +566,10 @@ class TestBadInput:
             (["verify", "--method", "product", "--functional", "rellich",
               "--class", "antisym", "--d", "3", "--sigma", "1e200"],
              "DomainError"),
+            # r^d overflows out to r = 1e300 and inf * 0 is NaN: a NaN
+            # quotient, not a check failure with margin -inf.
+            (["verify", "--method", "product", "--class", "odd",
+              "--functional", "hardy", "--r-max", "1e300"], "DomainError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,

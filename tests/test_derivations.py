@@ -19,7 +19,12 @@ and check that:
   which is what ``separable_hardy_quotient`` reduces to after
   integrating the cross term by parts;
 - the Vandermonde product is harmonic, which the trials' Laplacian
-  F (psi'' + c psi'/r) assumes.
+  F (psi'' + c psi'/r) assumes;
+- for u = F psi(r) at d = 3, with F the Vandermonde product or the odd
+  linear form and psi a generic function, |grad u|^2 =
+  r^(2 lam - 2) (psi^2 |T|^2 + (lam psi + r psi')^2 F^2) and
+  Delta u = F (psi'' + (d - 1 + 2 lam) psi'/r), F and T = grad F - lam F w
+  taken at w = x/r: the factored forms the engines' kernel evaluates.
 
 The certificate function f(t; alpha, beta) of ``symhardy.minimax``,
 written out here, is checked too: it is convex in t for p > 2, and its
@@ -111,6 +116,38 @@ def test_hardy_base_at_p2_is_lam_gamma_plus_the_radial_constant():
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_vandermonde_is_harmonic(dim):
     assert vandermonde_laplacian_poly(dim).is_zero
+
+
+@pytest.mark.parametrize("klass", ["antisym", "odd"])
+def test_factored_gradient_and_laplacian(klass):
+    # u = F psi(r) at d = 3, psi a generic function: the factored forms the
+    # engines' kernel sums, with F and T = grad F - lam F w taken at w = x/r.
+    xs = sp.symbols("x0:3", real=True)
+    r = sp.sqrt(sum(x**2 for x in xs))
+    psi = sp.Function("psi")
+    P0, P1, P2 = sp.symbols("P0 P1 P2")  # psi, psi', psi'' at r
+    if klass == "antisym":
+        F, order = sp.prod([xs[j] - xs[i] for i in range(3)
+                            for j in range(i + 1, 3)]), 3
+    else:
+        F, order = sum(xs), 1
+    u = F * psi(r)
+
+    def at_r(expr):
+        # sympy writes psi^(k)(r) as Subs(Derivative(psi(xi), xi, k), xi, r).
+        derivs = {a: (P1, P2)[a.expr.derivative_count - 1]
+                  for a in expr.atoms(sp.Subs)}
+        return expr.xreplace(derivs).xreplace({psi(r): P0})
+
+    on_sphere = {x: x / r for x in xs}
+    Fw = F.subs(on_sphere, simultaneous=True)
+    T = [sp.diff(F, x).subs(on_sphere, simultaneous=True) - order * Fw * x / r
+         for x in xs]
+    grad2 = at_r(sum(sp.diff(u, x) ** 2 for x in xs))
+    assert sp.simplify(grad2 - r ** (2 * order - 2) * (
+        P0**2 * sum(t**2 for t in T) + (order * P0 + r * P1) ** 2 * Fw**2)) == 0
+    laplacian = at_r(sum(sp.diff(u, x, 2) for x in xs))
+    assert sp.simplify(laplacian - F * (P2 + (3 - 1 + 2 * order) * P1 / r)) == 0
 
 
 def test_rellich_numerator_is_mitidieris_chain():

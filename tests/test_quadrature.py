@@ -1335,12 +1335,28 @@ class TestEngineGuards:
         assert not rep.violation
 
 
+def _gauss_legendre_mp(n, x):
+    """The Gauss-Legendre node of P_n next to ``x`` and its weight
+    2 / ((1 - x^2) P_n'(x)^2), by Newton's method at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        for _ in range(20):
+            prev, pn = mpmath.mpf(1), x
+            for j in range(1, n):
+                prev, pn = pn, ((2 * j + 1) * x * pn - j * prev) / (j + 1)
+            dpn = n * (prev - x * pn) / (1 - x * x)
+            x -= pn / dpn
+            if abs(pn / dpn) < mpmath.mpf(10) ** -36:
+                return x, 2 / ((1 - x * x) * dpn * dpn)
+        raise AssertionError(f"no node of P_{n} found from {x}")
+
+
 def _per_radius_pass(fn, d, config, nr, na, r_min=None):
     """The product pass as it ran before radii were grouped into blocks:
     one integrand call per radius, its sphere sum numpy's pairwise sum."""
     r_lo = max(r_min if r_min is not None else config.r_min, 1e-12)
     r_hi = config.r_max
-    nodes, wts = np.polynomial.legendre.leggauss(nr)
+    nodes, wts = qd._leggauss(nr)
     s_lo, s_hi = math.log(r_lo), math.log(r_hi)
     svals = 0.5 * (s_hi + s_lo) + 0.5 * (s_hi - s_lo) * nodes
     swts = 0.5 * (s_hi - s_lo) * wts
@@ -1522,16 +1538,118 @@ class TestProductBlocks:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_leggauss_cached_and_read_only(self):
-        nodes, wts = qd._leggauss(12)
-        assert qd._leggauss(12)[0] is nodes
-        ref_nodes, ref_wts = np.polynomial.legendre.leggauss(12)
-        assert np.array_equal(nodes, ref_nodes)
-        assert np.array_equal(wts, ref_wts)
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 24, 48, 100, 200])
+    def test_leggauss_against_mpmath(self, n):
+        nodes, wts = qd._leggauss(n)
+        assert qd._leggauss(n)[0] is nodes
+        assert nodes.shape == wts.shape == (n,)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(wts, wts[::-1])
+        assert abs(wts.sum() - 2.0) <= 1e-15
+        for x, w in zip(nodes, wts):
+            ref_x, ref_w = _gauss_legendre_mp(n, x)
+            assert abs(ref_x - float(x)) <= 2e-16
+            assert abs(float(w) / ref_w - 1) <= 1e-13
         for arr in (nodes, wts):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestSphereSums:
+    """A quotient's members that are linear in the angular parts, every one
+    but the gradient term at p != 2, are summed as radial values times
+    sphere sums; they agree with the full grid, and where a bound is not
+    finite they take it."""
+
+    CASES = [(klass, functional, d, p, gamma)
+             for klass in (ANTI, ODD)
+             for functional in (Functional.HARDY, Functional.RELLICH)
+             for d in (2, 3, 4)
+             for p in (2.0, 2.5, 3.0)
+             for gamma in (-1.0, 0.0, 1.0)]
+
+    @staticmethod
+    def _both_routes(klass, functional, d, p, gamma, r_max):
+        """The estimates (or the error message) of the kernel as it is and
+        with no member marked linear, and the members that the first one
+        evaluated on the full grid."""
+        factor = vandermonde(d) if klass is ANTI else odd_linear(d)
+        terms = qd._INTEGRANDS[functional]
+        angular, evaluate = qd._factored_integrands(
+            gaussian_trial(factor, 1.0), Params(d, p, gamma, klass), terms)
+        cfg = qd.QuadratureConfig(method="product", radial_nodes=40,
+                                  angular_nodes=12, r_max=r_max)
+        full = set()
+
+        def recording(r, parts, members):
+            if r.ndim == 2:
+                full.update(members)
+            return evaluate(r, parts, members)
+
+        recording.linear = evaluate.linear
+
+        def run(fn):
+            try:
+                return qd._product_passes(d, cfg, 2, (angular, fn))
+            except DegenerateSampleError as exc:
+                return str(exc)
+
+        got = run(recording)
+        want = run(lambda r, parts, members: evaluate(r, parts, members))
+        return got, want, full
+
+    @pytest.mark.parametrize("klass, functional, d, p, gamma", CASES)
+    def test_sphere_sums_match_the_full_grid(self, klass, functional, d, p,
+                                             gamma):
+        got, want, full = self._both_routes(klass, functional, d, p, gamma,
+                                            40.0)
+        assert full == {i for i, (order, _) in
+                        enumerate(qd._INTEGRANDS[functional])
+                        if order == 1 and p != 2.0}
+        for a, b in zip(got, want, strict=True):
+            assert math.isfinite(a.value)
+            assert a.value == pytest.approx(b.value, rel=1e-13, abs=0.0)
+            assert (a.degenerate, a.n) == (b.degenerate, b.n)
+
+    @pytest.mark.parametrize("klass, functional, d, p, gamma", CASES)
+    def test_unbounded_members_take_the_full_grid(self, klass, functional, d,
+                                                  p, gamma):
+        # Out to r = 1e300, r^d and the radial powers overflow: where a
+        # linear member's bound is not finite it takes the full grid, with
+        # its degenerate counts or its named error.
+        got, want, full = self._both_routes(klass, functional, d, p, gamma,
+                                            1e300)
+        if functional is Functional.RELLICH:
+            assert 0 in full  # the numerator's bound overflows
+        if isinstance(want, str):
+            assert got == want
+            return
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal([a.value, a.error], [b.value, b.error],
+                                  equal_nan=True)
+            assert (a.degenerate, a.n) == (b.degenerate, b.n)
+
+    def test_a_node_past_the_bound_takes_the_full_grid(self):
+        # c(r) a overflows at one direction, where a = 1e10, while c(r)
+        # times the sphere sum of a stays finite: only the bound on the
+        # nodes sees it, and the full grid counts and drops that node.
+        _, aw = qd.sphere_grid(3, 8)
+        a = np.ones(len(aw))
+        a[0] = 1e10
+
+        def evaluate(r, parts, members):
+            return [np.full(r.shape, 1e299) * parts[0] for _ in members]
+
+        def linear(r, parts, members):
+            return evaluate(r, parts, members)
+
+        linear.linear = [0]
+        got, want = (qd._product_pass(3, 16, 8, 1e-6, 40.0, 1, fn, (a,))
+                     for fn in (linear, evaluate))
+        assert got == want
+        assert want[1] == [16] and math.isfinite(want[0][0])
 
 
 class TestExactErrorBars:
@@ -1552,6 +1670,20 @@ class TestExactErrorBars:
         assert rep.margin == margin
         assert rep.violation is (margin < 0.0)
         assert rep.conclusive is (margin != 0.0)
+
+    @pytest.mark.parametrize("num, den", [
+        ((math.nan, math.nan), (1.0, 0.1)),
+        ((1.0, 0.1), (math.nan, 0.1)),
+        ((math.inf, 0.1), (1.0, 0.1)),
+        ((1.0, math.inf), (1.0, 0.1)),
+        ((1.0, 0.1), (1e-320, 0.0)),
+    ])
+    def test_non_finite_quotient_refused(self, num, den):
+        # A NaN quotient once read as a conclusive violation, with margin
+        # copysign(inf, nan) = -inf.
+        ref = reference_constant(Params(2, 2.0, 0.0, ANTI), Functional.HARDY)
+        with pytest.raises(DomainError, match="is not finite"):
+            qd._build_report(qd.Estimate(*num, 10), qd.Estimate(*den, 10), ref)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1])
