@@ -4,20 +4,18 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
 
 * ``mc``: importance-sampled Monte Carlo.  Directions are uniform on the
   sphere; radii follow a generalized-gamma density r^(k-1) exp(-r^2/2s^2)
-  whose shape k is matched to the integrand's behavior near the origin
-  (for Gaussian-profile trials the radial part of the weighted mass
-  integrand is matched exactly).  Sampling is split into streams of at
-  most ``_BLOCK`` points, each seeded by the next child of
-  ``SeedSequence(seed)``, and their sums are added with ``math.fsum``, so
-  estimates are bit-identical given (seed, samples) and memory does not
-  grow with samples.  A quotient's numerator and denominator come from one
-  pass over the streams: each stream draws its directions once for both,
-  and each distinct radial shape draws its radii from the generator state
-  that follows them, so both integrals see exactly the points that
-  separate ``mc_integral`` calls with the same seed would draw.  The
-  angular parts are formed once per stream on its unit directions w,
-  built column-major, and the radial parts once per shape.  An error bar
-  is at least 1e-14 of the estimate, the rounding level of its sums.
+  whose shape k is matched to the integrand's power near the origin, and
+  the integrand's power of r joins the density's, so none is taken where
+  they cancel.  Streams of at most ``_BLOCK`` points draw from SFC64
+  generators seeded by the children of ``SeedSequence(seed)``, and
+  ``math.fsum`` adds their sums: estimates are bit-identical given (seed,
+  samples), in memory that does not grow with samples.  A quotient's two
+  integrals share each stream's directions, and its error bar is the ratio
+  estimator's.  Each radial shape draws its radii from the generator state
+  after them, as separate ``mc_integral`` calls would; a Gaussian trial's
+  mass draws none, being |F|^p times the density's closed-form mass P on
+  [r_min, r_max].  An integral's error bar is at least 1e-14 of it, and
+  such a mass's at least the share 1 - P that the cutoffs leave out.
 * ``product``: a log-radial Gauss-Legendre rule times a tensor angular
   rule on the sphere (d <= 4).  The reported error is the change under
   halving both node counts.  Whole radii are grouped into blocks of at
@@ -273,93 +271,126 @@ def mc_integral(fn, d, config: QuadratureConfig, radial_shape, radial_scale):
     ``fn`` is called once per stream, on its at most ``_BLOCK`` points
     x = r w, built column-major by ``_points_values``.
     """
-    (estimate,) = _mc_streams(d, config, [(radial_shape, radial_scale)],
-                              _points_values([fn]))
+    (estimate,), _ = _mc_streams(d, config, [(radial_shape, radial_scale)],
+                                 _points_values([fn]))
     return estimate
 
 
-def _mc_streams(d, config: QuadratureConfig, proposals, kernel):
-    """``mc_integral`` for several integrals in one pass over the streams.
+def _chi_mass(k, s, lo, hi):
+    """P(lo <= s X <= hi), X chi with k degrees of freedom, from P(k/2, t^2 /
+    2s^2): its series below k/2 + 1, above it the continued fraction of
+    1 - P, 400 terms each: to rounding for k up to a few thousand."""
+    a = k / 2.0
+
+    def lower(x):
+        if not 0.0 < x < math.inf:
+            return float(x > 0.0)
+        front = math.exp(a * math.log(x) - x - math.lgamma(a))
+        if x < a + 1.0:
+            ratios = x / (a + np.arange(1.0, 400.0))
+            return front / a * (1.0 + np.cumprod(ratios).sum())
+        tail = 0.0
+        for i in range(400, 0, -1):
+            tail = i * (a - i) / (x + 2.0 * i + 1.0 - a + tail)
+        return 1.0 - front / (x + 1.0 - a + tail)
+
+    return lower(hi / s * (0.5 * hi / s)) - lower(lo / s * (0.5 * lo / s))
+
+
+def _mc_streams(d, config: QuadratureConfig, proposals, kernel, exact=()):
+    """``mc_integral`` for several integrals in one pass over the streams,
+    and the covariance of the first and the last estimate.
 
     ``proposals[i]`` is the (shape, scale) pair of integral i.  A stream is
-    one block of at most ``_BLOCK`` samples with its own generator, the
-    next child of ``SeedSequence(seed)``.  It draws its directions once,
-    column-major; every distinct proposal then replays the generator state
-    that follows them and draws its radii, so integral i gets exactly the
-    points of ``mc_integral`` with its own proposal.  ``kernel`` is an
-    (angular, evaluate) pair as ``_factored_integrands`` returns: per
-    stream, ``angular(w)`` is called once on its unit directions, and
-    ``evaluate(r, parts, members)`` once per proposal on its radii, giving
-    the values of the integrals in ``members``, which all drew r.  Each
-    stream leaves per integral a sum, a sum of squares about its own mean
-    and a count of non-finite values; ``math.fsum`` adds them up exactly,
-    in no order that matters, so no variance cancels against mean^2.
+    one block of at most ``_BLOCK`` samples with its own SFC64 generator,
+    seeded by the next child of ``SeedSequence(seed)``.  It draws its
+    directions once, column-major; every distinct proposal then replays
+    the generator state that follows them and draws its radii, so integral
+    i gets exactly the points of ``mc_integral`` with its own proposal.
+    ``kernel`` is an (angular, evaluate) pair as ``_factored_integrands``
+    returns: per stream, ``angular(w)`` is called once on its directions,
+    and ``evaluate(r, parts, members)`` once per proposal on its radii, its
+    values lacking r^a (a from ``evaluate.powers``).  An integral in
+    ``exact`` is the first part times its density: it draws no radii, and
+    weighs that part by the density's normalization and mass on [r_min,
+    r_max].  Each stream leaves per integral a sum, a sum of squares about
+    its mean and a non-finite count, and the first and last integrals'
+    cross sum; ``fsum`` adds them exactly: no variance cancels mean^2.
     """
     _check_samples(config.samples)
     if config.samples * d > _MAX_DRAWS:
         raise DomainError(f"samples={config.samples} is too large to draw")
     angular, evaluate = kernel
-    groups = {}
+    groups, log_z = {}, []
     for i, (k, s) in enumerate(proposals):
         if k <= 0.0:
             raise DomainError(_NON_INTEGRABLE)
-        groups.setdefault((float(k), float(s)), []).append(i)
-    area = sphere_area(d)
-    log_norm = {
-        (k, s): (k / 2.0 - 1.0) * math.log(2.0) + math.lgamma(k / 2.0)
-        + k * math.log(s)
-        for k, s in groups
-    }
-    seeds = np.random.SeedSequence(config.seed)
-    stats = [[] for _ in proposals]
-    for lo in range(0, config.samples, _BLOCK):
-        m = min(_BLOCK, config.samples - lo)
-        (child,) = seeds.spawn(1)
-        rng = np.random.default_rng(child)
+        # The density's normalization, times the sphere's area.
+        log_z.append((k / 2.0 - 1.0) * math.log(2.0) + math.lgamma(k / 2.0)
+                     + k * math.log(s) + math.log(sphere_area(d)))
+        if i not in exact:
+            groups.setdefault((float(k), float(s)), []).append(i)
+    inside = {i: _chi_mass(*proposals[i], config.r_min, config.r_max)
+              for i in exact}
+    n = config.samples
+    sizes = [min(_BLOCK, n - lo) for lo in range(0, n, _BLOCK)]
+    seeds = np.random.SeedSequence(config.seed).spawn(len(sizes))
+    sums, squares, bad = ([[] for _ in proposals] for _ in range(3))
+    cross = []
+    for m, child in zip(sizes, seeds):
+        rng = np.random.Generator(np.random.SFC64(child))
         WT = rng.standard_normal((d, m))
         norms = np.sqrt(row_dot(WT.T, WT.T))
         norms[norms == 0.0] = 1.0
         WT /= norms
         after_directions = rng.bit_generator.state
+        weights = [None] * len(proposals)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             parts = angular(WT.T)
+            for i in exact:
+                weights[i] = math.exp(log_z[i]) * inside[i] * parts[0]
             for (k, s), members in groups.items():
                 rng.bit_generator.state = after_directions
-                r = s * np.sqrt(rng.gamma(k / 2.0, 2.0, size=m))
+                r = np.sqrt(rng.gamma(k / 2.0, 2.0 * s * s, size=m))
                 values = evaluate(r, parts, members)
-                logw = ((d - k) * np.log(r) + r * r / (2.0 * s * s)
-                        + log_norm[k, s])
-                density = area * np.exp(logw)
+                density = np.exp(r * r * (0.5 / (s * s)) + log_z[members[0]])
                 outside = (r < config.r_min) | (r > config.r_max)
                 for i, vals in zip(members, values):
-                    w = np.where(outside | (vals == 0.0), 0.0, density * vals)
-                    bad = ~np.isfinite(w)
-                    w[bad] = 0.0
-                    total = float(w.sum())
-                    w -= total / m
-                    w *= w
-                    stats[i].append((total, float(w.sum()), m,
-                                     int(np.count_nonzero(bad))))
-    n = config.samples
+                    w = density * vals
+                    if d - k + evaluate.powers[i]:
+                        w *= r ** (d - k + evaluate.powers[i])
+                    w[outside | (vals == 0.0)] = 0.0
+                    weights[i] = w
+        for i, w in enumerate(weights):
+            nonfinite = ~np.isfinite(w)
+            w[nonfinite] = 0.0
+            sums[i].append(float(w.sum()))
+            w -= sums[i][-1] / m
+            squares[i].append(float((w * w).sum()))
+            bad[i].append(int(np.count_nonzero(nonfinite)))
+        cross.append(float((weights[0] * weights[-1]).sum()))
+
+    def pooled(within, x, y):
+        # Chan, Golub and LeVeque's update: the streams' products about
+        # their own means plus m (x_s / m - mean x)(y_s / m - mean y) each.
+        mean_x, mean_y = math.fsum(x) / n, math.fsum(y) / n
+        return math.fsum([*within, *(m * (a / m - mean_x) * (b / m - mean_y)
+                                     for a, b, m in zip(x, y, sizes))]) / n
+
     estimates = []
-    for per_stream in stats:
-        sums, centred, sizes, bad = zip(*per_stream)
-        degen = sum(bad)
+    for i, (x, within, nonfinite) in enumerate(zip(sums, squares, bad)):
+        degen = sum(nonfinite)
         if degen > DEGENERATE_FRACTION * n:
             raise DegenerateSampleError(
                 f"{degen} of {n} integrand samples were non-finite"
             )
-        mean = math.fsum(sums) / n
-        # Chan, Golub and LeVeque's update over all streams at once: the
-        # squares about the whole mean are those about each stream's mean
-        # plus m (stream mean - mean)^2 per stream.
-        var = math.fsum([*centred, *(m * (part / m - mean) ** 2
-                                     for part, m in zip(sums, sizes))]) / n
-        # Where the proposal matches the integrand exactly the variance is
-        # 0, yet the sums still round: the bar keeps their rounding level.
-        error = max(math.sqrt(var / n), 1e-14 * abs(mean))
+        mean = math.fsum(x) / n
+        # A zero-variance sum still rounds, and a closed-form mass leaves
+        # out the share 1 - P of the full space's: the bar covers both.
+        floor = max(1e-14, 1.0 - inside.get(i, 1.0))
+        error = max(math.sqrt(pooled(within, x, x) / n), floor * abs(mean))
         estimates.append(Estimate(mean, error, n, degen, "mc"))
-    return estimates
+    return estimates, pooled(cross, sums[0], sums[-1]) / n
 
 
 def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate, parts):
@@ -369,8 +400,9 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate, parts):
     ``parts`` is the kernel's angular parts of ``sphere_grid(d, na)``, and
     ``evaluate(rb, parts, members)``, called once per block of whole radii
     with rb of shape (len(rb), 1), returns their (len(rb), na) values at
-    the nodes rb x pts.  A radius's sphere sum is numpy's pairwise sum of
-    its row, in an order no BLAS thread count changes.
+    the nodes rb x pts, which the pass multiplies by r^(d + a), as in
+    ``_mc_streams``.  A radius's sphere sum is numpy's pairwise sum of its
+    row, in an order no BLAS thread count changes.
 
     A member of ``evaluate.linear`` is linear in its non-negative parts:
     ``evaluate`` on all radii gives its sphere sums from the parts' and a
@@ -387,18 +419,23 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate, parts):
     totals = [0.0] * n_integrands
     degen = [0] * n_integrands
     sums = {}
+
+    def weighted(rb, parts, members):
+        return [vals * rb ** (d + evaluate.powers[i])
+                for i, vals in zip(members, evaluate(rb, parts, members))]
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         linear = getattr(evaluate, "linear", [])
         if linear:
             sphere = [None if a is None else (a * aw).sum() for a in parts]
             tops = [None if a is None else a.max() for a in parts]
             sums = {i: s for i, s, top in zip(linear,
-                                               evaluate(r, sphere, linear),
-                                               evaluate(r, tops, linear))
+                                               weighted(r, sphere, linear),
+                                               weighted(r, tops, linear))
                     if np.isfinite(s).all() and np.isfinite(top).all()}
         members = [i for i in range(n_integrands) if i not in sums]
         for lo in range(0, len(r), step) if members else ():
-            for i, vals in zip(members, evaluate(r[lo:lo + step, None],
+            for i, vals in zip(members, weighted(r[lo:lo + step, None],
                                                  parts, members)):
                 finite = np.isfinite(vals)
                 if not finite.all():
@@ -406,8 +443,8 @@ def _product_pass(d, nr, na, r_lo, r_hi, n_integrands, evaluate, parts):
                     vals = np.where(finite, vals, 0.0)
                 sums.setdefault(i, []).extend((vals * aw).sum(axis=1))
         for i, row in sums.items():
-            for ri, wi, total in zip(r, swts, row):
-                totals[i] += wi * ri**d * float(total)
+            for wi, total in zip(swts, row):
+                totals[i] += wi * float(total)
     return totals, degen, len(r) * len(aw)
 
 
@@ -480,6 +517,7 @@ def _points_values(fns):
         return [np.asarray(fns[i](X), dtype=float).reshape(shape)
                 for i in members]
 
+    evaluate.powers = [0.0] * len(fns)
     return (lambda w: w), evaluate
 
 
@@ -543,8 +581,9 @@ def _factored_integrands(u: TrialFunction, params: Params, terms):
     forms psi's derivatives once, up to the highest order the members
     need, and broadcasts r against the parts: radii (nr, 1) against a
     sphere grid's in the product rule, n radii against n directions' in
-    Monte Carlo.  ``evaluate.linear`` lists the members linear in the
-    parts: all but an order-1 term at p != 2.
+    Monte Carlo.  ``evaluate.powers`` lists the power of r each value
+    leaves out, and ``evaluate.linear`` the members linear in the parts:
+    all but an order-1 term at p != 2.
     """
     p, gamma, lam = params.p, params.gamma, u.angular.homogeneity
     c = params.d - 1.0 + 2.0 * lam
@@ -565,24 +604,25 @@ def _factored_integrands(u: TrialFunction, params: Params, terms):
         top = max(terms[i][0] for i in members)
         psi, dpsi, d2psi = u.radial.derivatives(r, top) + (None,) * (2 - top)
 
-        def term(order, w):
-            power = r ** (p * (lam - (order == 1)) - w * p - gamma)
+        def term(order):
             if order == 1:
                 inner = psi * psi * T2
                 inner += (lam * psi + r * dpsi) ** 2 * F2
-                return inner ** (p / 2.0) * power
+                return inner ** (p / 2.0)
             radial = psi if order == 0 else d2psi + c * dpsi / r
-            return power * np.abs(radial) ** p * Fp
+            return np.abs(radial) ** p * Fp
 
-        return [term(*terms[i]) for i in members]
+        return [term(terms[i][0]) for i in members]
 
     evaluate.linear = [i for i, (o, _) in enumerate(terms) if o != 1 or p == 2]
+    evaluate.powers = [p * (lam - (o == 1)) - w * p - gamma for o, w in terms]
     return angular, evaluate
 
 
 def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
                terms):
-    """Estimates of the integrands ``terms`` (see ``_INTEGRANDS``).
+    """Estimates of the integrands ``terms`` (see ``_INTEGRANDS``), and the
+    covariance of the first and the last (0 from the product rule).
 
     Every shape is checked before any integration.  Both engines serve
     all of them from one pass: the MC engine over its streams, the product
@@ -595,8 +635,11 @@ def _estimates(u: TrialFunction, params: Params, config: QuadratureConfig,
     ]
     kernel = _factored_integrands(u, params, terms)
     if config.method == "product":
-        return _product_passes(params.d, config, len(terms), kernel)
-    return _mc_streams(params.d, config, proposals, kernel)
+        return _product_passes(params.d, config, len(terms), kernel), 0.0
+    # A Gaussian's mass is |F|^p times its proposal's radial density.
+    gaussian = u.radial.sigma is not None and not u.radial.segments
+    exact = [i for i, (order, _) in enumerate(terms) if gaussian and not order]
+    return _mc_streams(params.d, config, proposals, kernel, exact)
 
 
 def _check_tag(u: TrialFunction, params: Params):
@@ -622,13 +665,15 @@ def _report(num: Estimate, den: Estimate, quotient, q_err,
     return QuotientReport(num, den, quotient, q_err, ref.value, margin)
 
 
-def _build_report(num: Estimate, den: Estimate, ref: ConstantValue):
+def _build_report(num: Estimate, den: Estimate, ref: ConstantValue, cov):
+    """q = num / den, its error by the delta method from the covariance
+    ``cov``: sd(a_i - q b_i) / (sqrt(n) mean b) for samples drawn together."""
     if den.value <= 0.0:
         raise DomainError("denominator estimate is not positive")
     quotient = num.value / den.value
-    rel = math.hypot(num.error / num.value if num.value else 0.0,
-                     den.error / den.value)
-    return _report(num, den, quotient, abs(quotient) * rel, ref)
+    var = num.error**2 - 2.0 * quotient * cov + quotient**2 * den.error**2
+    return _report(num, den, quotient, math.sqrt(max(var, 0.0)) / den.value,
+                   ref)
 
 
 def _admissible_reference(params: Params, functional) -> ConstantValue:
@@ -658,8 +703,8 @@ def rayleigh_quotient(
     """
     _check_tag(u, params)
     ref = _admissible_reference(params, functional)
-    num, den = _estimates(u, params, config, _INTEGRANDS[functional])
-    return _build_report(num, den, ref)
+    (num, den), cov = _estimates(u, params, config, _INTEGRANDS[functional])
+    return _build_report(num, den, ref, cov)
 
 
 # ---------------------------------------------------------------------------
