@@ -19,7 +19,8 @@ That report is written on every run, including one that ends in an
 error, and then names the error's class and message.
 
 Exit codes: 0 when every check held, 1 when a check failed, 2 on a named
-error (one ``error:`` line on stderr, no data written) or a usage error.
+error (one ``error:`` line on stderr, no data written), an ``--out`` that
+cannot be written (the report goes to stderr only) or a usage error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -162,15 +164,24 @@ def _emit(rows, manifest, fmt, out_path):
             writer.writerow([_fmt(v) for v in row.values()])
         payload = buf.getvalue()
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+        _write(out_path, payload)
         if fmt == "csv":
-            with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(manifest, indent=2) + "\n")
+            _write(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
     else:
         sys.stdout.write(payload)
         if fmt == "csv":
             print(json.dumps({"manifest": manifest}), file=sys.stderr)
+
+
+def _write(path, text):
+    """Write the UTF-8 bytes of ``text`` to ``path``, line endings as given."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _write_run_report(args, manifest, checks, wall_clock, exit_code, error):
@@ -182,14 +193,7 @@ def _write_run_report(args, manifest, checks, wall_clock, exit_code, error):
         "error": error,
     }
     if args.out:
-        with open(args.out + ".run.json", "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report, indent=2) + "\n")
-    print(
-        f"run: {args.command} wall_clock_s={wall_clock:.3f} "
-        f"checks_failed={sum(not ok for ok in checks.values())}"
-        f"/{len(checks)}",
-        file=sys.stderr,
-    )
+        _write(args.out + ".run.json", json.dumps(report, indent=2) + "\n")
 
 
 def _constants_row(d, p, gamma, klass):
@@ -481,10 +485,19 @@ def main(argv=None):
         error = {"class": type(exc).__name__, "message": str(exc)}
         exit_code = 2
     else:
-        _emit(rows, manifest, args.format, args.out)
         exit_code = 0 if all(checks.values()) else 1
-    _write_run_report(args, manifest, checks, time.perf_counter() - start,
-                      exit_code, error)
+    try:
+        if error is None:
+            _emit(rows, manifest, args.format, args.out)
+        _write_run_report(args, manifest, checks, time.perf_counter() - start,
+                          exit_code, error)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror}",
+              file=sys.stderr)
+        exit_code = 2
+    failed = sum(not ok for ok in checks.values())
+    print(f"run: {args.command} wall_clock_s={time.perf_counter() - start:.3f} "
+          f"checks_failed={failed}/{len(checks)}", file=sys.stderr)
     return exit_code
 
 

@@ -19,14 +19,14 @@ extends by continuity (beta0 = 1).
 = min over t of f is concave for beta >= 0, and a damped Newton ascent
 with the analytic gradient and Hessian of g, started from the naive
 certificate (0, 1), reaches its maximum without reading the closed form.
+Each step is formed in Python floats from the closed-form eigen-
+decomposition of the symmetric 2x2 Hessian, so no numpy is imported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import FunctionClass, Params, hardy_antisymmetric, hardy_odd
 from .errors import DomainError, OutOfRangeError, SymHardyError
@@ -238,7 +238,7 @@ def _gradient_hessian(alpha, beta, t, params: Params):
         q = p / (2.0 * (p - 1.0))
         h = 0.5 * p * R ** (q - 1.0)
         dh = h * (q - 1.0) / R
-    # Python floats, rounded as the array forms grad = c - h R_x and
+    # Rounded as the array forms grad = c - h R_x and
     # H = -dh R_x R_x^T - 2 h [[1, -lam], [-lam, t]] round them.
     r_a, r_b = 2.0 * (alpha - beta * lam), 2.0 * (beta * t - alpha * lam)
     g_a = (params.d - p - params.gamma) - h * r_a
@@ -255,23 +255,35 @@ def _gradient_hessian(alpha, beta, t, params: Params):
         H_aa -= f_a * f_a / f_tt
         H_ab -= f_a * f_b / f_tt
         H_bb -= f_b * f_b / f_tt
-    return np.array([g_a, g_b]), np.array([[H_aa, H_ab], [H_ab, H_bb]])
+    return (g_a, g_b), ((H_aa, H_ab), (H_ab, H_bb))
 
 
 def _ascent_direction(grad, hess, beta_held):
-    """Newton direction -H^-1 grad for the concave g, as two floats.
+    """Newton direction -V diag(1/e) V^T grad for the concave g, as floats.
 
+    V and e come from the closed-form eigen-decomposition of the 2x2 H.
     Where t is clamped to lam^2, g is linear along (lam, 1) and H is
-    singular, so its eigenvalues are lifted to at most -_EIG_FLOOR times
-    the largest (modified Newton); the line search caps that step.  A held
-    beta leaves a one-variable Newton step in alpha.
+    singular, so each e is lifted to at most -_EIG_FLOOR times the largest
+    |e| (modified Newton); the line search caps that step.  A held beta
+    leaves a one-variable Newton step in alpha.  A zero or non-finite H
+    gives numpy's inf or nan, not ZeroDivisionError.
     """
+    (g_a, g_b), ((H_aa, H_ab), (_, H_bb)) = grad, hess
     if beta_held:
-        return -float(grad[0] / hess[0, 0]), 0.0
-    eigs, vecs = np.linalg.eigh(hess)
-    eigs = np.minimum(eigs, -_EIG_FLOOR * np.max(np.abs(eigs)))
-    da, db = -vecs @ ((vecs.T @ grad) / eigs)
-    return float(da), float(db)
+        return -(g_a / H_aa if H_aa else g_a * math.copysign(math.inf, H_aa)), 0.0
+    m, h = 0.5 * (H_aa + H_bb), 0.5 * (H_aa - H_bb)
+    r = math.hypot(h, H_ab)
+    floor = -_EIG_FLOOR * (abs(m) + r)
+    if not -math.inf < floor < 0.0:
+        return math.nan, math.nan
+    # u is the unit eigenvector of m + r, from the formula that does not
+    # cancel at h's sign; H = m I (h = r = 0) takes u = (1, 0).
+    u_a, u_b = (h + r or 1.0, H_ab) if h >= 0.0 else (H_ab, r - h)
+    norm = math.hypot(u_a, u_b)
+    u_a, u_b = u_a / norm, u_b / norm
+    s_hi = (u_a * g_a + u_b * g_b) / min(m + r, floor)
+    s_lo = (u_a * g_b - u_b * g_a) / min(m - r, floor)
+    return u_b * s_lo - u_a * s_hi, -(u_b * s_hi + u_a * s_lo)
 
 
 def _backtrack(alpha, beta, value, grad, direction, beta_max, params):

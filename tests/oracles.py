@@ -20,6 +20,9 @@ route to a value the package computes another way.
 * ``gradient_hessian_arrays``: the gradient and Hessian of the
   certificate's g = min over t of f as numpy array expressions, against
   ``minimax._gradient_hessian``, which forms them as Python floats.
+* ``ascent_direction_arrays``: the modified Newton step from
+  ``np.linalg.eigh``, against ``minimax._ascent_direction``, which forms
+  it from the closed-form 2x2 eigen-decomposition.
 * ``piecewise_power_psi_mp``: the piecewise-power profile written out
   from its definition in mpmath, whose derivatives ``mpmath.diff`` takes,
   against the radial rule's integrals.
@@ -201,6 +204,21 @@ def gradient_hessian_arrays(alpha, beta, t, params):
         f_xt = np.array([0.0, 1.0 - 2.0 * beta * h]) - dh * r_t * r_x
         hess -= np.outer(f_xt, f_xt) / (-dh * r_t * r_t)
     return grad, hess
+
+
+def ascent_direction_arrays(grad, hess, beta_held):
+    """-V diag(1/e) V^T grad from ``np.linalg.eigh`` of the Hessian, its
+    eigenvalues lifted to at most -``mm._EIG_FLOOR`` times the largest; a
+    held beta takes -grad_alpha / H_alpha,alpha.  Division by zero gives
+    numpy's inf or nan."""
+    grad, hess = np.asarray(grad, dtype=float), np.asarray(hess, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if beta_held:
+            return -float(grad[0] / hess[0, 0]), 0.0
+        eigs, vecs = np.linalg.eigh(hess)
+        eigs = np.minimum(eigs, -mm._EIG_FLOOR * np.max(np.abs(eigs)))
+        da, db = -vecs @ ((vecs.T @ grad) / eigs)
+    return float(da), float(db)
 
 
 def piecewise_power_psi_mp(alpha_in, beta_out, delta):

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -109,6 +110,21 @@ class TestConstantsCommand:
 
     def test_empty_grid_usage_error(self, tmp_path):
         assert run(["constants", "--d", "", "--p", "2", "--gamma", "0"]) == 2
+
+    def test_short_writes_keep_every_byte(self, tmp_path, monkeypatch):
+        # os.write may write fewer bytes than it was given; every output
+        # file still gets all of them, the CSV's \r\n line ends included.
+        argv = ["constants", "--d", "2..3", "--p", "2,3"]
+        assert run(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        write = os.write
+        monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:7]))
+        assert run(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert b"\r\n" in b.read_bytes() and a.read_bytes() == b.read_bytes()
+        for suffix in (".manifest.json", ".run.json"):
+            assert (tmp_path / f"b.csv{suffix}").read_bytes().endswith(b"}\n")
+        assert ((tmp_path / "a.csv.manifest.json").read_bytes()
+                == (tmp_path / "b.csv.manifest.json").read_bytes())
 
     def test_seventeen_digit_floats(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -638,6 +654,30 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--trial", "foo"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("where, code", [
+        ("missing/c.csv", errno.ENOENT), ("dir", errno.EISDIR)])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, fmt, where, code):
+        # The report goes to stderr only: one error line and the run line.
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / where
+        assert run(["constants", "--d", "2", "--format", fmt,
+                    "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == f"error: cannot write {out}: {os.strerror(code)}"
+        assert len(lines) == 2 and lines[1].startswith("run: constants ")
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "dir"]
+
+    def test_unwritable_run_report_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        (tmp_path / "c.csv.run.json").mkdir()
+        assert run(["constants", "--d", "2", "--out", str(out)]) == 2
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("error:")]
+        assert line == (f"error: cannot write {out}.run.json: "
+                        f"{os.strerror(errno.EISDIR)}")
+        assert read_csv(out)[0]["d"] == "2"
 
     def test_successful_run_report_has_no_error(self, tmp_path):
         out = tmp_path / "t.csv"

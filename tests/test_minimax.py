@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,7 +12,12 @@ from symhardy import minimax as mm
 from symhardy.constants import FunctionClass, Params, hardy_antisymmetric, hardy_odd
 from symhardy.errors import DomainError, OutOfRangeError
 
-from oracles import g_envelope, gradient_hessian_arrays, t_stationary
+from oracles import (
+    ascent_direction_arrays,
+    g_envelope,
+    gradient_hessian_arrays,
+    t_stationary,
+)
 
 ANTI = FunctionClass.ANTISYMMETRIC
 ODD = FunctionClass.ODD
@@ -312,7 +321,7 @@ class TestNewtonAscent:
 
 class TestGradientHessian:
     """``_gradient_hessian`` forms the Newton step's gradient and Hessian
-    from Python floats."""
+    as tuples of Python floats."""
 
     @pytest.mark.parametrize("klass", [ANTI, ODD])
     def test_bitwise_equal_to_array_form(self, monkeypatch, klass):
@@ -340,9 +349,11 @@ class TestGradientHessian:
         for call in calls:
             got = original(*call)
             want = gradient_hessian_arrays(*call)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes(), call
+            (g_a, g_b), ((h_aa, h_ab), (h_ba, h_bb)) = got
+            grad, hess = [g_a, g_b], [h_aa, h_ab, h_ba, h_bb]
+            assert all(type(v) is float for v in grad + hess)
+            assert np.array(grad).tobytes() == want[0].tobytes(), call
+            assert np.array(hess).tobytes() == want[1].tobytes(), call
 
     # (class, d, p, gamma, alpha, beta, inner minimizer interior?)
     SYMBOLIC = [
@@ -391,3 +402,129 @@ class TestGradientHessian:
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(hess, want_hess, rtol=1e-10,
                                    atol=1e-12 * scale)
+
+
+# The regression grid of the Newton ascent.  No p lies in 0 < p - 2 < 1e-6,
+# where the ascent does not converge (beta's curvature grows like
+# 1 / (p - 2)).
+REGRESSION_GRID = [
+    params(d, p, gamma, klass)
+    for klass in (ANTI, ODD)
+    for d in range(2, 9)
+    for p in (2.0, 2.25, 2.5, 3.0, 4.0, 7.5, 12.0, 30.0)
+    for gamma in (-3.0, -1.0, 0.0, 1.0, 3.0)
+]
+
+
+@pytest.fixture(scope="module")
+def regression_ascents():
+    """(params, result, steps) for full ascents over the regression grid,
+    with every step's (grad, hess, beta_held) and the direction taken."""
+    original = mm._ascent_direction
+    ascents = []
+
+    def recording(grad, hess, beta_held):
+        direction = original(grad, hess, beta_held)
+        steps.append((grad, hess, beta_held, direction))
+        return direction
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mm, "_ascent_direction", recording)
+        for pr in REGRESSION_GRID:
+            steps = []
+            ascents.append((pr, mm.numeric_minimax(pr), steps))
+    return ascents
+
+
+class TestAscentDirection:
+    """``_ascent_direction`` forms the modified Newton step from the
+    closed-form 2x2 eigen-decomposition, against ``np.linalg.eigh``."""
+
+    def test_matches_eigh_step_on_regression_grid(self, regression_ascents):
+        steps = [step for _, _, ascent in regression_ascents for step in ascent]
+        assert len(steps) > 5000
+        assert sum(held for _, _, held, _ in steps) > 100
+        for grad, hess, held, got in steps:
+            want = ascent_direction_arrays(grad, hess, held)
+            assert all(type(v) is float for v in got)
+            assert math.dist(got, want) <= 1e-10 * math.hypot(*want), (
+                grad, hess, held)
+
+    def test_regression_grid_reaches_constant(self, regression_ascents):
+        for pr, res, _ in regression_ascents:
+            assert res.converged, _case_id(pr)
+            assert res.gap <= 1e-12 * max(1.0, res.value_closed_form), (
+                _case_id(pr))
+
+    HESSIANS = {
+        "diagonal-aa-above-bb": ((-2.0, 0.0), (0.0, -10.125)),
+        "diagonal-aa-below-bb": ((-10.125, 0.0), (0.0, -2.0)),
+        "minus-c-identity": ((-3.0, 0.0), (0.0, -3.0)),
+        "coupled": ((-1.0, 0.75), (0.75, -4.0)),
+    }
+
+    @pytest.mark.parametrize("hess", HESSIANS.values(), ids=HESSIANS.keys())
+    @pytest.mark.parametrize("grad", [(1.0, -2.0), (0.3, 0.7), (0.0, 1.0)])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_hand_made_hessians(self, grad, hess, held):
+        got = mm._ascent_direction(grad, hess, held)
+        want = ascent_direction_arrays(grad, hess, held)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        if not held:
+            # A negative definite H takes the plain Newton step -H^-1 grad.
+            np.testing.assert_allclose(
+                got, -np.linalg.solve(hess, grad), rtol=1e-14, atol=0.0)
+
+    def test_singular_hessian_at_clamped_t(self):
+        pr = params(3, 3.0, 0.5)
+        t_star = mm.min_over_t(6.0, 1.0, pr)[0]
+        assert t_star == pr.lam**2
+        grad, hess = mm._gradient_hessian(6.0, 1.0, t_star, pr)
+        null = (pr.lam, 1.0)  # g is linear along (lam, 1)
+        H = np.array(hess)
+        assert np.linalg.norm(H @ null) <= 1e-12 * np.abs(H).max()
+        got = mm._ascent_direction(grad, hess, False)
+        want = ascent_direction_arrays(grad, hess, False)
+        assert math.dist(got, want) <= 1e-10 * math.hypot(*want)
+
+    @pytest.mark.parametrize("hess", [
+        ((0.0, 0.0), (0.0, 0.0)),
+        ((-0.0, 0.0), (0.0, -0.0)),
+        ((math.inf, 0.0), (0.0, -1.0)),
+        ((-math.inf, 0.0), (0.0, -1.0)),
+        ((math.nan, 0.0), (0.0, -1.0)),
+        ((-1.0, math.inf), (math.inf, -1.0)),
+        ((-1.0, math.nan), (math.nan, -1.0)),
+    ], ids=["zero", "minus-zero", "inf", "minus-inf", "nan", "inf-off",
+            "nan-off"])
+    @pytest.mark.parametrize("grad", [(1.0, -2.0), (-1.0, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_zero_and_non_finite_hessians_give_numpy_values(self, grad, hess,
+                                                            held):
+        # Python floats raise ZeroDivisionError where numpy divides into
+        # inf or nan: the step must give numpy's values.
+        got = mm._ascent_direction(grad, hess, held)
+        want = ascent_direction_arrays(grad, hess, held)
+        np.testing.assert_array_equal(got, want)
+
+
+_NO_NUMPY_SCRIPT = textwrap.dedent("""\
+    import sys
+    sys.modules["numpy"] = None
+    from symhardy import minimax
+    from symhardy.constants import FunctionClass, Params
+    res = minimax.numeric_minimax(Params(3, 3.0, 0.0, FunctionClass.ANTISYMMETRIC))
+    print(res.converged, res.gap)
+""")
+
+
+def test_certificate_solve_needs_no_numpy():
+    src = os.path.dirname(os.path.dirname(mm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    converged, gap = done.stdout.split()
+    assert converged == "True" and float(gap) < 1e-9
