@@ -25,7 +25,7 @@ oracles, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -172,10 +172,12 @@ class Vandermonde(AngularFactor):
 
     function_class = FunctionClass.ANTISYMMETRIC
 
-    def __init__(self, dimension):
-        super().__init__(dimension)
+    @cached_property
+    def _pairs(self):
+        # Listed on first evaluation, so that a caller's checks can refuse
+        # a large d before its d (d - 1) / 2 pairs are held.
         d = self.dimension
-        self._pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        return [(i, j) for i in range(d) for j in range(i + 1, d)]
 
     def _value(self, X):
         return row_prod(X[:, j] - X[:, i] for i, j in self._pairs)

@@ -9,13 +9,16 @@ Two generic engines are exposed through ``QuadratureConfig.method``:
   they cancel.  Streams of at most ``_BLOCK`` points draw from SFC64
   generators seeded by the children of ``SeedSequence(seed)``, and
   ``math.fsum`` adds their sums: estimates are bit-identical given (seed,
-  samples), in memory that does not grow with samples.  A quotient's two
-  integrals share each stream's directions, and its error bar is the ratio
-  estimator's.  Each radial shape draws its radii from the generator state
-  after them, as separate ``mc_integral`` calls would; a Gaussian trial's
-  mass draws none, being |F|^p times the density's closed-form mass P on
-  [r_min, r_max].  An integral's error bar is at least 1e-14 of it, and
-  such a mass's at least the share 1 - P that the cutoffs leave out.
+  samples), in memory that does not grow with samples.  A stream draws
+  one direction per orbit of up to four, its images under sign flips of
+  x_0 and x_1, and error bars come from the orbits' totals.  A quotient's
+  two integrals share each stream's directions, and its error bar is the
+  ratio estimator's.  Each radial shape draws its radii from the generator
+  state after them, as separate ``mc_integral`` calls would; a Gaussian
+  trial's mass draws none, being |F|^p times the density's closed-form
+  mass P on [r_min, r_max].  An integral's error bar is at least 1e-14 of
+  it, and such a mass's at least the share 1 - P that the cutoffs leave
+  out.
 * ``product``: a log-radial Gauss-Legendre rule times a tensor angular
   rule on the sphere (d <= 4).  The reported error is the change under
   halving both node counts.  Whole radii are grouped into blocks of at
@@ -302,20 +305,26 @@ def _mc_streams(d, config: QuadratureConfig, proposals, kernel, exact=()):
     and the covariance of the first and the last estimate.
 
     ``proposals[i]`` is the (shape, scale) pair of integral i.  A stream is
-    one block of at most ``_BLOCK`` samples with its own SFC64 generator,
-    seeded by the next child of ``SeedSequence(seed)``.  It draws its
-    directions once, column-major; every distinct proposal then replays
-    the generator state that follows them and draws its radii, so integral
-    i gets exactly the points of ``mc_integral`` with its own proposal.
+    one block of m <= ``_BLOCK`` samples with its own SFC64 generator,
+    seeded by the next child of ``SeedSequence(seed)``.  It draws its b =
+    m / g directions once, g = gcd(m, 2^min(d - 1, 2)): 4 for a full block
+    from d = 3, 2 at d = 2, 1 for an odd m.  Sign pattern j, flipping x_0
+    for odd j and x_1 for j >= 2, fills columns j b to (j + 1) b of the
+    column-major (d, m) directions, so the g points k + j b are an orbit.
+    Every distinct proposal then replays the generator state that follows
+    the draw and draws its m radii, so integral i gets exactly the points
+    of ``mc_integral`` with its own proposal.
     ``kernel`` is an (angular, evaluate) pair as ``_factored_integrands``
     returns: per stream, ``angular(w)`` is called once on its directions,
     and ``evaluate(r, parts, members)`` once per proposal on its radii, its
     values lacking r^a (a from ``evaluate.powers``).  An integral in
     ``exact`` is the first part times its density: it draws no radii, and
     weighs that part by the density's normalization and mass on [r_min,
-    r_max].  Each stream leaves per integral a sum, a sum of squares about
-    its mean and a non-finite count, and the first and last integrals'
-    cross sum; ``fsum`` adds them exactly: no variance cancels mean^2.
+    r_max].  The orbits are independent, their points not: each stream
+    leaves per integral a sum, a sum of squares of its b orbit totals
+    about their mean and a non-finite count, and the first and last
+    integrals' cross sum of orbit totals; ``fsum`` adds them exactly: no
+    variance cancels mean^2.  At g = 1 an orbit is one point.
     """
     _check_samples(config.samples)
     if config.samples * d > _MAX_DRAWS:
@@ -334,21 +343,31 @@ def _mc_streams(d, config: QuadratureConfig, proposals, kernel, exact=()):
               for i in exact}
     n = config.samples
     sizes = [min(_BLOCK, n - lo) for lo in range(0, n, _BLOCK)]
+    orbits = [math.gcd(m, 2 ** min(d - 1, 2)) for m in sizes]
     seeds = np.random.SeedSequence(config.seed).spawn(len(sizes))
     sums, squares, bad = ([[] for _ in proposals] for _ in range(3))
     cross = []
-    for m, child in zip(sizes, seeds):
+    for m, g, child in zip(sizes, orbits, seeds):
         rng = np.random.Generator(np.random.SFC64(child))
-        WT = rng.standard_normal((d, m))
+        b = m // g
+        WT = rng.standard_normal((d, b))
         norms = np.sqrt(row_dot(WT.T, WT.T))
         norms[norms == 0.0] = 1.0
         WT /= norms
         after_directions = rng.bit_generator.state
+        if g > 1:  # pattern j flips x_0 if j is odd, x_1 if j >= 2
+            WT = np.tile(WT, g)
+            WT[0].reshape(g, b)[1::2] *= -1.0
+            WT[1].reshape(g, b)[2:] *= -1.0
         weights = [None] * len(proposals)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             parts = angular(WT.T)
             for i in exact:
-                weights[i] = math.exp(log_z[i]) * inside[i] * parts[0]
+                try:
+                    weights[i] = math.exp(log_z[i]) * inside[i] * parts[0]
+                except OverflowError:  # in the normalization: take logs
+                    weights[i] = np.exp(np.log(inside[i] * parts[0])
+                                        + log_z[i])
             for (k, s), members in groups.items():
                 rng.bit_generator.state = after_directions
                 r = np.sqrt(rng.gamma(k / 2.0, 2.0 * s * s, size=m))
@@ -361,21 +380,25 @@ def _mc_streams(d, config: QuadratureConfig, proposals, kernel, exact=()):
                         w *= r ** (d - k + evaluate.powers[i])
                     w[outside | (vals == 0.0)] = 0.0
                     weights[i] = w
-        for i, w in enumerate(weights):
-            nonfinite = ~np.isfinite(w)
-            w[nonfinite] = 0.0
-            sums[i].append(float(w.sum()))
-            w -= sums[i][-1] / m
-            squares[i].append(float((w * w).sum()))
-            bad[i].append(int(np.count_nonzero(nonfinite)))
-        cross.append(float((weights[0] * weights[-1]).sum()))
+            for i, w in enumerate(weights):
+                nonfinite = ~np.isfinite(w)
+                w[nonfinite] = 0.0
+                sums[i].append(float(w.sum()))
+                w = w.reshape(g, b).sum(axis=0)  # the b orbit totals
+                w -= sums[i][-1] / b
+                squares[i].append(float((w * w).sum()))
+                bad[i].append(int(np.count_nonzero(nonfinite)))
+                weights[i] = w
+            cross.append(float((weights[0] * weights[-1]).sum()))
 
     def pooled(within, x, y):
-        # Chan, Golub and LeVeque's update: the streams' products about
-        # their own means plus m (x_s / m - mean x)(y_s / m - mean y) each.
+        # Chan, Golub and LeVeque's update: the streams' products of orbit
+        # totals about their own means plus g m (x_s / m - mean x)(y_s / m -
+        # mean y) each, the products of all orbit totals about g mean.
         mean_x, mean_y = math.fsum(x) / n, math.fsum(y) / n
-        return math.fsum([*within, *(m * (a / m - mean_x) * (b / m - mean_y)
-                                     for a, b, m in zip(x, y, sizes))]) / n
+        return math.fsum([*within, *(g * m * (a / m - mean_x)
+                                     * (b / m - mean_y) for a, b, m, g
+                                     in zip(x, y, sizes, orbits))]) / n
 
     estimates = []
     for i, (x, within, nonfinite) in enumerate(zip(sums, squares, bad)):

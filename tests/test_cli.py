@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -165,35 +166,36 @@ class TestVerifyCommand:
         "klass, functional, grid, pinned",
         [
             ("antisym", "hardy", ["--d", "3,5", "--p", "2"], [
-                ("3", "15.630262606468921", "0.15958459260852603"),
-                ("5", "141.30346330610769", "2.2954129726286494"),
+                ("3", "15.599495644079974", "0.1781700516137093"),
+                ("5", "140.94396847862222", "2.5465392545571617"),
             ]),
             ("odd", "rellich", ["--d", "3,5", "--p", "2"], [
-                ("3", "6.4648505264760958", "0.045281972803612965"),
-                ("5", "58.472135637949506", "0.4175592438288398"),
+                ("3", "6.5885510185626188", "0.044680764862369812"),
+                ("5", "59.072546014948635", "0.41918230245898913"),
             ]),
             ("antisym", "hardy", ["--d", "5", "--p", "3", "--gamma", "1"], [
-                ("5", "1033.1195719796328", "27.013252107625149"),
+                ("5", "1045.6078974262532", "30.828767925191894"),
             ]),
             ("odd", "rellich", ["--d", "3", "--p", "3", "--gamma=-1"], [
-                ("3", "16.235958205254899", "0.14719966508741147"),
+                ("3", "16.584660140855821", "0.14953329477615951"),
             ]),
-            # 160,003 samples: the last stream is a partial block.
+            # 160,003 samples: the last stream is a partial block of 3
+            # points, drawn without sign-flip orbits.
             ("antisym", "hardy", ["--d", "4", "--p", "3",
                                   "--samples", "160003"], [
-                ("4", "275.70827610127566", "1.7803120493693194"),
+                ("4", "277.3126184729349", "1.9604546462659758"),
             ]),
             # F = 1: the Laplacian of a general-class trial.
             ("general", "rellich", ["--d", "3,5", "--p", "2", "--gamma=-2"], [
-                ("3", "2.0500255762705404", "0.023168271480485916"),
-                ("5", "21.399752976213726", "0.15652198228937581"),
+                ("3", "2.0854653254387441", "0.023225400530577329"),
+                ("5", "21.696800944792123", "0.15713042669883448"),
             ]),
             # From d = 8 on the row sums add left to right, not pairwise.
             ("antisym", "hardy", ["--d", "8", "--p", "2"], [
-                ("8", "1042.8618334876492", "39.745102212568028"),
+                ("8", "938.22257959397621", "46.949726105101576"),
             ]),
             ("odd", "rellich", ["--d", "9", "--p", "2"], [
-                ("9", "560.52857673829669", "3.9873524541003995"),
+                ("9", "560.89868176179152", "3.8277024267486794"),
             ]),
         ],
         ids=["antisym-hardy-pinned0", "odd-rellich-pinned1",
@@ -596,6 +598,13 @@ class TestBadInput:
             (["verify", "--method", "product", "--class", "odd",
               "--functional", "hardy", "--r-max", "1e300"],
              "DegenerateSampleError"),
+            # The Gaussian mass's closed-form normalization overflows
+            # math.exp (log Z = 1142 > 709.8): the weights are formed in log
+            # space, and most of them overflow still.
+            (["verify", "--method", "mc", "--class", "antisym",
+              "--functional", "hardy", "--d", "9", "--p", "12",
+              "--gamma=2.0000001", "--sigma=4", "--samples", "1000"],
+             "DegenerateSampleError"),
         ],
     )
     def test_named_error_exit_2_with_run_report(self, tmp_path, capsys,
@@ -868,6 +877,31 @@ _LOADED_MODULES_SCRIPT = textwrap.dedent("""
     print("verify-mc", main("verify", "--method", "mc", "--d", "3", "--p",
                             "3", "--samples", "2000"))
 """)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sharpness", "--class", "antisym", "--d", "100000"],
+    ["verify", "--method", "product", "--class", "antisym", "--d", "1e9"],
+], ids=["sharpness", "verify-product"])
+def test_huge_antisymmetric_dimension_is_named(tmp_path, argv):
+    # The Vandermonde factor lists its d (d - 1) / 2 pairs on first
+    # evaluation, after the commands' own checks: listed when the factor
+    # was made, 5e9 pairs at d = 1e5 ended in MemoryError under a 2 GiB
+    # address space.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "symhardy", *argv], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 2
+    assert len([ln for ln in done.stderr.splitlines()
+                if ln.startswith("error:")]) == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_only_numpy_loaded():

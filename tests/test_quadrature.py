@@ -407,11 +407,19 @@ class TestSharedDraws:
         assert str(got.value) == str(want.value)
 
 
+def _orbit(d, m):
+    """The number of sign patterns of a stream of m points in dimension d."""
+    return math.gcd(m, 2 ** min(d - 1, 2))
+
+
 def _reference_weights(d, config, proposals, kernel, exact=()):
     """``_mc_streams``' weighted samples written out plainly: one SFC64
     generator per ``_BLOCK`` samples, spawned all at once, rebuilt from its
-    seed for each integral; directions drawn as (d, m) and divided by their
-    norms, radii drawn after them, and one ``evaluate`` per integral alone,
+    seed for each integral; a stream of m points draws m / g directions as
+    (d, m / g) and divides them by their norms, and its directions are
+    those times each of g sign patterns in turn, pattern j flipping x_0
+    if j is odd and x_1 if j >= 2 (g from ``_orbit``).  Radii are drawn
+    after the directions, and one ``evaluate`` runs per integral alone,
     its value times r^a and the density's r^(d - k) as one power.  An
     integral in ``exact`` draws no radii: each sample weighs its first
     angular part times the density's normalization and its mass on
@@ -423,11 +431,21 @@ def _reference_weights(d, config, proposals, kernel, exact=()):
     area = qd.sphere_area(d)
     streams = [[] for _ in proposals]
     for child, m in zip(children, [B] * (n // B) + [n % B]):
-        z = np.random.Generator(np.random.SFC64(child)).standard_normal((d, m))
+        g = _orbit(d, m)
+        rng = np.random.Generator(np.random.SFC64(child))
+        z = rng.standard_normal((d, m // g))
         norms = np.sqrt((z * z).sum(axis=0))
         norms[norms == 0.0] = 1.0
+        patterns = []
+        for j in range(g):
+            pattern = z / norms
+            if j % 2:
+                pattern[0] = -pattern[0]
+            if j >= 2:
+                pattern[1] = -pattern[1]
+            patterns.append(pattern)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            parts = angular((z / norms).T)
+            parts = angular(np.concatenate(patterns, axis=1).T)
             for i, (k, s) in enumerate(proposals):
                 log_z = ((k / 2.0 - 1.0) * math.log(2.0)
                          + math.lgamma(k / 2.0) + k * math.log(s)
@@ -437,7 +455,7 @@ def _reference_weights(d, config, proposals, kernel, exact=()):
                         k, s, config.r_min, config.r_max) * parts[0]
                 else:
                     rng = np.random.Generator(np.random.SFC64(child))
-                    rng.standard_normal((d, m))
+                    rng.standard_normal((d, m // g))
                     r = np.sqrt(rng.gamma(k / 2.0, 2.0 * s * s, size=m))
                     (vals,) = evaluate(r, parts, [i])
                     w = np.exp(r * r * (0.5 / (s * s)) + log_z) * vals
@@ -451,21 +469,29 @@ def _reference_weights(d, config, proposals, kernel, exact=()):
     return streams
 
 
+def _orbit_totals(d, w):
+    """A stream's weights summed over each orbit of sign patterns, less
+    their mean: the stream's sum over the number of orbits."""
+    g = _orbit(d, len(w))
+    return sum(np.split(w, g)) - w.sum() / (len(w) // g)
+
+
 def _reference_streams(d, config, proposals, kernel, exact=()):
     """``_mc_streams`` from the reference weights: per stream, the sum and
-    the two-pass sums of the products of two integrals' weights about the
-    stream's means; the streams joined by Chan, Golub and LeVeque's
-    update, added with ``math.fsum``.  The estimates, and the covariance
-    of the first and the last."""
+    the two-pass sums of the products of two integrals' orbit totals about
+    their means (the stream's sum over the number of orbits); the streams
+    joined by Chan, Golub and LeVeque's update, with the between-stream
+    term times the orbit size, added with ``math.fsum``.  The estimates,
+    and the covariance of the first and the last."""
     n = config.samples
 
     def pooled(x, y):
-        cross = [((a - a.mean()) * (b - b.mean())).sum()
+        cross = [(_orbit_totals(d, a) * _orbit_totals(d, b)).sum()
                  for (a, _), (b, _) in zip(x, y)]
         mean_a = math.fsum([a.sum() for a, _ in x]) / n
         mean_b = math.fsum([b.sum() for b, _ in y]) / n
-        between = [len(a) * (a.mean() - mean_a) * (b.mean() - mean_b)
-                   for (a, _), (b, _) in zip(x, y)]
+        between = [_orbit(d, len(a)) * len(a) * (a.mean() - mean_a)
+                   * (b.mean() - mean_b) for (a, _), (b, _) in zip(x, y)]
         return math.fsum(cross + between) / n
 
     estimates = []
@@ -485,9 +511,11 @@ class TestStreamBlocks:
     sampler."""
 
     B = qd._BLOCK
-    # Sample counts: below one block, exactly one, one block plus one, and
-    # two blocks plus one.
-    SIZES = [B // 2 + 1, B, B + 1, 2 * B + 1]
+    # Sample counts: below one block, exactly one, one block plus one, one
+    # block plus two, and two blocks plus one.  At d = 3 a full block is
+    # orbits of g = 4, and streams of 5,001, 1 and 2 points take g = 1, 1
+    # and 2.
+    SIZES = [B // 2 + 1, B, B + 1, B + 2, 2 * B + 1]
     CASES = [(ANTI, vandermonde, Functional.HARDY),   # one proposal group
              (ODD, odd_linear, Functional.RELLICH)]  # two proposal groups
 
@@ -515,20 +543,28 @@ class TestStreamBlocks:
     @pytest.mark.parametrize("exact", [(), (1,)])
     def test_error_is_the_spread_of_all_samples(self, klass, factor,
                                                 functional, exact):
-        # Joining the streams' centred sums loses nothing: the error bar is
-        # the two-pass standard error of all 2B + 1 samples at once, and
-        # the covariance of the two estimates is their samples' over n.
+        # Joining the streams' centred sums loses nothing: over all orbits
+        # at once, of g = 4, 4 and 1 points, the error bar is the two-pass
+        # standard error of the orbit totals U, sqrt(sum (U - g mean)^2) /
+        # n, and the covariance of the two estimates is the same sum of
+        # their products over n^2.
         proposals, kernel = self._setup(klass, factor, functional)
         config = qd.QuadratureConfig(samples=2 * self.B + 1, seed=5)
-        got, cov = qd._mc_streams(3, config, proposals, kernel, exact)
-        weights = [np.concatenate([w for w, _ in per_stream]) for per_stream
-                   in _reference_weights(3, config, proposals, kernel, exact)]
-        for est, w in zip(got, weights):
-            assert est.error == pytest.approx(
-                math.sqrt(np.var(w) / len(w)), rel=1e-12)
         n = config.samples
+        got, cov = qd._mc_streams(3, config, proposals, kernel, exact)
+        centred = []
+        for per_stream in _reference_weights(3, config, proposals, kernel,
+                                              exact):
+            mean = np.concatenate([w for w, _ in per_stream]).sum() / n
+            centred.append(np.concatenate([
+                sum(np.split(w, _orbit(3, len(w)))) - _orbit(3, len(w)) * mean
+                for w, _ in per_stream]))
+        assert [len(c) for c in centred] == [2 * self.B // 4 + 1] * 2
+        for est, c in zip(got, centred):
+            assert est.error == pytest.approx(
+                math.sqrt((c * c).sum()) / n, rel=1e-12)
         assert cov == pytest.approx(
-            np.cov(*weights, bias=True)[0, 1] / n, rel=1e-12)
+            (centred[0] * centred[-1]).sum() / n**2, rel=1e-12)
 
     @pytest.mark.parametrize("klass, factor, functional", CASES)
     def test_evaluations_per_stream(self, klass, factor, functional):
@@ -564,7 +600,7 @@ class TestStreamBlocks:
         radii = []
         for child in np.random.SeedSequence(config.seed).spawn(2):
             rng = np.random.Generator(np.random.SFC64(child))
-            rng.standard_normal((3, self.B))
+            rng.standard_normal((3, self.B // _orbit(3, self.B)))
             radii.append(np.sqrt(rng.gamma(k / 2.0, 2.0 * s * s,
                                            size=self.B)))
         targets = np.concatenate(radii)[[self.B + o for o in offsets]]
@@ -1800,16 +1836,22 @@ class TestSphereSums:
 class TestQuotientErrorCalibration:
     """A Monte Carlo quotient's error bar is the ratio estimator's: its
     numerator and denominator share their directions, and the bar must
-    cover their correlation.  Over 100 seeds at 2e4 samples, sd(z)
-    against the exact separable quotient measured 1.02-1.06 in all four
-    cases; with the relative errors added in quadrature, as if the two
-    were independent, it was 0.35-0.48 for the Rellich cases."""
+    cover their correlation, and with sign-flip orbits the correlation of
+    an orbit's points.  Over 100 seeds at 2e4 samples, sd(z) against the
+    exact separable quotient measured 0.97-1.12 in all six cases (1.02-1.06
+    in the first four with independent directions); with the relative
+    errors added in quadrature, as if numerator and denominator were
+    independent, it was 0.35-0.48 for the Rellich cases."""
 
     @pytest.mark.parametrize("klass, factor, functional, d, p, gamma", [
         (ANTI, vandermonde, Functional.HARDY, 3, 2.0, 0.0),
         (ANTI, vandermonde, Functional.RELLICH, 3, 3.0, 0.0),
         (ODD, odd_linear, Functional.RELLICH, 5, 3.0, 1.0),
         (ANTI, vandermonde, Functional.RELLICH, 5, 2.0, 0.0),
+        # Hardy at d = 5: an orbit's points correlate most in the
+        # antisymmetric case.
+        (ODD, odd_linear, Functional.HARDY, 5, 2.0, 1.0),
+        (ANTI, vandermonde, Functional.HARDY, 5, 2.0, 0.0),
     ])
     def test_z_scores_have_unit_spread(self, klass, factor, functional, d,
                                        p, gamma):
